@@ -433,6 +433,13 @@ else
   echo "python3 not installed; skipping walkthrough run"
 fi
 
+echo "== ledger smoke (every benchmark workload, 1 s each; 5 min cap) =="
+# every served answer the benchmark ledger draws is checked (witnesses,
+# certificates, verdicts, byte-identical repeats); any failed check
+# withholds the final line
+timeout 300 sh ledger/run.sh --seconds 1 > /tmp/ci-ledger-smoke.out
+grep -q "^ledger: every workload correct$" /tmp/ci-ledger-smoke.out
+
 echo "== docs link check (every relative link must resolve) =="
 if command -v python3 > /dev/null 2>&1; then
   python3 - <<'EOF'

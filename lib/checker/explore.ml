@@ -55,7 +55,9 @@ type result = {
   worker_errors : (int * string) list;
 }
 
-(* Mutable per-search counter block, folded into a [stats] at the end. *)
+(* Mutable per-search counter block, folded into a [stats] at the end.
+   [probe_nodes] and [memo_hits] go to the profiler only, never to the
+   wire. *)
 type counters = {
   mutable explored : int;
   mutable trunc : bool;
@@ -63,13 +65,14 @@ type counters = {
   mutable hits : int;
   mutable misses : int;
   mutable peak : int;
-  mutable solo_hits : int;
-  mutable solo_misses : int;
+  mutable probes : int;
+  mutable probe_nodes : int;
+  mutable memo_hits : int;
 }
 
 let fresh_counters () =
   { explored = 0; trunc = false; deep = 0; hits = 0; misses = 0; peak = 0;
-    solo_hits = 0; solo_misses = 0 }
+    probes = 0; probe_nodes = 0; memo_hits = 0 }
 
 let stats_of_counters c =
   {
@@ -79,65 +82,152 @@ let stats_of_counters c =
     table_hits = c.hits;
     table_misses = c.misses;
     peak_frontier = c.peak;
-    solo_cache_hits = c.solo_hits;
-    solo_cache_misses = c.solo_misses;
+    solo_cache_hits = 0;
+    solo_cache_misses = c.probes;
   }
+
+(* --- group-termination probes ------------------------------------------ *)
+
+(* What the probes of one search have learned about a projected node (see
+   [Ckey.pack_group]): no member decides within [lo] member steps, and
+   some member decides within [hi] ([max_int] until known).  Only
+   non-deciding nodes get an entry, so [lo = 0] is always true. *)
+type bounds = {
+  mutable lo : int;
+  mutable hi : int;
+}
+
+type memo = {
+  bounds : bounds Ckey.Salted_tbl.t;
+  loc : string;  (* race-detector location *)
+}
+
+let create_memo ~size name =
+  { bounds = Ckey.Salted_tbl.create size; loc = Trace.fresh_loc name }
+
+(* Per-vector tables are sized to the budget, not a fixed large block:
+   small searches (a few dozen configurations per input vector) shouldn't
+   pay for 4096-bucket tables they never fill. *)
+let table_size ~max_configs = max 64 (min 4096 (max_configs / 8))
+
+(* One node of a probe's BFS tree; [parent] links a winner back to the
+   probe's root. *)
+type 's probe_node = {
+  cfg : 's Config.t;
+  key : Ckey.Salted.t;
+  depth : int;
+  parent : 's probe_node option;
+}
+
+let record memo key update =
+  match Ckey.Salted_tbl.find_opt memo.bounds key with
+  | Some b -> update b
+  | None ->
+    let b = { lo = 0; hi = max_int } in
+    update b;
+    Ckey.Salted_tbl.replace memo.bounds key b
 
 (* Can some process of [ps], with only (undecided) members of [ps] taking
    steps from [cfg], decide within [budget] steps for some resolution of
    the coin flips?  BFS over schedules with a visited set (BFS + visited is
-   complete for "reachable within budget").  Both the memo and the visited
-   table key by the packed configuration, salted with the participant
-   mask.  [Pset.singleton p] gives the classic solo-termination probe;
-   larger sets give the survivor-group probes of the t-resilience check. *)
-let group_can_decide proto pk cfg ps ~budget ~guard ~cache ~cache_loc ~counters =
-  let key = Ckey.Salted.make (Ckey.pack pk cfg) (Pset.to_mask ps) in
-  Trace.access ~loc:cache_loc Trace.Read ~atomic:false;
-  match Ckey.Salted_tbl.find_opt cache key with
-  | Some r ->
-    counters.solo_hits <- counters.solo_hits + 1;
-    r
-  | None ->
-    counters.solo_misses <- counters.solo_misses + 1;
-    let visited = Ckey.Tbl.create 64 in
-    let q = Queue.create () in
-    Queue.add (cfg, 0) q;
-    Ckey.Tbl.replace visited (Ckey.pack pk cfg) ();
-    let found = ref false in
-    (try
-       while not (Queue.is_empty q) do
-         let cfg, depth = Queue.pop q in
-         Budget.charge guard 1;
-         if Pset.exists (fun p -> Config.has_decided cfg p <> None) ps then begin
-           found := true;
-           raise Exit
-         end;
-         if depth < budget then
-           let push cfg' =
-             let k = Ckey.pack pk cfg' in
-             if not (Ckey.Tbl.mem visited k) then begin
-               Ckey.Tbl.replace visited k ();
-               Queue.add (cfg', depth + 1) q
-             end
-           in
-           Pset.iter
-             (fun p ->
-               match Config.poised proto cfg p with
-               | None -> ()
-               | Some Action.Flip ->
-                 push (fst (Config.step proto cfg p ~coin:(Some true)));
-                 push (fst (Config.step proto cfg p ~coin:(Some false)))
-               | Some _ -> push (fst (Config.step proto cfg p ~coin:None)))
-             ps
-       done
-     with Exit -> ());
-    Trace.access ~loc:cache_loc Trace.Write ~atomic:false;
-    Ckey.Salted_tbl.replace cache key !found;
-    !found
+   complete for "reachable within budget").  [Pset.singleton p] gives the
+   classic solo-termination probe; larger sets give the survivor-group
+   probes of the t-resilience check.
 
-let solo_can_decide proto pk cfg p ~budget ~guard ~cache ~cache_loc ~counters =
-  group_can_decide proto pk cfg (Pset.singleton p) ~budget ~guard ~cache ~cache_loc
-    ~counters
+   Non-members never move and the goal test never looks at them, so the
+   answer from a node depends only on its projection onto [ps]: nodes are
+   keyed by [Ckey.pack_group], salted with the mask, and [memo] carries
+   distance bounds from earlier probes of the same search.  A node
+   dequeued at depth [d] answers at once if [hi <= budget - d] and is not
+   expanded if [lo >= budget - d].  A success sets [hi] along the winner's
+   parent chain; a failure sets [lo = budget - d] on every dequeued node
+   (each lies [d] steps from a root that cannot decide within [budget]).
+   A probe stopped by [Budget.Exhausted] records nothing. *)
+let probe_group proto pk cfg ps ~budget ~guard ~memo ~counters =
+  counters.probes <- counters.probes + 1;
+  let mask = Pset.to_mask ps in
+  (* node key -> depth; a failed probe has dequeued every entry *)
+  let visited = Ckey.Salted_tbl.create 64 in
+  let q = Queue.create () in
+  let push cfg depth parent =
+    let key = Ckey.Salted.make (Ckey.pack_group pk cfg ps) mask in
+    if not (Ckey.Salted_tbl.mem visited key) then begin
+      Ckey.Salted_tbl.replace visited key depth;
+      Queue.add { cfg; key; depth; parent } q
+    end
+  in
+  push cfg 0 None;
+  Trace.access ~loc:memo.loc Trace.Read ~atomic:false;
+  (* [Some (n, h)]: a member decides within [h] steps of node [n] *)
+  let rec search () =
+    if Queue.is_empty q then None
+    else begin
+      let n = Queue.pop q in
+      counters.probe_nodes <- counters.probe_nodes + 1;
+      Budget.charge guard 1;
+      if Pset.exists (fun p -> Config.has_decided n.cfg p <> None) ps then Some (n, 0)
+      else if n.depth >= budget then search ()
+      else
+        let left = budget - n.depth in
+        match Ckey.Salted_tbl.find_opt memo.bounds n.key with
+        | Some b when b.hi <= left ->
+          counters.memo_hits <- counters.memo_hits + 1;
+          Some (n, b.hi)
+        | Some b when b.lo >= left ->
+          counters.memo_hits <- counters.memo_hits + 1;
+          search ()
+        | _ ->
+          let push cfg' = push cfg' (n.depth + 1) (Some n) in
+          Pset.iter
+            (fun p ->
+              match Config.poised proto n.cfg p with
+              | None -> ()
+              | Some Action.Flip ->
+                push (fst (Config.step proto n.cfg p ~coin:(Some true)));
+                push (fst (Config.step proto n.cfg p ~coin:(Some false)))
+              | Some _ -> push (fst (Config.step proto n.cfg p ~coin:None)))
+            ps;
+          search ()
+    end
+  in
+  let outcome = search () in
+  Trace.access ~loc:memo.loc Trace.Write ~atomic:false;
+  match outcome with
+  | Some (winner, h) ->
+    let total = winner.depth + h in
+    let rec up = function
+      | None -> ()
+      | Some n ->
+        record memo n.key (fun b -> b.hi <- min b.hi (total - n.depth));
+        up n.parent
+    in
+    (* the winner's own entry (if any) already holds [h] *)
+    up winner.parent;
+    true
+  | None ->
+    (* nodes at the budget's edge would only learn [lo = 0] *)
+    Ckey.Salted_tbl.iter
+      (fun key depth ->
+        if depth < budget then record memo key (fun b -> b.lo <- max b.lo (budget - depth)))
+      visited;
+    false
+
+(* A self-contained probe context outside any search: the cluster
+   examiners, replay and the differential tests. *)
+type 's probes = {
+  proto : 's Protocol.t;
+  pk : 's Ckey.packer;
+  memo : memo;
+  counters : counters;
+}
+
+let probes proto =
+  { proto; pk = Ckey.packer proto; memo = create_memo ~size:256 "explore.probe_memo";
+    counters = fresh_counters () }
+
+let group_can_decide t cfg ps ~budget =
+  probe_group t.proto t.pk cfg ps ~budget ~guard:Budget.unlimited ~memo:t.memo
+    ~counters:t.counters
 
 exception Found of violation
 
@@ -154,8 +244,9 @@ let observe_vector sp counters verdict =
   Obs.Metrics.incr ~by:counters.explored "explore.configs_explored";
   Obs.Metrics.incr ~by:counters.hits "explore.table_hits";
   Obs.Metrics.incr ~by:counters.misses "explore.table_misses";
-  Obs.Metrics.incr ~by:counters.solo_hits "explore.solo_cache_hits";
-  Obs.Metrics.incr ~by:counters.solo_misses "explore.solo_cache_misses";
+  Obs.Metrics.incr ~by:counters.probes "explore.solo_cache_misses";
+  Obs.Metrics.incr ~by:counters.probe_nodes "explore.probe_nodes";
+  Obs.Metrics.incr ~by:counters.memo_hits "explore.probe_memo_hits";
   Obs.Metrics.gauge_max "explore.peak_frontier" counters.peak;
   Obs.Metrics.gauge_max "explore.deepest" counters.deep
 
@@ -167,11 +258,7 @@ let observe_vector sp counters verdict =
    bit-identical verdicts and stats. *)
 let bfs_reachable proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examine =
   let pk = Ckey.packer proto in
-  (* sized to the budget, not a fixed large block: small searches (few
-     dozen configurations per input vector) shouldn't pay for 4096-bucket
-     tables they never fill *)
-  let table_size = max 64 (min 4096 (max_configs / 8)) in
-  let visited = Ckey.Tbl.create table_size in
+  let visited = Ckey.Tbl.create (table_size ~max_configs) in
   (* each search owns its visited table; a distinct location per table
      lets the race detector prove no cross-domain sharing ever happens *)
   let visited_loc = Trace.fresh_loc "explore.visited" in
@@ -240,9 +327,9 @@ let observed_bfs proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examine
 (* One input vector's consensus-property search. *)
 let check_from proto ~k ~inputs ~max_configs ~max_depth ~solo_budget ~check_solo ~guard =
   let counters = fresh_counters () in
-  let table_size = max 64 (min 4096 (max_configs / 8)) in
-  let solo_cache = Ckey.Salted_tbl.create (if check_solo then table_size else 1) in
-  let solo_loc = Trace.fresh_loc "explore.solo_cache" in
+  let memo =
+    create_memo ~size:(if check_solo then table_size ~max_configs else 1) "explore.solo_memo"
+  in
   let examine pk cfg rev_sched =
     let schedule () = List.rev rev_sched in
     let decided = Config.decided_values cfg in
@@ -257,8 +344,8 @@ let check_from proto ~k ~inputs ~max_configs ~max_depth ~solo_budget ~check_solo
       for p = 0 to proto.Protocol.num_processes - 1 do
         if Config.has_decided cfg p = None
            && not
-                (solo_can_decide proto pk cfg p ~budget:solo_budget ~guard
-                   ~cache:solo_cache ~cache_loc:solo_loc ~counters)
+                (probe_group proto pk cfg (Pset.singleton p) ~budget:solo_budget ~guard
+                   ~memo ~counters)
         then raise (Found (Solo_stuck { inputs; schedule = schedule (); pid = p }))
       done
   in
@@ -342,15 +429,13 @@ let check_resilient_from proto ~t ~inputs ~max_configs ~max_depth ~solo_budget ~
     invalid_arg "Explore.check_t_resilient: need 0 <= t <= n-1";
   let crash_sets = subsets_of_size n t in
   let counters = fresh_counters () in
-  let table_size = max 64 (min 4096 (max_configs / 8)) in
-  let cache = Ckey.Salted_tbl.create table_size in
-  let cache_loc = Trace.fresh_loc "explore.group_cache" in
+  let memo = create_memo ~size:(table_size ~max_configs) "explore.group_memo" in
   let examine pk cfg rev_sched =
     List.iter
       (fun f ->
         let survivors = Pset.diff (Pset.all n) f in
-        if not (group_can_decide proto pk cfg survivors ~budget:solo_budget ~guard
-                  ~cache ~cache_loc ~counters)
+        if not (probe_group proto pk cfg survivors ~budget:solo_budget ~guard ~memo
+                  ~counters)
         then
           raise
             (Found
@@ -400,21 +485,24 @@ let successors proto cfg =
 
 (* One externally-materialized configuration put through the same property
    checks as a [bfs_reachable] examine, with the same probe order and an
-   exact count of the solo/group probes run (every probe is a cache miss:
-   probe keys are (config, mask) pairs and a deduplicated search examines
-   each configuration once).  The cache is still consulted so the code
-   path — including its counter discipline — is the serial one. *)
+   exact count of the solo/group probes run.  The examiner owns one probe
+   memo across its calls, as a serial search does across its dequeued
+   configurations. *)
 type 's examiner = {
   ex_run : 's Config.t -> Execution.event list -> violation option * int;
 }
 
-let consensus_examiner proto ~k ~inputs ~solo_budget ~check_solo =
-  let pk = Ckey.packer proto in
-  let solo_cache = Ckey.Salted_tbl.create 256 in
-  let solo_loc = Trace.fresh_loc "explore.cluster_solo_cache" in
+let examiner_of pr check =
   let run cfg schedule =
-    let counters = fresh_counters () in
-    let check () =
+    let before = pr.counters.probes in
+    let found = match check cfg schedule with () -> None | exception Found v -> Some v in
+    (found, pr.counters.probes - before)
+  in
+  { ex_run = run }
+
+let consensus_examiner proto ~k ~inputs ~solo_budget ~check_solo =
+  let pr = probes proto in
+  examiner_of pr (fun cfg schedule ->
       let decided = Config.decided_values cfg in
       List.iter
         (fun v ->
@@ -426,37 +514,21 @@ let consensus_examiner proto ~k ~inputs ~solo_budget ~check_solo =
       if check_solo then
         for p = 0 to proto.Protocol.num_processes - 1 do
           if Config.has_decided cfg p = None
-             && not
-                  (solo_can_decide proto pk cfg p ~budget:solo_budget
-                     ~guard:Budget.unlimited ~cache:solo_cache ~cache_loc:solo_loc
-                     ~counters)
+             && not (group_can_decide pr cfg (Pset.singleton p) ~budget:solo_budget)
           then raise (Found (Solo_stuck { inputs; schedule; pid = p }))
-        done
-    in
-    match check () with
-    | () -> (None, counters.solo_misses)
-    | exception Found v -> (Some v, counters.solo_misses)
-  in
-  { ex_run = run }
+        done)
 
 let resilience_examiner proto ~t ~inputs ~solo_budget =
   let n = proto.Protocol.num_processes in
   if t < 0 || t >= n then
     invalid_arg "Explore.resilience_examiner: need 0 <= t <= n-1";
-  let pk = Ckey.packer proto in
   let crash_sets = subsets_of_size n t in
-  let cache = Ckey.Salted_tbl.create 256 in
-  let cache_loc = Trace.fresh_loc "explore.cluster_group_cache" in
-  let run cfg schedule =
-    let counters = fresh_counters () in
-    let check () =
+  let pr = probes proto in
+  examiner_of pr (fun cfg schedule ->
       List.iter
         (fun f ->
           let survivors = Pset.diff (Pset.all n) f in
-          if not
-               (group_can_decide proto pk cfg survivors ~budget:solo_budget
-                  ~guard:Budget.unlimited ~cache ~cache_loc ~counters)
-          then
+          if not (group_can_decide pr cfg survivors ~budget:solo_budget) then
             raise
               (Found
                  (Crash_stuck
@@ -466,13 +538,7 @@ let resilience_examiner proto ~t ~inputs ~solo_budget =
                       crashed = Pset.to_list f;
                       survivors = Pset.to_list survivors;
                     })))
-        crash_sets
-    in
-    match check () with
-    | () -> (None, counters.solo_misses)
-    | exception Found v -> (Some v, counters.solo_misses)
-  in
-  { ex_run = run }
+        crash_sets)
 
 let examine ex cfg ~schedule = ex.ex_run cfg schedule
 
@@ -496,13 +562,8 @@ let replay ?(solo_budget = 300) proto violation =
         match Pset.to_list (Pset.filter (fun p -> Config.has_decided cfg p <> None) group) with
         | p :: _ -> Error (Printf.sprintf "p%d decided on replay; %s not stuck" p what)
         | [] ->
-          let pk = Ckey.packer proto in
-          let cache = Ckey.Salted_tbl.create 64 in
-          let cache_loc = Trace.fresh_loc "explore.replay_cache" in
-          let counters = fresh_counters () in
-          if group_can_decide proto pk cfg group ~budget:solo_budget
-               ~guard:Budget.unlimited ~cache ~cache_loc ~counters
-          then Error (what ^ " can decide on replay")
+          if group_can_decide (probes proto) cfg group ~budget:solo_budget then
+            Error (what ^ " can decide on replay")
           else Ok ())
   in
   match violation with

@@ -27,7 +27,7 @@
     from the returned schedule ({!replay} does exactly that).
 
     Each input vector's search is fully self-contained (its own visited
-    table, solo cache and budget), which is what makes the optional
+    table, probe memo and budget), which is what makes the optional
     [?domains] fan-out sound: with [domains > 1] the vectors are checked in
     parallel on separate OCaml domains and the results reassembled in input
     order, so verdict {e and} stats are identical to a serial run.  Worker
@@ -39,7 +39,36 @@
     All entry points accept a {!Ts_core.Budget} guard.  A search that trips
     the guard stops cleanly: the verdict covers what was explored,
     [stats.truncated] is set, and [result.stopped] records the breach —
-    a {e partial} result rather than an exception or a hang. *)
+    a {e partial} result rather than an exception or a hang.  The guard
+    is charged once per configuration the outer search dequeues and once
+    per node a solo/group probe dequeues.
+
+    {b Probe memo.}  Every solo/group-termination probe is a BFS over the
+    configurations reachable by steps of the group's members alone.  The
+    probes of one input vector's search share a memo of distance bounds,
+    keyed by the probed node's projection onto the group
+    ({!Ts_model.Ckey.pack_group}: the members' statuses plus the registers)
+    and salted with the group's mask.  Soundness: a member's step reads
+    only its own state and the registers, non-members never move during a
+    probe, and the goal test (some member has decided) never looks at
+    them.  So two nodes with the same projection have the same
+    member-only successors up to the non-members, and the same distance to
+    a member decision.  Each entry holds [lo] (no member decides within
+    [lo] steps) and [hi] (some member decides within [hi] steps).  A node
+    dequeued at depth [d] of a probe with budget [b] answers at once when
+    [hi <= b - d] and is not expanded when [lo >= b - d].  A successful
+    probe sets [hi] along the winner's parent chain.  A failed one sets
+    [lo = b - d] on every node it dequeued, each of which lies [d] steps
+    from a root that cannot decide within [b].  A probe stopped by the
+    guard records nothing.  Probes return booleans, not witnesses, so the
+    memo changes no verdict, violation schedule or [stats] field; it only
+    cuts the nodes a probe dequeues (the [explore.probe_nodes] and
+    [explore.probe_memo_hits] profiler counters).  No probe is answered
+    whole from a cache, so [stats.solo_cache_hits] is always [0] and
+    [stats.solo_cache_misses] counts the probes issued.  One caveat: a
+    protocol whose step function raises may raise at fewer configurations
+    than a plain per-probe BFS would, since answered and pruned nodes are
+    not expanded. *)
 
 open Ts_model
 open Ts_core
@@ -65,8 +94,10 @@ type stats = {
   table_hits : int;  (** successor already in a visited table *)
   table_misses : int;  (** fresh configurations inserted *)
   peak_frontier : int;  (** high-water mark of the BFS queue *)
-  solo_cache_hits : int;  (** solo/group-termination probes answered by the cache *)
-  solo_cache_misses : int;  (** solo/group-termination probes that ran a BFS *)
+  solo_cache_hits : int;
+      (** always [0]: kept for the wire format.  Probes share work through
+          the probe memo instead, which the profiler reports. *)
+  solo_cache_misses : int;  (** solo/group-termination probes issued *)
 }
 
 type result = {
@@ -150,7 +181,7 @@ val successors :
 
 type 's examiner
 (** The property checks one dequeued configuration undergoes, packaged
-    with its probe cache.  Build one per search; it is not thread-safe. *)
+    with its probe memo.  Build one per search; it is not thread-safe. *)
 
 (** The consensus-property examine of {!check_consensus} /
     {!check_set_agreement}: validity, then [k]-agreement, then (when
@@ -177,15 +208,29 @@ val resilience_examiner :
 (** [examine ex cfg ~schedule] checks one configuration and returns the
     violation (if any) together with the number of solo/group probes run
     — exactly the serial search's [solo_cache_misses] contribution for
-    this configuration ({e every} probe misses: probe keys are distinct
-    (configuration, mask) pairs and a deduplicated search examines each
-    configuration once).  [schedule] is the forward schedule reaching
+    this configuration.  [schedule] is the forward schedule reaching
     [cfg], embedded in any violation witness. *)
 val examine :
   's examiner ->
   's Config.t ->
   schedule:Execution.event list ->
   violation option * int
+
+(** {2 Probes}
+
+    The solo/group-termination probe behind every entry point, with its
+    own memo, for callers outside a search. *)
+
+type 's probes
+(** A probe memo plus its packer and counters.  Not thread-safe. *)
+
+val probes : 's Protocol.t -> 's probes
+
+(** [group_can_decide t cfg ps ~budget] holds iff, with only the members
+    of [ps] taking steps from [cfg], some member of [ps] can decide within
+    [budget] steps for some resolution of the coin flips.  Answers are
+    exactly those of a fresh BFS per call; calls on one [t] share work. *)
+val group_can_decide : 's probes -> 's Config.t -> Pset.t -> budget:int -> bool
 
 (** [replay proto v] independently re-validates a reported violation:
     re-applies its schedule step by step from the initial configuration

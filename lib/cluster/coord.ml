@@ -729,7 +729,7 @@ let explore_driver st =
         | Ok pk -> pk
         | Error m -> invalid_arg m
       in
-      Some (Explore.replay proto v)
+      Some (Explore.replay ~solo_budget:p.solo_budget proto v)
     | _ -> None
   in
   Response.explore_to_json ?replay result

@@ -70,24 +70,36 @@ let packer proto =
     loc = Trace.fresh_loc "ckey.packer";
   }
 
-let pack pk (cfg : _ Config.t) =
+let add_status pk = function
+  | Config.Decided v ->
+    Buffer.add_char pk.buf 'D';
+    Value.encode pk.buf v
+  | Config.Running s ->
+    Buffer.add_char pk.buf 'R';
+    pk.encode_state pk.buf s
+
+let start pk =
   (* the scratch buffer is the packer's share-nothing hazard: flag any
      cross-domain reuse to the race detector *)
   Trace.access ~loc:pk.loc Trace.Write ~atomic:false;
-  let buf = pk.buf in
-  Buffer.clear buf;
-  Array.iter
-    (fun st ->
-      match st with
-      | Config.Decided v ->
-        Buffer.add_char buf 'D';
-        Value.encode buf v
-      | Config.Running s ->
-        Buffer.add_char buf 'R';
-        pk.encode_state buf s)
-    cfg.Config.procs;
-  Array.iter (fun v -> Value.encode buf v) cfg.Config.regs;
-  of_string (Buffer.contents buf)
+  Buffer.clear pk.buf
+
+let finish pk (cfg : _ Config.t) =
+  Array.iter (fun v -> Value.encode pk.buf v) cfg.Config.regs;
+  of_string (Buffer.contents pk.buf)
+
+let pack pk (cfg : _ Config.t) =
+  start pk;
+  Array.iter (add_status pk) cfg.Config.procs;
+  finish pk cfg
+
+(* Injective for a fixed [ps]: the member count is fixed, so the same
+   self-delimiting argument as [pack] applies.  Keys of different groups
+   may coincide; callers salt them with the group's mask. *)
+let pack_group pk (cfg : _ Config.t) ps =
+  start pk;
+  Pset.iter (fun p -> add_status pk cfg.Config.procs.(p)) ps;
+  finish pk cfg
 
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t

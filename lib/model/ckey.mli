@@ -49,6 +49,14 @@ type 's packer
 val packer : 's Protocol.t -> 's packer
 val pack : 's packer -> 's Config.t -> t
 
+(** [pack_group pk cfg ps] packs only the statuses of the members of [ps]
+    (in pid order) plus the registers: the part of [cfg] that a search in
+    which only [ps] moves, and which only looks at [ps], can observe.
+    Injective among configurations for one fixed [ps]; keys for different
+    groups may coincide, so tables shared across groups must salt them
+    with {!Pset.to_mask}. *)
+val pack_group : 's packer -> 's Config.t -> Pset.t -> t
+
 (** Hash tables keyed by packed configurations. *)
 module Tbl : Hashtbl.S with type key = t
 

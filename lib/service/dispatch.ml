@@ -77,6 +77,17 @@ let canonical_inputs n = Array.init n (fun p -> Value.int (if p = 1 then 1 else 
 
 exception Reject of string * string  (* code, message *)
 
+let max_explore_n = 16
+
+(* A check or resilience search builds all 2^n input vectors (and scans
+   2^n crash masks) before its budget is first charged, so an unbounded
+   [n] would exhaust memory or pin a worker past any deadline. *)
+let bound_explore_n (r : Request.t) =
+  if r.Request.n > max_explore_n then
+    invalid_arg
+      (Printf.sprintf "n = %d is above the check/resilient limit of %d" r.Request.n
+         max_explore_n)
+
 (* Splice an emitted certificate into a result document.  The certificate
    is built in its own canonical JSON and re-parsed here: the digest binds
    the tree, not the rendering, so the round trip is harmless and cached /
@@ -146,6 +157,7 @@ let compute t (r : Request.t) : Json.t * bool =
      | Theorem.Partial (stop, progress) ->
        (Response.witness_partial_to_json ~horizon_used stop progress, false))
   | Request.Check ->
+    bound_explore_n r;
     let (Protocol.Packed proto) = protocol_of r in
     let result =
       Explore.check_consensus proto ~budget:(budget_of t r)
@@ -161,6 +173,7 @@ let compute t (r : Request.t) : Json.t * bool =
     ( with_certificate emitted (Response.explore_to_json result),
       result.Explore.stopped = None && result.Explore.worker_errors = [] )
   | Request.Resilient ->
+    bound_explore_n r;
     let (Protocol.Packed proto) = protocol_of r in
     let result =
       Explore.check_t_resilient proto ~t:r.Request.t_faults
@@ -171,7 +184,7 @@ let compute t (r : Request.t) : Json.t * bool =
     in
     let replay =
       match result.Explore.verdict with
-      | Error v -> Some (Explore.replay proto v)
+      | Error v -> Some (Explore.replay ~solo_budget:r.Request.solo_budget proto v)
       | Ok () -> None
     in
     let emitted =

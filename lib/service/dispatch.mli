@@ -44,6 +44,12 @@ module Json := Ts_analysis.Json
     forgotten. *)
 val cache_version : int
 
+(** The largest [n] a [check] or [resilient] request may ask for (16).
+    Those searches enumerate all 2^n input vectors before their budget is
+    first charged, so a larger [n] is refused with an [invalid-argument]
+    error that names this limit. *)
+val max_explore_n : int
+
 type t
 
 (** [create ()] builds a dispatcher.  [cache_capacity] (default [4096])

@@ -186,6 +186,37 @@ let test_store_record_bytes () =
     "010000000d0000006bcc9ae26b7b22706f6e67223a747275657d"
     (hex (Store.record_bytes ~key:"k" ~value:"{\"pong\":true}"))
 
+(* Served check/resilient answers are wire format: the cache and the store
+   persist these exact bytes, and the cluster's answers are compared to
+   them with [cmp].  Pinning an MD5 of [Response.explore_to_json] for two
+   racing-3 searches pins every verdict and every stats field, so an engine
+   change that shifts a counter (a probe count, a table hit) fails here.
+   No process decides within these bounds, so the check (one probe per
+   undecided process) and the t=2 search (one per 2-crash set) run the same
+   three probes per configuration and serve the same bytes.  The third pin
+   starves the probes (solo budget 5), so its answer carries a violation
+   schedule. *)
+let test_explore_wire_digests () =
+  let module Explore = Ts_checker.Explore in
+  let d = Request.defaults in
+  let proto = Ts_protocols.Racing.make ~n:3 in
+  let inputs_list = Explore.binary_inputs 3 in
+  let pinned name golden result =
+    let wire = Ts_analysis.Json.to_string (Ts_service.Response.explore_to_json result) in
+    Alcotest.(check string) ("served answer bytes of " ^ name) golden
+      (Digest.to_hex (Digest.string wire))
+  in
+  pinned "check racing-3, max_configs 400" "5ffb7c35c6b5b6e86e2b57195316b341"
+    (Explore.check_consensus proto ~inputs_list ~max_configs:400
+       ~max_depth:d.Request.max_depth ~solo_budget:d.Request.solo_budget
+       ~check_solo:d.Request.check_solo);
+  pinned "resilient racing-3, t=2, max_configs 400" "5ffb7c35c6b5b6e86e2b57195316b341"
+    (Explore.check_t_resilient proto ~t:2 ~inputs_list ~max_configs:400
+       ~max_depth:d.Request.max_depth ~solo_budget:d.Request.solo_budget);
+  pinned "check racing-3, solo_budget 5" "25a43d7a75a3d1adbbf0643d188602b3"
+    (Explore.check_consensus proto ~inputs_list ~max_configs:400
+       ~max_depth:d.Request.max_depth ~solo_budget:5 ~check_solo:true)
+
 let suite =
   ( "digest-stability",
     [
@@ -203,4 +234,6 @@ let suite =
         test_store_record_bytes;
       Alcotest.test_case "certificate header golden" `Quick
         test_cert_header_golden;
+      Alcotest.test_case "served check/resilient answer bytes" `Quick
+        test_explore_wire_digests;
     ] )

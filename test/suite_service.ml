@@ -672,6 +672,54 @@ let test_breaker_opens () =
   Alcotest.(check int) "every attempt a tagged connect failure" 4
     s.Client.connect_errors
 
+(* --- served check/resilient answers ------------------------------------ *)
+
+let result_of doc =
+  match Json.member "result" doc with
+  | Some r -> r
+  | None -> Alcotest.failf "no result in %s" (Json.to_string doc)
+
+(* Regression: the served resilience check re-validates its own witness.
+   The replay must probe at the request's solo budget — at the default
+   (300) the racing survivor decides, and the daemon contradicted its own
+   counterexample with "survivor group can decide on replay". *)
+let test_resilient_replay_budget () =
+  let req =
+    { Request.defaults with
+      Request.op = Request.Resilient; protocol = "racing"; n = 2; t_faults = 1;
+      solo_budget = 5 }
+  in
+  let result = result_of (Dispatch.handle (Dispatch.create ()) req) in
+  Alcotest.(check (option string)) "a starved survivor is a violation"
+    (Some "violation") (member_str "verdict" result);
+  Alcotest.(check (option string)) "and its witness replays at the same budget"
+    (Some "confirmed") (member_str "replay" result)
+
+(* A check or resilience request enumerates all 2^n input vectors before
+   its budget is first charged, so [n] is bounded at the boundary. *)
+let test_explore_n_bounded () =
+  let d = Dispatch.create () in
+  List.iter
+    (fun op ->
+      let req = { Request.defaults with Request.op; n = 40 } in
+      let doc = Dispatch.handle d req in
+      let err =
+        match Json.member "error" doc with
+        | Some e -> e
+        | None -> Alcotest.failf "n = 40 was served: %s" (Json.to_string doc)
+      in
+      Alcotest.(check (option string)) "typed refusal" (Some "invalid-argument")
+        (member_str "code" err);
+      let msg = Option.value ~default:"" (member_str "message" err) in
+      let limit = string_of_int Dispatch.max_explore_n in
+      Alcotest.(check bool) ("message names the limit: " ^ msg) true
+        (List.exists (String.equal limit)
+           (String.split_on_char ' ' msg)))
+    [ Request.Check; Request.Resilient ];
+  let small = { Request.defaults with Request.op = Request.Check; n = 2; max_configs = 200 } in
+  Alcotest.(check (option string)) "a small n is still served" (Some "clean")
+    (member_str "verdict" (result_of (Dispatch.handle d small)))
+
 let suite =
   ( "service",
     [
@@ -713,4 +761,8 @@ let suite =
         test_resilient_through_chaos;
       Alcotest.test_case "client: circuit breaker opens on a failure streak"
         `Quick test_breaker_opens;
+      Alcotest.test_case "resilient replays its witness at the request's budget"
+        `Quick test_resilient_replay_budget;
+      Alcotest.test_case "check/resilient refuse n beyond the limit" `Quick
+        test_explore_n_bounded;
     ] )
