@@ -476,144 +476,6 @@ let chaos_main ~clients ~rounds ~mix ~seed ~fault_prob ~class_spec ~json_file =
     exit 1
   end
 
-(* ---- cluster mode (experiment E25) ------------------------------------- *)
-
-module Coord = Ts_cluster.Coord
-module CWorker = Ts_cluster.Worker
-
-(* Serial vs 1-worker vs 2-worker cluster on the heaviest query in the
-   mix (check racing n=2 at --cluster-configs).  The differential bar is
-   absolute — every leg's result document must be byte-identical to the
-   serial engine's.  The speedup bar (2 workers >= 1.5x over 1) is only
-   enforced when the machine actually has >= 2 cores; the cores count is
-   recorded in the JSON either way so the numbers stay honest. *)
-let cluster_main ~max_configs ~json_file =
-  let cores = Domain.recommended_domain_count () in
-  let protocol = "racing" and n = 3 and max_depth = 40 in
-  let params =
-    { Coord.default_params with Coord.protocol; n; max_configs; max_depth }
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* serial leg through the dispatcher — the daemon's own code path *)
-  let req =
-    { Request.defaults with Request.op = Request.Check; protocol; n;
-      max_configs; max_depth }
-  in
-  let disp = Ts_service.Dispatch.create () in
-  let serial_doc, serial_s =
-    time (fun () -> Ts_service.Dispatch.handle disp req)
-  in
-  let serial_result =
-    match Json.member "result" serial_doc with
-    | Some r -> Json.to_string r
-    | None -> failwith ("loadgen: serial dispatch failed: "
-                        ^ Json.to_string serial_doc)
-  in
-  let visits doc_str =
-    match Json.of_string doc_str with
-    | Ok doc -> (
-      match Json.member "stats" doc with
-      | Some stats -> (
-        match Json.member "configs_explored" stats with
-        | Some (Json.Int v) -> v
-        | _ -> -1)
-      | None -> -1)
-    | Error _ -> -1
-  in
-  let run_cluster workers =
-    let servers =
-      List.init workers (fun _ ->
-          CWorker.start { CWorker.default_config with CWorker.port = 0 })
-    in
-    Fun.protect ~finally:(fun () -> List.iter CWorker.stop servers)
-    @@ fun () ->
-    let peers =
-      List.mapi
-        (fun wid s ->
-          Coord.tcp_peer ~wid ~host:"127.0.0.1" ~port:(CWorker.port s) ())
-        servers
-    in
-    let outcome, secs = time (fun () -> Coord.run params ~peers) in
-    match outcome with
-    | Coord.Complete { result; telemetry } ->
-      (Json.to_string result, telemetry, secs)
-    | Coord.Failed _ -> failwith "loadgen: cluster leg returned partial"
-  in
-  Format.printf
-    "cluster: check %s n=%d max-configs %d on %d core(s)@." protocol n
-    max_configs cores;
-  Format.printf "  %-12s %8.2fs  %d configurations@." "serial" serial_s
-    (visits serial_result);
-  let r1, tel1, t1 = run_cluster 1 in
-  Format.printf "  %-12s %8.2fs  %d configurations  identical: %b@."
-    "1-worker" t1 (visits r1) (r1 = serial_result);
-  let r2, tel2, t2 = run_cluster 2 in
-  Format.printf "  %-12s %8.2fs  %d configurations  identical: %b@."
-    "2-worker" t2 (visits r2) (r2 = serial_result);
-  let speedup = t1 /. (if t2 > 0. then t2 else epsilon_float) in
-  let bar_enforced = cores >= 2 in
-  Format.printf "  2-worker vs 1-worker: %.2fx (bar %s: %d core(s))@." speedup
-    (if bar_enforced then "enforced" else "recorded only") cores;
-  (match json_file with
-   | None -> ()
-   | Some file ->
-     let leg secs body telemetry =
-       Json.Obj
-         [
-           ("elapsed_s", Json.Float secs);
-           ("configs_explored", Json.Int (visits body));
-           ("identical_to_serial", Json.Bool (body = serial_result));
-           ("telemetry", telemetry);
-         ]
-     in
-     let doc =
-       Json.Obj
-         [
-           ("harness", Json.Str "tightspace-loadgen");
-           ("experiment",
-            Json.Str
-              "E25 sharded cluster search: serial vs 1-worker vs 2-worker");
-           ("protocol", Json.Str protocol);
-           ("n", Json.Int n);
-           ("max_configs", Json.Int max_configs);
-           ("max_depth", Json.Int max_depth);
-           ("cores", Json.Int cores);
-           ("shards", Json.Int params.Coord.shards);
-           ("serial",
-            Json.Obj
-              [
-                ("elapsed_s", Json.Float serial_s);
-                ("configs_explored", Json.Int (visits serial_result));
-              ]);
-           ("cluster_1worker", leg t1 r1 tel1);
-           ("cluster_2worker", leg t2 r2 tel2);
-           ("speedup_2worker_vs_1worker", Json.Float speedup);
-           ("speedup_bar", Json.Float 1.5);
-           ("speedup_bar_enforced", Json.Bool bar_enforced);
-         ]
-     in
-     let oc = open_out file in
-     output_string oc (Json.to_string_pretty doc);
-     output_char oc '\n';
-     close_out oc;
-     Format.printf "wrote %s@." file);
-  if r1 <> serial_result || r2 <> serial_result then begin
-    Format.printf
-      "FAIL: cluster results not byte-identical to the serial engine@.";
-    exit 1
-  end;
-  if bar_enforced && speedup < 1.5 then begin
-    Format.printf "FAIL: 2-worker speedup %.2fx below the 1.5x bar@." speedup;
-    exit 1
-  end;
-  Format.printf
-    "  cluster: all legs byte-identical to the serial engine@.";
-  exit 0
-
 (* ---- reporting --------------------------------------------------------- *)
 
 let throughput_json s =
@@ -634,8 +496,6 @@ let () =
   let chaos_seed = ref 2026 in
   let chaos_fault_prob = ref 0.6 in
   let chaos_classes = ref "all" in
-  let cluster = ref false in
-  let cluster_configs = ref 20_000 in
   Arg.parse
     [
       ("--json", Arg.String (fun f -> json_file := Some f), "FILE write results JSON");
@@ -655,17 +515,9 @@ let () =
        "P probability a connection draws a faulty plan (default 0.6)");
       ("--chaos-classes", Arg.Set_string chaos_classes,
        "SPEC fault classes: reset,truncate,corrupt,delay,throttle or all/none");
-      ("--cluster", Arg.Set cluster,
-       " run the sharded-cluster experiment (serial vs 1-worker vs \
-        2-worker over localhost TCP) instead of the perf phases; fails \
-        unless every leg is byte-identical to the serial engine");
-      ("--cluster-configs", Arg.Set_int cluster_configs,
-       "N exploration cap for the cluster experiment (default 20000)");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "loadgen [--json FILE] [--clients N] [--rounds N] [--mix N] [--tput-seconds S] [--chaos] [--cluster]";
-  if !cluster then
-    cluster_main ~max_configs:!cluster_configs ~json_file:!json_file;
+    "loadgen [--json FILE] [--clients N] [--rounds N] [--mix N] [--tput-seconds S] [--chaos]";
   if !chaos then
     chaos_main ~clients:!clients ~rounds:!rounds ~mix:!mix ~seed:!chaos_seed
       ~fault_prob:!chaos_fault_prob ~class_spec:!chaos_classes

@@ -506,16 +506,18 @@ let resilient n t protocol max_configs max_depth domains deadline max_nodes metr
   | Ok (Protocol.Packed proto) ->
     install_flush_handler ();
     with_metrics metrics @@ fun () ->
+    let solo_budget = 300 in
     let r =
       Ts_checker.Explore.check_t_resilient proto ~domains ~t
         ~budget:(budget_of ?deadline ?max_nodes ())
         ~inputs_list:(Ts_checker.Explore.binary_inputs n) ~max_configs ~max_depth
-        ~solo_budget:300
+        ~solo_budget
     in
     let replay =
       match r.Ts_checker.Explore.verdict with
-      (* a resilience witness must survive an independent replay *)
-      | Error v -> Some (Ts_checker.Explore.replay proto v)
+      (* a resilience witness must survive an independent replay, at the
+         budget it was found under *)
+      | Error v -> Some (Ts_checker.Explore.replay ~solo_budget proto v)
       | Ok () -> None
     in
     (match replay with
@@ -1609,291 +1611,6 @@ let chaos_cmd =
              crash-torture for the witness store")
     [ proxy_cmd; torture_cmd ]
 
-(* cluster: the sharded multi-node search (docs/CLUSTER.md).
-
-   [cluster worker] is one shard-holding node; [cluster coordinate]
-   drives a set of them through the level-synchronous BFS and prints the
-   result document — byte-identical to the serial engine's, which is why
-   the CI smoke can diff it against [tightspace check --json] directly. *)
-
-let cluster_worker host port verbose =
-  let module W = Ts_cluster.Worker in
-  match W.start { W.host; port; verbose } with
-  | exception Unix.Unix_error (err, _, _) ->
-    Format.eprintf "cluster worker: cannot listen on %s:%d: %s@." host port
-      (Unix.error_message err);
-    1
-  | server ->
-    let stopping = ref false in
-    Ts_service.Signals.install ~exit_after:false ~on_signal:(fun signo ->
-        Printf.eprintf "cluster worker: %s received; draining...\n%!"
-          (if signo = Sys.sigint then "SIGINT" else "SIGTERM");
-        stopping := true;
-        W.request_stop server);
-    (* same interruptible-idle discipline as serve: short sleeps give the
-       signal handler its safe point promptly *)
-    let rec idle () =
-      if not !stopping then begin
-        (try Unix.sleepf 0.2
-         with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        idle ()
-      end
-    in
-    idle ();
-    W.wait server;
-    0
-
-let cluster_coordinate opname protocol n k t_faults max_configs max_depth
-    horizon shards steal_threshold chunk deadline restarts worker_specs
-    store_path fsync json verbose =
-  let module Coord = Ts_cluster.Coord in
-  let module Json_ = Ts_analysis.Json in
-  let peer_of_spec wid spec =
-    match String.rindex_opt spec ':' with
-    | None -> Error (Printf.sprintf "%s: expected HOST:PORT" spec)
-    | Some i -> (
-      let host = String.sub spec 0 i in
-      let port_s = String.sub spec (i + 1) (String.length spec - i - 1) in
-      match int_of_string_opt port_s with
-      | Some port when port > 0 && host <> "" ->
-        Ok (Coord.tcp_peer ~wid ~host ~port ())
-      | _ -> Error (Printf.sprintf "%s: expected HOST:PORT" spec))
-  in
-  let op =
-    match opname with
-    | "check" -> Ok Coord.Check
-    | "resilient" -> Ok Coord.Resilient
-    | "valency" -> Ok Coord.Valency
-    | other -> Error other
-  in
-  match op with
-  | Error other ->
-    Format.eprintf
-      "cluster coordinate: unknown op %s (check, resilient, valency)@." other;
-    2
-  | Ok op -> (
-    let params =
-      {
-        Coord.default_params with
-        op;
-        protocol;
-        n;
-        k;
-        t_faults;
-        max_configs;
-        max_depth;
-        horizon;
-        shards;
-        steal_threshold;
-        chunk;
-        deadline;
-      }
-    in
-    let exit_of_result doc =
-      (* explore docs carry a verdict; valency docs are classifications
-         and any complete one is a success *)
-      match Json_.member "verdict" doc with
-      | Some (Json_.Str "violation") -> 1
-      | _ -> 0
-    in
-    let report_result ?provenance doc =
-      if json then pr_json doc
-      else begin
-        (match provenance with
-         | Some p -> Format.printf "cluster: %s@." p
-         | None -> ());
-        (match Json_.member "verdict" doc, Json_.member "class" doc with
-         | Some (Json_.Str v), _ -> Format.printf "cluster verdict: %s@." v
-         | _, Some (Json_.Str c) -> Format.printf "cluster valency: %s@." c
-         | _ -> pr_json doc)
-      end;
-      exit_of_result doc
-    in
-    let store =
-      match store_path with
-      | None -> Ok None
-      | Some path -> (
-        match Ts_store.Store.open_ ~fsync path with
-        | Ok st -> Ok (Some st)
-        | Error msg -> Error msg)
-    in
-    match store with
-    | Error msg ->
-      Format.eprintf "cluster coordinate: store: %s@." msg;
-      1
-    | Ok store -> (
-      Fun.protect
-        ~finally:(fun () -> Option.iter Ts_store.Store.close store)
-      @@ fun () ->
-      let key = Coord.store_key params in
-      let cached =
-        match store with
-        | None -> None
-        | Some st -> Ts_store.Store.find st key
-      in
-      match cached with
-      | Some value -> (
-        match Json_.of_string value with
-        | Ok doc ->
-          report_result
-            ~provenance:"answer recovered from store (no workers contacted)"
-            doc
-        | Error msg ->
-          Format.eprintf "cluster coordinate: stored answer unreadable: %s@."
-            msg;
-          1)
-      | None -> (
-        let peers, bad =
-          List.fold_left
-            (fun (peers, bad) spec ->
-              match peer_of_spec (List.length peers) spec with
-              | Ok p -> (p :: peers, bad)
-              | Error e -> (peers, e :: bad))
-            ([], []) worker_specs
-        in
-        match bad with
-        | _ :: _ ->
-          List.iter
-            (fun e -> Format.eprintf "cluster coordinate: %s@." e)
-            (List.rev bad);
-          2
-        | [] -> (
-          let peers = List.rev peers in
-          match Coord.run ~restarts params ~peers with
-          | Coord.Complete { result; telemetry } ->
-            (match store with
-             | Some st ->
-               ignore
-                 (Ts_store.Store.append st ~key
-                    ~value:(Json_.to_string result))
-             | None -> ());
-            if verbose then
-              Format.eprintf "cluster telemetry:@.%s@."
-                (Json_.to_string_pretty telemetry);
-            report_result result
-          | Coord.Failed f ->
-            let doc = Coord.failure_to_json f in
-            if json then pr_json doc
-            else
-              Format.eprintf
-                "cluster: PARTIAL (%s): %d worker(s) dead, %d shard(s) lost \
-                 after %d rounds; rerun with --restarts or fresh workers.@.%s@."
-                (match f.Coord.reason with
-                 | `Dead_workers -> "dead workers"
-                 | `Deadline -> "deadline")
-                (List.length f.Coord.dead)
-                (List.length f.Coord.lost_shards)
-                f.Coord.completed_rounds
-                (Json_.to_string_pretty doc);
-            (* 4 = retries exhausted against remote peers, same meaning as
-               [query]'s exhausted exit; distinct from 2 (partial budget) *)
-            4))))
-
-let cluster_cmd =
-  let worker_cmd =
-    let host =
-      Arg.(value & opt string "127.0.0.1"
-           & info [ "host" ] ~docv:"ADDR" ~doc:"Bind address.")
-    in
-    let port =
-      Arg.(value & opt int 4401
-           & info [ "port" ] ~docv:"PORT"
-               ~doc:"TCP port; 0 picks an ephemeral one.")
-    in
-    let verbose =
-      Arg.(value & flag & info [ "verbose" ] ~doc:"Log per-request activity.")
-    in
-    Cmd.v
-      (Cmd.info "worker"
-         ~doc:"Run one cluster worker node: holds a subset of the shards, \
-               answers the coordinator's ingest/expand/steal frames, and \
-               drains cleanly on SIGINT/SIGTERM")
-      Term.(const cluster_worker $ host $ port $ verbose)
-  in
-  let coordinate_cmd =
-    let opname =
-      Arg.(value & pos 0 string "check"
-           & info [] ~docv:"OP" ~doc:"Operation: check, resilient or valency.")
-    in
-    let k =
-      Arg.(value & opt int 1
-           & info [ "k" ] ~docv:"K" ~doc:"Set-agreement parameter (check).")
-    in
-    let t =
-      Arg.(value & opt int 1
-           & info [ "t" ] ~docv:"T" ~doc:"Crash-fault budget (resilient).")
-    in
-    let horizon =
-      Arg.(value & opt (some int) None
-           & info [ "horizon" ] ~docv:"H"
-               ~doc:"Valency search horizon (default 10n).")
-    in
-    let shards =
-      Arg.(value & opt int 8
-           & info [ "shards" ] ~docv:"S"
-               ~doc:"Shard count for the key partition; the answer is \
-                     shard-count independent.")
-    in
-    let steal_threshold =
-      Arg.(value & opt int 64
-           & info [ "steal-threshold" ] ~docv:"N"
-               ~doc:"Migrate a shard to an idle worker only when some worker \
-                     holds at least N pending candidates over two or more \
-                     shards.")
-    in
-    let chunk =
-      Arg.(value & opt int 256
-           & info [ "chunk" ] ~docv:"C"
-               ~doc:"Max candidates per wire frame; keep the per-frame \
-                     engine work under the peer RPC timeout.")
-    in
-    let restarts =
-      Arg.(value & opt int 0
-           & info [ "restarts" ] ~docv:"R"
-               ~doc:"On a worker death, retry the whole request from scratch \
-                     on the survivors up to R times.")
-    in
-    let workers =
-      Arg.(non_empty & opt_all string []
-           & info [ "worker" ] ~docv:"HOST:PORT"
-               ~doc:"A worker node to drive (repeatable; shard ownership is \
-                     assigned round-robin over the given order).")
-    in
-    let store =
-      Arg.(value & opt (some string) None
-           & info [ "store" ] ~docv:"PATH"
-               ~doc:"Answer witness-log tier: recover a previously-computed \
-                     answer from PATH without contacting any worker, and \
-                     persist fresh complete answers to it.")
-    in
-    let fsync =
-      Arg.(value & opt fsync_conv Ts_store.Store.Always
-           & info [ "fsync" ] ~docv:"POLICY"
-               ~doc:"Store durability: always, never, or an interval in \
-                     seconds.")
-    in
-    let verbose =
-      Arg.(value & flag
-           & info [ "verbose" ]
-               ~doc:"Print the merged per-worker telemetry to stderr.")
-    in
-    Cmd.v
-      (Cmd.info "coordinate"
-         ~doc:"Drive a set of cluster workers through one distributed \
-               search and print the result document (byte-identical to the \
-               serial engine's); exit 0 clean, 1 violation, 4 partial \
-               (worker death or blown deadline)")
-      Term.(const cluster_coordinate $ opname $ protocol_arg $ n_arg $ k $ t
-            $ max_configs_arg $ max_depth_arg $ horizon $ shards
-            $ steal_threshold $ chunk $ deadline_arg $ restarts $ workers
-            $ store $ fsync $ json_arg $ verbose)
-  in
-  Cmd.group
-    (Cmd.info "cluster"
-       ~doc:"Sharded multi-node search: worker nodes and the coordinator \
-             (operator's handbook: docs/CLUSTER.md)")
-    [ worker_cmd; coordinate_cmd ]
-
 let () =
   let doc = "executable reproduction of 'A Tight Space Bound for Consensus'" in
   let info = Cmd.info "tightspace" ~version:"1.0.0" ~doc in
@@ -1909,7 +1626,6 @@ let () =
              encode_cmd; elect_cmd; multicore_cmd; kset_cmd; multi_cmd;
              dot_cmd; cover_cmd; analyze_cmd; certify_cmd; crosscheck_cmd;
              trace_cmd; serve_cmd; query_cmd; store_cmd; chaos_cmd;
-             cluster_cmd;
            ])
     with
     | Valency.Horizon_exceeded msg ->

@@ -343,95 +343,22 @@ timeout 300 "$TS" witness --protocol racing -n 2 --engine revisionist \
 timeout 60 "$TS" certify /tmp/ci-rev-$$.cert
 rm -f /tmp/ci-rev-$$.cert
 
-echo "== cluster smoke (2 TCP workers + coordinator, byte-identical to serial; 10 min cap) =="
-# the PR 9 bar: a two-worker cluster over real TCP returns the exact
-# bytes the serial engine prints — verdicts, violations, visit counts,
-# queue peak — and workers drain cleanly on SIGTERM
-wait_cluster_port() {
-  # $1: worker log file.  Sets PORT from the worker's announcement line.
-  PORT=""
-  i=0
-  while [ -z "$PORT" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-      echo "ci: cluster worker did not announce a port" >&2; cat "$1" >&2
-      kill "$W1_PID" "$W2_PID" 2> /dev/null || true; exit 1
-    fi
-    PORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' "$1")
-    [ -n "$PORT" ] || sleep 0.2
-  done
-}
-"$TS" cluster worker --port 0 > /tmp/ci-cluster-w1.out 2>&1 &
-W1_PID=$!
-"$TS" cluster worker --port 0 > /tmp/ci-cluster-w2.out 2>&1 &
-W2_PID=$!
-wait_cluster_port /tmp/ci-cluster-w1.out; P1=$PORT
-wait_cluster_port /tmp/ci-cluster-w2.out; P2=$PORT
-# clean run: same bytes as the serial engine, exit 0
-timeout 300 "$TS" cluster coordinate check --protocol racing -n 2 \
-  --max-configs 400 --max-depth 12 \
-  --worker 127.0.0.1:"$P1" --worker 127.0.0.1:"$P2" \
-  --json > /tmp/ci-cluster-clean.json
+echo "== check --json smoke (verdicts and exit codes; 5 min cap) =="
+# scripts branch on these: a clean bounded check exits 0, a violation 1,
+# and the JSON document carries the matching verdict
 timeout 300 "$TS" check --protocol racing -n 2 --max-configs 400 --max-depth 12 \
-  --json > /tmp/ci-serial-clean.json
-cmp /tmp/ci-cluster-clean.json /tmp/ci-serial-clean.json
-# violation run: same bytes AND the same exit code (1) as the serial engine
+  --json > /tmp/ci-check-clean.json
+grep -q '"verdict": "clean"' /tmp/ci-check-clean.json
 set +e
-timeout 300 "$TS" cluster coordinate check --protocol broken-lww -n 2 \
-  --max-configs 400 --max-depth 12 \
-  --worker 127.0.0.1:"$P1" --worker 127.0.0.1:"$P2" \
-  --json > /tmp/ci-cluster-broken.json
-CRC=$?
-timeout 300 "$TS" check --protocol broken-lww -n 2 \
-  --max-configs 400 --max-depth 12 \
-  --json > /tmp/ci-serial-broken.json
-SRC=$?
+timeout 300 "$TS" check --protocol broken-lww -n 2 --max-configs 400 --max-depth 12 \
+  --json > /tmp/ci-check-broken.json
+RC=$?
 set -e
-if [ "$CRC" -ne 1 ] || [ "$SRC" -ne 1 ]; then
-  echo "ci: broken-lww exits: cluster $CRC serial $SRC, want 1/1" >&2
+if [ "$RC" -ne 1 ]; then
+  echo "ci: check on broken-lww exited $RC, want 1" >&2
   exit 1
 fi
-cmp /tmp/ci-cluster-broken.json /tmp/ci-serial-broken.json
-if command -v python3 > /dev/null 2>&1; then
-  # structural double-check on top of the literal byte diff
-  python3 - /tmp/ci-cluster-clean.json /tmp/ci-serial-clean.json <<'EOF'
-import json, sys
-cluster, serial = (json.load(open(f)) for f in sys.argv[1:])
-assert cluster == serial, "cluster/serial result documents differ"
-assert cluster["stats"]["configs_explored"] == serial["stats"]["configs_explored"]
-EOF
-fi
-# graceful drain: SIGTERM, bounded wait, both workers exit 0
-kill -TERM "$W1_PID" "$W2_PID"
-for PID in "$W1_PID" "$W2_PID"; do
-  i=0
-  while kill -0 "$PID" 2> /dev/null; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-      echo "ci: cluster worker did not drain after SIGTERM" >&2
-      kill -9 "$W1_PID" "$W2_PID" 2> /dev/null || true; exit 1
-    fi
-    sleep 0.2
-  done
-done
-wait "$W1_PID"
-wait "$W2_PID"
-
-echo "== cluster walkthrough (docs/CLUSTER.md fence, verbatim; 10 min cap) =="
-# the operator's handbook is a contract: the quick-start fence must run
-# exactly as printed, from the repo root, after dune build
-if command -v python3 > /dev/null 2>&1; then
-  python3 - <<'EOF' > /tmp/ci-cluster-walkthrough.sh
-import re
-text = open("docs/CLUSTER.md", encoding="utf-8").read()
-m = re.search(r'<!-- ci:cluster-walkthrough -->\n```sh\n(.*?)\n```', text, re.S)
-assert m, "docs/CLUSTER.md lost its ci:cluster-walkthrough fence"
-print(m.group(1))
-EOF
-  timeout 600 sh -eu /tmp/ci-cluster-walkthrough.sh
-else
-  echo "python3 not installed; skipping walkthrough run"
-fi
+grep -q '"verdict": "violation"' /tmp/ci-check-broken.json
 
 echo "== ledger smoke (every benchmark workload, 1 s each; 5 min cap) =="
 # every served answer the benchmark ledger draws is checked (witnesses,
@@ -440,12 +367,13 @@ echo "== ledger smoke (every benchmark workload, 1 s each; 5 min cap) =="
 timeout 300 sh ledger/run.sh --seconds 1 > /tmp/ci-ledger-smoke.out
 grep -q "^ledger: every workload correct$" /tmp/ci-ledger-smoke.out
 
-echo "== docs link check (every relative link must resolve) =="
-if command -v python3 > /dev/null 2>&1; then
+echo "== docs link check (every relative link in a tracked .md must resolve) =="
+if command -v python3 > /dev/null 2>&1 && command -v git > /dev/null 2>&1; then
   python3 - <<'EOF'
-import os, re, sys
-files = ["README.md"] + sorted(
-    os.path.join("docs", f) for f in os.listdir("docs") if f.endswith(".md"))
+import os, re, subprocess, sys
+listed = subprocess.run(["git", "ls-files", "-z", "--", "*.md"],
+                        capture_output=True, check=True).stdout.decode()
+files = [f for f in listed.split("\0") if f]
 bad = []
 for path in files:
     text = open(path, encoding="utf-8").read()
@@ -464,7 +392,7 @@ for b in bad:
 sys.exit(1 if bad else 0)
 EOF
 else
-  echo "python3 not installed; skipping docs link check"
+  echo "python3 or git not installed; skipping docs link check"
 fi
 
 echo "ci: ok"

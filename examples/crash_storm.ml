@@ -93,15 +93,16 @@ let () =
   Format.printf "  crash p0 before its write: %d decided, budget exhausted: %b@."
     (List.length o.Sim.decisions) o.Sim.ran_out;
   (* the checker finds the same flaw as a replayable witness *)
+  let solo_budget = 200 in
   let r =
     Ts_checker.Explore.check_t_resilient waiting ~t:1
       ~inputs_list:(Ts_checker.Explore.binary_inputs n) ~max_configs:5_000
-      ~max_depth:20 ~solo_budget:200
+      ~max_depth:20 ~solo_budget
   in
   match r.Ts_checker.Explore.verdict with
   | Ok () -> Format.printf "  checker: unexpectedly clean?!@."
   | Error v ->
     Format.printf "  checker: %a@." Ts_checker.Explore.pp_violation v;
-    (match Ts_checker.Explore.replay waiting v with
+    (match Ts_checker.Explore.replay ~solo_budget waiting v with
      | Ok () -> Format.printf "  witness independently replayed: confirmed.@."
      | Error e -> Format.printf "  replay failed: %s@." e)

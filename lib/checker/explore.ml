@@ -212,8 +212,8 @@ let probe_group proto pk cfg ps ~budget ~guard ~memo ~counters =
       visited;
     false
 
-(* A self-contained probe context outside any search: the cluster
-   examiners, replay and the differential tests. *)
+(* A self-contained probe context outside any search: replay and the
+   differential tests. *)
 type 's probes = {
   proto : 's Protocol.t;
   pk : 's Ckey.packer;
@@ -461,13 +461,13 @@ let check_t_resilient ?(domains = 1) ?(budget = Budget.unlimited) ~t proto ~inpu
         ~guard:budget)
     inputs_list
 
-(* --- cluster-facing hooks ---------------------------------------------- *)
+(* --- successor enumeration --------------------------------------------- *)
 
 (* Successor enumeration in exactly the order [bfs_reachable] inlines it:
-   pid ascending, a Flip resolved heads before tails.  The distributed
-   engine's parallel==serial certification leans on this order being the
-   one serial insertion order, so it is exported as a named hook rather
-   than re-derived (and possibly re-derived differently) in lib/cluster. *)
+   pid ascending, a Flip resolved heads before tails.  The reference BFS in
+   test/suite_checker.ml walks the graph through this function and matches
+   the engine's violation schedules and table counters, which holds only
+   while this order is the one serial insertion order. *)
 let successors proto cfg =
   let acc = ref [] in
   for p = proto.Protocol.num_processes - 1 downto 0 do
@@ -483,65 +483,6 @@ let successors proto cfg =
   done;
   !acc
 
-(* One externally-materialized configuration put through the same property
-   checks as a [bfs_reachable] examine, with the same probe order and an
-   exact count of the solo/group probes run.  The examiner owns one probe
-   memo across its calls, as a serial search does across its dequeued
-   configurations. *)
-type 's examiner = {
-  ex_run : 's Config.t -> Execution.event list -> violation option * int;
-}
-
-let examiner_of pr check =
-  let run cfg schedule =
-    let before = pr.counters.probes in
-    let found = match check cfg schedule with () -> None | exception Found v -> Some v in
-    (found, pr.counters.probes - before)
-  in
-  { ex_run = run }
-
-let consensus_examiner proto ~k ~inputs ~solo_budget ~check_solo =
-  let pr = probes proto in
-  examiner_of pr (fun cfg schedule ->
-      let decided = Config.decided_values cfg in
-      List.iter
-        (fun v ->
-          if not (Array.exists (Value.equal v) inputs) then
-            raise (Found (Validity_violation { inputs; schedule; value = v })))
-        decided;
-      if List.length decided > k then
-        raise (Found (Agreement_violation { inputs; schedule; values = decided }));
-      if check_solo then
-        for p = 0 to proto.Protocol.num_processes - 1 do
-          if Config.has_decided cfg p = None
-             && not (group_can_decide pr cfg (Pset.singleton p) ~budget:solo_budget)
-          then raise (Found (Solo_stuck { inputs; schedule; pid = p }))
-        done)
-
-let resilience_examiner proto ~t ~inputs ~solo_budget =
-  let n = proto.Protocol.num_processes in
-  if t < 0 || t >= n then
-    invalid_arg "Explore.resilience_examiner: need 0 <= t <= n-1";
-  let crash_sets = subsets_of_size n t in
-  let pr = probes proto in
-  examiner_of pr (fun cfg schedule ->
-      List.iter
-        (fun f ->
-          let survivors = Pset.diff (Pset.all n) f in
-          if not (group_can_decide pr cfg survivors ~budget:solo_budget) then
-            raise
-              (Found
-                 (Crash_stuck
-                    {
-                      inputs;
-                      schedule;
-                      crashed = Pset.to_list f;
-                      survivors = Pset.to_list survivors;
-                    })))
-        crash_sets)
-
-let examine ex cfg ~schedule = ex.ex_run cfg schedule
-
 (* --- counterexample replay -------------------------------------------- *)
 
 let values_equal xs ys =
@@ -550,7 +491,7 @@ let values_equal xs ys =
 (* A reported violation must survive an independent replay: re-apply its
    schedule step by step ([Execution.apply] is [Config.step] folded) from
    the initial configuration and re-check the claimed property failure. *)
-let replay ?(solo_budget = 300) proto violation =
+let replay ~solo_budget proto violation =
   Obs.with_span ~cat:"explore" "explore.replay" @@ fun _sp ->
   let apply inputs schedule =
     match Execution.apply proto (Config.initial proto ~inputs) schedule with

@@ -163,58 +163,15 @@ val check_t_resilient :
   solo_budget:int ->
   result
 
-(** {2 Cluster hooks}
-
-    The distributed search engine ({!module:Ts_cluster}) re-runs this
-    module's BFS as a level-synchronous fan-out over worker nodes and
-    certifies its answer {e byte-identical} to the serial one.  That
-    argument needs two serial internals exported verbatim rather than
-    re-derived: the successor order (= the serial insertion order) and the
-    examine semantics (= the serial violation and probe-count semantics). *)
-
 (** [successors proto cfg] enumerates the successor configurations of
     [cfg] in exactly the order the serial BFS inlines them: pid ascending,
     a coin flip resolved heads before tails.  Each successor is paired
-    with the event that reaches it. *)
+    with the event that reaches it.  The reference BFS in
+    [test/suite_checker.ml] walks the graph through it and must agree with
+    the engine on every violation schedule and [stats] field, so this
+    order is the serial insertion order. *)
 val successors :
   's Protocol.t -> 's Config.t -> (Execution.event * 's Config.t) list
-
-type 's examiner
-(** The property checks one dequeued configuration undergoes, packaged
-    with its probe memo.  Build one per search; it is not thread-safe. *)
-
-(** The consensus-property examine of {!check_consensus} /
-    {!check_set_agreement}: validity, then [k]-agreement, then (when
-    [check_solo]) per-pid solo termination in pid order. *)
-val consensus_examiner :
-  's Protocol.t ->
-  k:int ->
-  inputs:Value.t array ->
-  solo_budget:int ->
-  check_solo:bool ->
-  's examiner
-
-(** The crash-resilience examine of {!check_t_resilient}: every crash set
-    of size [t] in increasing mask order, survivor-group decidability
-    probed within [solo_budget].
-    @raise Invalid_argument unless [0 <= t <= n-1]. *)
-val resilience_examiner :
-  's Protocol.t ->
-  t:int ->
-  inputs:Value.t array ->
-  solo_budget:int ->
-  's examiner
-
-(** [examine ex cfg ~schedule] checks one configuration and returns the
-    violation (if any) together with the number of solo/group probes run
-    — exactly the serial search's [solo_cache_misses] contribution for
-    this configuration.  [schedule] is the forward schedule reaching
-    [cfg], embedded in any violation witness. *)
-val examine :
-  's examiner ->
-  's Config.t ->
-  schedule:Execution.event list ->
-  violation option * int
 
 (** {2 Probes}
 
@@ -232,15 +189,17 @@ val probes : 's Protocol.t -> 's probes
     exactly those of a fresh BFS per call; calls on one [t] share work. *)
 val group_can_decide : 's probes -> 's Config.t -> Pset.t -> budget:int -> bool
 
-(** [replay proto v] independently re-validates a reported violation:
-    re-applies its schedule step by step from the initial configuration
-    (via {!Ts_model.Execution.apply}, i.e. [Config.step] folded) and
-    re-checks the claimed property failure on the resulting configuration.
-    [solo_budget] (default 300) bounds the re-run decidability probes for
-    [Solo_stuck]/[Crash_stuck].  [Ok ()] means the counterexample is
-    genuine; [Error msg] says what failed to reproduce. *)
+(** [replay ~solo_budget proto v] independently re-validates a reported
+    violation: re-applies its schedule step by step from the initial
+    configuration (via {!Ts_model.Execution.apply}, i.e. [Config.step]
+    folded) and re-checks the claimed property failure on the resulting
+    configuration.  [solo_budget] bounds the re-run decidability probes
+    for [Solo_stuck]/[Crash_stuck]; pass the budget the search that found
+    [v] ran with, since a stuck claim holds only relative to it.  [Ok ()]
+    means the counterexample is genuine; [Error msg] says what failed to
+    reproduce. *)
 val replay :
-  ?solo_budget:int -> 's Protocol.t -> violation -> (unit, string) Stdlib.result
+  solo_budget:int -> 's Protocol.t -> violation -> (unit, string) Stdlib.result
 
 (** All 2^n binary input vectors for [n] processes. *)
 val binary_inputs : int -> Value.t array list

@@ -224,10 +224,10 @@ let univalent_value t cfg ps =
   | Univalent (v, _) -> Some v
   | Bivalent _ | Blocked -> None
 
-(* --- cluster hooks ------------------------------------------------------ *)
+(* --- successor enumeration ---------------------------------------------- *)
 
-let decides cfg v = decided_here cfg v
-
+(* [search]'s expansion order as a list, for the ledger's per-node micro
+   row (ledger/micro.ml), which times one node's successors in isolation. *)
 let successors_within proto cfg ps =
   let acc = ref [] in
   Pset.iter

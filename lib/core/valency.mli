@@ -86,19 +86,12 @@ type stats = {
 val stats : 's t -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
-(** {2 Cluster hooks}
-
-    Exported internals of {!search}'s BFS step, so the distributed
-    valency engine reproduces the serial frontier (and hence the serial
-    witness and node counts) exactly rather than re-deriving the order. *)
-
-(** [decides cfg v] is the dequeue test of {!search}: some process has
-    decided [v] in [cfg]. *)
-val decides : 's Config.t -> Value.t -> bool
-
 (** [successors_within proto cfg ps] enumerates the P-only successor
     configurations in exactly {!search}'s expansion order: members of
-    [ps] ascending, a coin flip resolved heads before tails. *)
+    [ps] ascending, a coin flip resolved heads before tails.  The
+    benchmark ledger's [micro.valency_successors_ns] row
+    ([ledger/micro.ml]) calls it to time one search node's expansion on
+    its own. *)
 val successors_within :
   's Protocol.t -> 's Config.t -> Pset.t -> (Execution.event * 's Config.t) list
 

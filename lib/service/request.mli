@@ -44,9 +44,11 @@ type t = {
 val defaults : t
 
 (** [of_json doc] decodes a request object.  Unknown fields are ignored
-    (forward compatibility); a missing ["op"], an unknown op name, or a
-    type-mismatched field is an [Error]. *)
+    (forward compatibility); a missing ["op"], an unknown op name, a
+    type-mismatched field, or a negative ["horizon"], ["max_configs"],
+    ["max_depth"] or ["solo_budget"] is an [Error] naming the field. *)
 val of_json : Ts_analysis.Json.t -> (t, string) result
 
-(** [to_json r] is the wire form; [of_json (to_json r) = Ok r]. *)
+(** [to_json r] is the wire form; [of_json (to_json r) = Ok r] whenever
+    those four fields of [r] are non-negative. *)
 val to_json : t -> Ts_analysis.Json.t

@@ -68,12 +68,15 @@ let test_violation_pp () =
   | Ok () -> Alcotest.fail "expected validity violation"
 
 (* Every reported violation must replay: re-applying its schedule from the
-   initial configuration reproduces the same property failure. *)
+   initial configuration, at the probe budget the search ran with,
+   reproduces the same property failure. *)
+let violation_budget = 50
+
 let violation_of proto ~check_solo =
   let n = proto.Protocol.num_processes in
   let r =
     Explore.check_consensus proto ~inputs_list:(Explore.binary_inputs n)
-      ~max_configs:50_000 ~max_depth:30 ~solo_budget:50 ~check_solo
+      ~max_configs:50_000 ~max_depth:30 ~solo_budget:violation_budget ~check_solo
   in
   match r.Explore.verdict with
   | Error v -> v
@@ -83,21 +86,24 @@ let test_replay_agreement () =
   let proto = Broken.last_write_wins ~n:2 in
   match violation_of proto ~check_solo:false with
   | Explore.Agreement_violation _ as v ->
-    Alcotest.(check (result unit string)) "replays" (Ok ()) (Explore.replay proto v)
+    Alcotest.(check (result unit string)) "replays" (Ok ())
+      (Explore.replay ~solo_budget:violation_budget proto v)
   | v -> Alcotest.failf "wrong kind: %a" Explore.pp_violation v
 
 let test_replay_validity () =
   let proto = Broken.oblivious_seven ~n:2 in
   match violation_of proto ~check_solo:false with
   | Explore.Validity_violation _ as v ->
-    Alcotest.(check (result unit string)) "replays" (Ok ()) (Explore.replay proto v)
+    Alcotest.(check (result unit string)) "replays" (Ok ())
+      (Explore.replay ~solo_budget:violation_budget proto v)
   | v -> Alcotest.failf "wrong kind: %a" Explore.pp_violation v
 
 let test_replay_solo_stuck () =
   let proto = Broken.insomniac ~n:2 in
   match violation_of proto ~check_solo:true with
   | Explore.Solo_stuck _ as v ->
-    Alcotest.(check (result unit string)) "replays" (Ok ()) (Explore.replay proto v)
+    Alcotest.(check (result unit string)) "replays" (Ok ())
+      (Explore.replay ~solo_budget:violation_budget proto v)
   | v -> Alcotest.failf "wrong kind: %a" Explore.pp_violation v
 
 let test_replay_rejects_tampering () =
@@ -107,13 +113,13 @@ let test_replay_rejects_tampering () =
     (* claim an input value was the invalid decision: replay must refuse *)
     let forged = Explore.Validity_violation { inputs; schedule; value = Value.int 0 } in
     Alcotest.(check bool) "forged witness rejected" true
-      (Explore.replay proto forged <> Ok ());
+      (Explore.replay ~solo_budget:violation_budget proto forged <> Ok ());
     (* claim a bogus solo-stuck on a protocol whose processes decide *)
     let bogus =
       Explore.Solo_stuck { inputs = [| Value.int 0; Value.int 0 |]; schedule = []; pid = 0 }
     in
     Alcotest.(check bool) "bogus stuck witness rejected" true
-      (Explore.replay proto bogus <> Ok ())
+      (Explore.replay ~solo_budget:violation_budget proto bogus <> Ok ())
   | v -> Alcotest.failf "wrong kind: %a" Explore.pp_violation v
 
 let test_budget_partial_result () =

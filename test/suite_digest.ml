@@ -187,10 +187,10 @@ let test_store_record_bytes () =
     (hex (Store.record_bytes ~key:"k" ~value:"{\"pong\":true}"))
 
 (* Served check/resilient answers are wire format: the cache and the store
-   persist these exact bytes, and the cluster's answers are compared to
-   them with [cmp].  Pinning an MD5 of [Response.explore_to_json] for two
-   racing-3 searches pins every verdict and every stats field, so an engine
-   change that shifts a counter (a probe count, a table hit) fails here.
+   persist these exact bytes, and [check --json] prints them.  Pinning an
+   MD5 of [Response.explore_to_json] for two racing-3 searches pins every
+   verdict and every stats field, so an engine change that shifts a
+   counter (a probe count, a table hit) fails here.
    No process decides within these bounds, so the check (one probe per
    undecided process) and the t=2 search (one per 2-crash set) run the same
    three probes per configuration and serve the same bytes.  The third pin

@@ -169,9 +169,8 @@ let test_wait_for_all_zero_resilient () =
 
 let test_wait_for_all_not_one_resilient () =
   let proto = Broken.wait_for_all ~n:3 in
-  let r =
-    resilient ~t:1 proto ~n:3 ~max_configs:5_000 ~max_depth:20 ~solo_budget:200 ()
-  in
+  let solo_budget = 200 in
+  let r = resilient ~t:1 proto ~n:3 ~max_configs:5_000 ~max_depth:20 ~solo_budget () in
   match r.Explore.verdict with
   | Error (Explore.Crash_stuck { crashed; survivors; schedule; _ } as v) ->
     Alcotest.(check int) "one crash suffices" 1 (List.length crashed);
@@ -179,7 +178,7 @@ let test_wait_for_all_not_one_resilient () =
     Alcotest.(check (list int)) "witness at the initial configuration" []
       (List.map (fun e -> e.Execution.pid) schedule);
     (* the witness must survive an independent replay *)
-    (match Explore.replay proto v with
+    (match Explore.replay ~solo_budget proto v with
      | Ok () -> ()
      | Error e -> Alcotest.failf "witness replay failed: %s" e)
   | Error v -> Alcotest.failf "unexpected violation: %a" Explore.pp_violation v

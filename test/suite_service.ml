@@ -318,8 +318,7 @@ let test_e2e_malformed_survival () =
    read buffer must still be read to completion.  The loop grows the
    buffer inside its read handler, so the select read-set must keep a
    connection whose buffer is full-but-growable — a guard that dropped it
-   deadlocked the connection forever (found by the cluster coordinator,
-   whose ingest frames cross 8 KiB on wide frontiers). *)
+   deadlocked the connection forever on any request over 8 KiB. *)
 let test_e2e_oversized_frame () =
   with_server @@ fun server ->
   let big = String.make 30_000 'x' in
@@ -720,6 +719,92 @@ let test_explore_n_bounded () =
   Alcotest.(check (option string)) "a small n is still served" (Some "clean")
     (member_str "verdict" (result_of (Dispatch.handle d small)))
 
+(* Regression: the cache key packs an absent horizon as -1, so
+   "horizon": -1 must never reach it.  It would share the default
+   request's key, and its complete (hence cached) "blocked" answer would
+   be served to every later default valency request in place of
+   bivalent.  Negative counts are refused at decode, naming the field. *)
+let test_negative_counts_refused () =
+  with_server @@ fun server ->
+  let conn = Client.connect_exn ~port:(Server.port server) () in
+  Fun.protect ~finally:(fun () -> Client.close conn) @@ fun () ->
+  let valency =
+    [ ("op", Json.Str "valency"); ("protocol", Json.Str "racing"); ("n", Json.Int 3) ]
+  in
+  List.iter
+    (fun field ->
+      let resp = rpc_ok conn (Json.Obj (valency @ [ (field, Json.Int (-1)) ])) in
+      let err =
+        match Json.member "error" resp with
+        | Some e -> e
+        | None -> Alcotest.failf "%s = -1 was served: %s" field (Json.to_string resp)
+      in
+      Alcotest.(check (option string)) (field ^ " refused") (Some "bad-request")
+        (member_str "code" err);
+      let msg = Option.value ~default:"" (member_str "message" err) in
+      Alcotest.(check bool) ("message names the field: " ^ msg) true
+        (List.mem (Printf.sprintf "%S" field) (String.split_on_char ' ' msg)))
+    [ "horizon"; "max_configs"; "max_depth"; "solo_budget" ];
+  let resp = rpc_ok conn (Json.Obj valency) in
+  Alcotest.(check (option string)) "the default request is computed" (Some "fresh")
+    (member_str "provenance" resp);
+  Alcotest.(check (option string)) "and bivalent" (Some "bivalent")
+    (member_str "class" (result_of resp))
+
+(* Robustness: a client's bytes go through Frame.parse, Json.of_string and
+   Request.of_json before anything else reads them.  Random strings,
+   random payloads in well-formed frames, and 1-5 byte edits of valid
+   request frames must each come back as a frame, [`Need_more] or a typed
+   error at every stage, never as an exception. *)
+let decode_wire wire =
+  let buf = Bytes.of_string wire in
+  match Frame.parse buf ~pos:0 ~len:(Bytes.length buf) with
+  | `Need_more | `Error _ -> ()
+  | `Frame (off, n) -> (
+    match Json.of_string (Bytes.sub_string buf off n) with
+    | Error _ -> ()
+    | Ok doc -> ignore (Request.of_json doc : (Request.t, string) result))
+
+let test_decoders_never_raise () =
+  let frame payload = string_of_int (String.length payload) ^ "\n" ^ payload in
+  let valid =
+    List.map
+      (fun r -> frame (Json.to_string (Request.to_json r)))
+      [
+        Request.defaults;
+        witness_req;
+        { Request.defaults with Request.op = Request.Valency; horizon = Some 30 };
+        { Request.defaults with Request.op = Request.Resilient; id = 7; t_faults = 2;
+          deadline = Some 1.5; max_nodes = Some 9; certificate = true };
+      ]
+  in
+  (* one edit: overwrite, insert or delete a byte at a random position *)
+  let edit s (kind, pos, c) =
+    let pos = pos mod (String.length s + 1) in
+    let before = String.sub s 0 pos in
+    let after k = String.sub s (pos + k) (String.length s - pos - k) in
+    match kind with
+    | 0 when pos < String.length s -> before ^ String.make 1 c ^ after 1
+    | 1 when pos < String.length s -> before ^ after 1
+    | _ -> before ^ String.make 1 c ^ after 0
+  in
+  let gen =
+    QCheck2.Gen.(
+      oneof
+        [
+          string;
+          map frame string;
+          map2 (List.fold_left edit) (oneofl valid)
+            (list_size (int_range 1 5) (triple (int_bound 2) nat char));
+        ])
+  in
+  let test =
+    QCheck2.Test.make ~count:3_000 ~name:"untrusted bytes decode without raising"
+      ~print:String.escaped gen
+      (fun wire -> decode_wire wire; true)
+  in
+  QCheck2.Test.check_exn test
+
 let suite =
   ( "service",
     [
@@ -765,4 +850,8 @@ let suite =
         `Quick test_resilient_replay_budget;
       Alcotest.test_case "check/resilient refuse n beyond the limit" `Quick
         test_explore_n_bounded;
+      Alcotest.test_case "negative counts are refused, not cached" `Quick
+        test_negative_counts_refused;
+      Alcotest.test_case "decoders of untrusted bytes never raise" `Quick
+        test_decoders_never_raise;
     ] )
