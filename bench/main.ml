@@ -4,7 +4,9 @@
    --tables-only   skip the bechamel timings (CI smoke mode)
    --bench-only    skip the tables, only time the engine
    --deep          larger n for the tables
-   --json FILE     also write the bechamel OLS estimates to FILE as JSON *)
+
+   The performance record across changes is the benchmark ledger
+   (sh ledger/run.sh), not this harness's printed timings. *)
 open Bechamel
 open Toolkit
 open Ts_model
@@ -112,8 +114,7 @@ let bechamel_tests () =
 
 (* Search-engine observability: run the e14 and e5/e6 workloads once more
    outside the timer, with the metrics registry armed, and print the
-   counters the engine kept.  The returned snapshot goes into the --json
-   file under the versioned "metrics_v" key. *)
+   counters the engine kept. *)
 let engine_stats () =
   Format.printf "@.%s@.Search-engine metrics (one untimed run of the core workloads)@.%s@."
     (String.make 78 '-') (String.make 78 '-');
@@ -130,49 +131,9 @@ let engine_stats () =
   let i0 = Config.initial proto ~inputs:[| Value.int 0; Value.int 1; Value.int 0 |] in
   ignore (Theorem.lemma4 t i0 (Pset.all 3));
   Format.printf "  lemma4 racing-3:   %a@." Valency.pp_stats (Valency.stats t);
-  let snap = Ts_obs.Obs.Metrics.stop () in
-  Format.printf "%a@." Ts_obs.Obs.Metrics.pp_snapshot snap;
-  snap
+  Format.printf "%a@." Ts_obs.Obs.Metrics.pp_snapshot (Ts_obs.Obs.Metrics.stop ())
 
-(* Minimal JSON escaping for benchmark names (alphanumeric + dashes in
-   practice, but be safe). *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* The harness/unit/estimator/results keys render byte-identically to the
-   pre-metrics format (BENCH_PR1.json comparisons parse unchanged); the
-   engine-metrics snapshot rides along under the versioned "metrics_v"
-   key. *)
-let write_json file results metrics =
-  let oc = open_out file in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"harness\": \"tightspace-bench\",\n";
-  p "  \"unit\": \"ns/run\",\n";
-  p "  \"estimator\": \"bechamel OLS, monotonic clock\",\n";
-  p "  \"results\": {\n";
-  List.iteri
-    (fun i (name, est) ->
-      p "    \"%s\": %.1f%s\n" (json_escape name) est
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  p "  },\n";
-  p "  \"metrics_v\": %s\n" (Ts_obs.Export.metrics_json metrics);
-  p "}\n";
-  close_out oc;
-  Format.printf "wrote %s@." file
-
-let run_bechamel ~json ~metrics () =
+let run_bechamel () =
   Format.printf "@.%s@.Bechamel timings (one per table; OLS ns/run over a short quota)@.%s@."
     (String.make 78 '-') (String.make 78 '-');
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
@@ -194,26 +155,18 @@ let run_bechamel ~json ~metrics () =
         tbl []
       |> List.sort compare
     in
-    List.iter (fun (name, est) -> Format.printf "  %-42s %12.0f ns/run@." name est) estimates;
-    Option.iter (fun file -> write_json file estimates metrics) json
-
-(* Poor man's argv parsing: flags plus one optional "--json FILE" pair. *)
-let rec find_json = function
-  | "--json" :: file :: _ -> Some file
-  | _ :: rest -> find_json rest
-  | [] -> None
+    List.iter (fun (name, est) -> Format.printf "  %-42s %12.0f ns/run@." name est) estimates
 
 let () =
   let args = Array.to_list Sys.argv in
   let tables_only = List.mem "--tables-only" args in
   let bench_only = List.mem "--bench-only" args in
-  let json = find_json args in
   let max_n = if List.mem "--deep" args then 4 else 3 in
   Format.printf "tightspace benchmark harness — reproduction of Zhu, 'A Tight Space Bound@.";
   Format.printf "for Consensus' (PODC'16 BA / STOC'16), plus the JTT and Fan-Lynch bounds.@.";
   if not bench_only then Tables.all ~max_n ();
   if not tables_only then begin
-    let metrics = engine_stats () in
-    run_bechamel ~json ~metrics ()
+    engine_stats ();
+    run_bechamel ()
   end;
   Format.printf "@.done.@."

@@ -943,8 +943,8 @@ let fsync_conv =
   in
   Arg.conv (parse, print)
 
-let serve host port workers queue_cap cache_capacity cache_shards deadline
-    max_nodes store_path store_fsync verbose =
+let serve host port workers queue_cap cache_capacity deadline max_nodes
+    store_path store_fsync verbose =
   let config =
     {
       Server.host;
@@ -952,15 +952,10 @@ let serve host port workers queue_cap cache_capacity cache_shards deadline
       workers;
       queue_cap;
       cache_capacity;
-      cache_shards;
       request_deadline = deadline;
       max_nodes;
       store_path;
       store_fsync;
-      retry_after_overloaded_ms =
-        Server.default_config.Server.retry_after_overloaded_ms;
-      retry_after_draining_ms =
-        Server.default_config.Server.retry_after_draining_ms;
       verbose;
     }
   in
@@ -973,7 +968,7 @@ let serve host port workers queue_cap cache_capacity cache_shards deadline
     Format.eprintf "serve: %s@." msg;
     1
   | server ->
-    (* machine-parseable: the CI smoke and the load generator scrape this *)
+    (* machine-parseable: the CI smoke and the benchmark ledger scrape this *)
     Printf.printf "tightspace serve: listening on %s:%d (%d workers, queue %d, cache %d%s)\n%!"
       host (Server.port server) workers queue_cap cache_capacity
       (match store_path with Some p -> ", store " ^ p | None -> "");
@@ -1007,21 +1002,19 @@ let serve_cmd =
   let workers =
     Arg.(value & opt int 4
          & info [ "workers" ] ~docv:"W"
-             ~doc:"Worker domains (max concurrent connections).")
+             ~doc:"Worker domains that run engine computations; cache and \
+                   store hits are answered on the event loop without one.")
   in
   let queue_cap =
     Arg.(value & opt int 64
          & info [ "queue-cap" ] ~docv:"Q"
-             ~doc:"Accepted-connection queue bound; beyond it new connections \
-                   are refused with an overloaded error (backpressure).")
+             ~doc:"Bound on engine computations waiting for a worker; a \
+                   request beyond it is refused with an overloaded error \
+                   (backpressure) and its connection stays open.")
   in
   let cache_capacity =
     Arg.(value & opt int 4096
          & info [ "cache-capacity" ] ~docv:"C" ~doc:"Result-cache entries.")
-  in
-  let cache_shards =
-    Arg.(value & opt int 8
-         & info [ "cache-shards" ] ~docv:"S" ~doc:"Result-cache LRU shards.")
   in
   let deadline =
     Arg.(value & opt (some float) (Some 30.)
@@ -1050,7 +1043,7 @@ let serve_cmd =
              worker-pool scheduling, sharded LRU result cache, optional \
              persistent witness store")
     Term.(const serve $ host $ port $ workers $ queue_cap $ cache_capacity
-          $ cache_shards $ deadline $ max_nodes_arg $ store $ fsync $ verbose)
+          $ deadline $ max_nodes_arg $ store $ fsync $ verbose)
 
 (* query *)
 let query host port opname protocol n horizon seed max_configs max_depth

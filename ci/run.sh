@@ -11,6 +11,26 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# await_port OUT WHAT PID...: poll OUT for the "listening on" banner that
+# `tightspace serve` and `tightspace chaos proxy` print, and echo its port.
+# After 100 polls (~20 s) it reports WHAT, dumps OUT, kills every PID and
+# fails; call it as PORT=$(await_port ...) so `set -e` stops the script.
+await_port() {
+  out=$1; what=$2; shift 2
+  port=""
+  i=0
+  while [ -z "$port" ]; do
+    i=$((i + 1))
+    if [ "$i" -gt 100 ]; then
+      echo "ci: $what did not announce a port" >&2; cat "$out" >&2
+      kill "$@" 2> /dev/null || true; exit 1
+    fi
+    port=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' "$out")
+    [ -n "$port" ] || sleep 0.2
+  done
+  echo "$port"
+}
+
 echo "== dune build =="
 dune build @all
 
@@ -84,17 +104,7 @@ echo "== serve smoke (daemon + mixed batch + cache hit + drain; 5 min cap) =="
 TS=_build/default/bin/tightspace.exe
 "$TS" serve --port 0 --workers 2 > /tmp/serve.out 2>&1 &
 SERVE_PID=$!
-PORT=""
-i=0
-while [ -z "$PORT" ]; do
-  i=$((i + 1))
-  if [ "$i" -gt 100 ]; then
-    echo "ci: serve did not announce a port" >&2; cat /tmp/serve.out >&2
-    kill "$SERVE_PID" 2> /dev/null || true; exit 1
-  fi
-  PORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' /tmp/serve.out)
-  [ -n "$PORT" ] || sleep 0.2
-done
+PORT=$(await_port /tmp/serve.out serve "$SERVE_PID")
 timeout 60 "$TS" query ping --port "$PORT" > /tmp/q-ping.json
 grep -q '"pong": true' /tmp/q-ping.json
 timeout 300 "$TS" query witness --port "$PORT" --protocol racing -n 2 > /tmp/q-cold.json
@@ -132,17 +142,7 @@ serve_on_store() {
   # $1: output file.  Starts a store-backed daemon, echoes its port.
   "$TS" serve --port 0 --workers 2 --store "$STORE" > "$1" 2>&1 &
   SERVE_PID=$!
-  PORT=""
-  i=0
-  while [ -z "$PORT" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-      echo "ci: store-backed serve did not announce a port" >&2; cat "$1" >&2
-      kill "$SERVE_PID" 2> /dev/null || true; exit 1
-    fi
-    PORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' "$1")
-    [ -n "$PORT" ] || sleep 0.2
-  done
+  PORT=$(await_port "$1" "store-backed serve" "$SERVE_PID")
 }
 drain() {
   kill -TERM "$SERVE_PID"
@@ -184,43 +184,19 @@ drain
 rm -f "$STORE"
 
 echo "== chaos smoke (fault proxy + resilient client + crash torture; 10 min cap) =="
-# the E23 bar, part 1: the full loadgen mix through an in-process chaos
-# proxy injecting resets, truncations, corruption, latency and throttling
-# — every call must eventually succeed with answers byte-identical to the
-# fault-free baseline, replayable from the printed seed
-timeout 600 dune exec bench/loadgen.exe -- --chaos --clients 4 --rounds 10 \
-  --chaos-seed 2026 > /tmp/chaos-loadgen.out
-grep -q "100% eventual success" /tmp/chaos-loadgen.out
-# part 2: the standalone proxy CLI, fault probability 1.0 (every
-# connection draws a faulty plan), with the query client's retry budget
-# absorbing whatever the schedule deals
+# the E23 bar, part 1: the standalone proxy CLI, fault probability 1.0
+# (every connection draws a faulty plan), with the query client's retry
+# budget absorbing whatever the schedule deals.  The mixed-request bar
+# (witness, check and valency from concurrent resilient clients, answers
+# byte-identical to a fault-free baseline) runs under `dune runtest`, in
+# suite_service's "e2e: resilient client through the chaos proxy".
 "$TS" serve --port 0 --workers 2 > /tmp/serve-chaos.out 2>&1 &
 SERVE_PID=$!
-PORT=""
-i=0
-while [ -z "$PORT" ]; do
-  i=$((i + 1))
-  if [ "$i" -gt 100 ]; then
-    echo "ci: serve did not announce a port" >&2; cat /tmp/serve-chaos.out >&2
-    kill "$SERVE_PID" 2> /dev/null || true; exit 1
-  fi
-  PORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' /tmp/serve-chaos.out)
-  [ -n "$PORT" ] || sleep 0.2
-done
+PORT=$(await_port /tmp/serve-chaos.out serve "$SERVE_PID")
 "$TS" chaos proxy --upstream-port "$PORT" --seed 7 --fault-prob 1.0 \
   > /tmp/chaos-proxy.out 2>&1 &
 PROXY_PID=$!
-PPORT=""
-i=0
-while [ -z "$PPORT" ]; do
-  i=$((i + 1))
-  if [ "$i" -gt 100 ]; then
-    echo "ci: chaos proxy did not announce a port" >&2; cat /tmp/chaos-proxy.out >&2
-    kill "$PROXY_PID" "$SERVE_PID" 2> /dev/null || true; exit 1
-  fi
-  PPORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' /tmp/chaos-proxy.out)
-  [ -n "$PPORT" ] || sleep 0.2
-done
+PPORT=$(await_port /tmp/chaos-proxy.out "chaos proxy" "$PROXY_PID" "$SERVE_PID")
 timeout 300 "$TS" query witness --port "$PPORT" --protocol racing -n 2 \
   --retries 10 > /tmp/q-chaos1.json
 timeout 300 "$TS" query witness --port "$PPORT" --protocol racing -n 2 \
@@ -238,7 +214,7 @@ wait "$PROXY_PID"
 grep -q "connections" /tmp/chaos-proxy.out
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || true
-# part 3: the store crash-torture bar — 300 seeded append/crash/reopen
+# part 2: the store crash-torture bar — 300 seeded append/crash/reopen
 # cycles, recovery invariants checked sharply at every reopen
 TORTURE_LOG=/tmp/ci-torture-$$.log
 timeout 600 "$TS" chaos torture --iterations 300 --seed 2026 \
@@ -296,17 +272,7 @@ AUDIT_STORE=/tmp/ci-auditlog-$$.log
 rm -f "$AUDIT_STORE"
 "$TS" serve --port 0 --workers 2 --store "$AUDIT_STORE" > /tmp/serve-audit.out 2>&1 &
 SERVE_PID=$!
-PORT=""
-i=0
-while [ -z "$PORT" ]; do
-  i=$((i + 1))
-  if [ "$i" -gt 100 ]; then
-    echo "ci: audit serve did not announce a port" >&2; cat /tmp/serve-audit.out >&2
-    kill "$SERVE_PID" 2> /dev/null || true; exit 1
-  fi
-  PORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' /tmp/serve-audit.out)
-  [ -n "$PORT" ] || sleep 0.2
-done
+PORT=$(await_port /tmp/serve-audit.out "audit serve" "$SERVE_PID")
 timeout 300 "$TS" query witness --port "$PORT" --protocol racing -n 2 \
   --certificate > /tmp/q-certified.json
 grep -q '"certificate"' /tmp/q-certified.json

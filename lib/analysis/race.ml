@@ -1,9 +1,10 @@
 open Ts_model
+module Obs = Ts_obs.Obs
 
 type access = {
   domain : int;
   loc : string;
-  kind : Trace.kind;
+  kind : Obs.kind;
   atomic : bool;
   index : int;
 }
@@ -87,27 +88,27 @@ let check events =
     (fun index ev ->
       incr n_events;
       match ev with
-      | Trace.Fork { parent; token } ->
+      | Obs.Fork { parent; token } ->
         Hashtbl.replace domains parent ();
         Hashtbl.replace fork_snap token (clock parent);
         tick parent
-      | Trace.Begin { child; token } ->
+      | Obs.Begin { child; token } ->
         Hashtbl.replace domains child ();
         (match Hashtbl.find_opt fork_snap token with
          | Some c -> absorb child c
          | None -> ());
         tick child
-      | Trace.End { child; token } ->
+      | Obs.End { child; token } ->
         Hashtbl.replace domains child ();
         Hashtbl.replace end_snap token (clock child);
         tick child
-      | Trace.Join { parent; token } ->
+      | Obs.Join { parent; token } ->
         Hashtbl.replace domains parent ();
         (match Hashtbl.find_opt end_snap token with
          | Some c -> absorb parent c
          | None -> ());
         tick parent
-      | Trace.Access { domain; loc; kind; atomic } ->
+      | Obs.Access { domain; loc; kind; atomic } ->
         Hashtbl.replace domains domain ();
         incr n_access;
         let a = { domain; loc; kind; atomic; index } in
@@ -124,12 +125,12 @@ let check events =
            one write, not both atomic *)
         let against =
           match kind, atomic with
-          | Trace.Write, false ->
+          | Obs.Write, false ->
             [ st.plain_w, st.plain_w_last; st.atomic_w, st.atomic_w_last;
               st.plain_r, st.plain_r_last; st.atomic_r, st.atomic_r_last ]
-          | Trace.Write, true -> [ st.plain_w, st.plain_w_last; st.plain_r, st.plain_r_last ]
-          | Trace.Read, false -> [ st.plain_w, st.plain_w_last; st.atomic_w, st.atomic_w_last ]
-          | Trace.Read, true -> [ st.plain_w, st.plain_w_last ]
+          | Obs.Write, true -> [ st.plain_w, st.plain_w_last; st.plain_r, st.plain_r_last ]
+          | Obs.Read, false -> [ st.plain_w, st.plain_w_last; st.atomic_w, st.atomic_w_last ]
+          | Obs.Read, true -> [ st.plain_w, st.plain_w_last ]
         in
         if not (Hashtbl.mem raced loc) then
           List.iter
@@ -142,20 +143,20 @@ let check events =
               end)
             against;
         (match kind, atomic with
-         | Trace.Write, false ->
+         | Obs.Write, false ->
            st.plain_w <- vc_join st.plain_w now;
            st.plain_w_last <- Some a
-         | Trace.Write, true ->
+         | Obs.Write, true ->
            st.atomic_w <- vc_join st.atomic_w now;
            st.atomic_w_last <- Some a
-         | Trace.Read, false ->
+         | Obs.Read, false ->
            st.plain_r <- vc_join st.plain_r now;
            st.plain_r_last <- Some a
-         | Trace.Read, true ->
+         | Obs.Read, true ->
            st.atomic_r <- vc_join st.atomic_r now;
            st.atomic_r_last <- Some a);
         tick domain
-      | Trace.Span_open _ | Trace.Span_close _ | Trace.Instant _ ->
+      | Obs.Span_open _ | Obs.Span_close _ | Obs.Instant _ ->
         (* profiler events share the unified stream but carry no
            happens-before information; count and skip *)
         ())
@@ -171,8 +172,8 @@ let check events =
 let race_free r = r.races = []
 
 let certify_engine ?(domains = 4) () =
-  Trace.start ();
-  let finish () = check (Trace.stop ()) in
+  Obs.start_accesses ();
+  let finish () = check (Obs.stop_accesses ()) in
   match
     let proto = Ts_protocols.Racing.make ~n:2 in
     Ts_checker.Explore.check_consensus proto ~domains
@@ -186,25 +187,25 @@ let certify_engine ?(domains = 4) () =
     raise e
 
 let planted ?(domains = 2) () =
-  Trace.start ();
+  Obs.start_accesses ();
   let cell = ref 0 in
   let bump _ =
     for _ = 1 to 8 do
-      Trace.access ~loc:"planted.cell" Trace.Read ~atomic:false;
+      Obs.access ~loc:"planted.cell" Obs.Read ~atomic:false;
       let v = !cell in
-      Trace.access ~loc:"planted.cell" Trace.Write ~atomic:false;
+      Obs.access ~loc:"planted.cell" Obs.Write ~atomic:false;
       cell := v + 1
     done
   in
   ignore (Par.map_list ~domains bump [ 0; 1; 2; 3 ]);
-  check (Trace.stop ())
+  check (Obs.stop_accesses ())
 
 let json_of_access a =
   Json.Obj
     [
       "domain", Json.Int a.domain;
       "loc", Json.Str a.loc;
-      "kind", Json.Str (match a.kind with Trace.Read -> "read" | Trace.Write -> "write");
+      "kind", Json.Str (match a.kind with Obs.Read -> "read" | Obs.Write -> "write");
       "atomic", Json.Bool a.atomic;
       "index", Json.Int a.index;
     ]
@@ -233,7 +234,7 @@ let to_json r =
 let pp_access ppf a =
   Fmt.pf ppf "d%d %s%s@%d"
     a.domain
-    (match a.kind with Trace.Read -> "read" | Trace.Write -> "write")
+    (match a.kind with Obs.Read -> "read" | Obs.Write -> "write")
     (if a.atomic then "[atomic]" else "")
     a.index
 

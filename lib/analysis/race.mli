@@ -1,5 +1,5 @@
 (** Engine race detector: a vector-clock (epoch/lockset-style) checker
-    over {!Ts_model.Trace} access logs.
+    over the {!Ts_obs.Obs} access log.
 
     The parallel search's safety argument is "workers share nothing
     mutable except the budget atomics".  When tracing is armed, the
@@ -16,12 +16,10 @@
     and must come back race-free; [planted] runs a deliberately racy
     fan-out (two domains bumping one plain ref) and must not. *)
 
-open Ts_model
-
 type access = {
   domain : int;
   loc : string;
-  kind : Trace.kind;
+  kind : Ts_obs.Obs.kind;
   atomic : bool;
   index : int;  (** position in the event log, for reporting *)
 }
@@ -40,9 +38,9 @@ type report = {
   races : race list;  (** at most one reported race per location *)
 }
 
-(** [check events] replays a {!Ts_model.Trace} log through the
-    vector-clock checker. *)
-val check : Trace.event list -> report
+(** [check events] replays a drained {!Ts_obs.Obs.stop_accesses} log
+    through the vector-clock checker. *)
+val check : Ts_obs.Obs.event list -> report
 
 val race_free : report -> bool
 

@@ -103,7 +103,7 @@ type memo = {
 }
 
 let create_memo ~size name =
-  { bounds = Ckey.Salted_tbl.create size; loc = Trace.fresh_loc name }
+  { bounds = Ckey.Salted_tbl.create size; loc = Obs.fresh_loc name }
 
 (* Per-vector tables are sized to the budget, not a fixed large block:
    small searches (a few dozen configurations per input vector) shouldn't
@@ -157,7 +157,7 @@ let probe_group proto pk cfg ps ~budget ~guard ~memo ~counters =
     end
   in
   push cfg 0 None;
-  Trace.access ~loc:memo.loc Trace.Read ~atomic:false;
+  Obs.access ~loc:memo.loc Obs.Read ~atomic:false;
   (* [Some (n, h)]: a member decides within [h] steps of node [n] *)
   let rec search () =
     if Queue.is_empty q then None
@@ -191,7 +191,7 @@ let probe_group proto pk cfg ps ~budget ~guard ~memo ~counters =
     end
   in
   let outcome = search () in
-  Trace.access ~loc:memo.loc Trace.Write ~atomic:false;
+  Obs.access ~loc:memo.loc Obs.Write ~atomic:false;
   match outcome with
   | Some (winner, h) ->
     let total = winner.depth + h in
@@ -261,12 +261,12 @@ let bfs_reachable proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examin
   let visited = Ckey.Tbl.create (table_size ~max_configs) in
   (* each search owns its visited table; a distinct location per table
      lets the race detector prove no cross-domain sharing ever happens *)
-  let visited_loc = Trace.fresh_loc "explore.visited" in
+  let visited_loc = Obs.fresh_loc "explore.visited" in
   let cfg0 = Config.initial proto ~inputs in
   (* queue holds (config, reversed schedule, depth) *)
   let q = Queue.create () in
   Queue.add (cfg0, [], 0) q;
-  Trace.access ~loc:visited_loc Trace.Write ~atomic:false;
+  Obs.access ~loc:visited_loc Obs.Write ~atomic:false;
   Ckey.Tbl.replace visited (Ckey.pack pk cfg0) ();
   counters.misses <- 1;
   counters.peak <- 1;
@@ -283,11 +283,11 @@ let bfs_reachable proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examin
         (* inline successor expansion: no intermediate list *)
         let push e cfg' =
           let key = Ckey.pack pk cfg' in
-          Trace.access ~loc:visited_loc Trace.Read ~atomic:false;
+          Obs.access ~loc:visited_loc Obs.Read ~atomic:false;
           if Ckey.Tbl.mem visited key then counters.hits <- counters.hits + 1
           else begin
             counters.misses <- counters.misses + 1;
-            Trace.access ~loc:visited_loc Trace.Write ~atomic:false;
+            Obs.access ~loc:visited_loc Obs.Write ~atomic:false;
             Ckey.Tbl.replace visited key ();
             Queue.add (cfg', e :: rev_sched, depth + 1) q
           end
@@ -460,28 +460,6 @@ let check_t_resilient ?(domains = 1) ?(budget = Budget.unlimited) ~t proto ~inpu
       check_resilient_from proto ~t ~inputs ~max_configs ~max_depth ~solo_budget
         ~guard:budget)
     inputs_list
-
-(* --- successor enumeration --------------------------------------------- *)
-
-(* Successor enumeration in exactly the order [bfs_reachable] inlines it:
-   pid ascending, a Flip resolved heads before tails.  The reference BFS in
-   test/suite_checker.ml walks the graph through this function and matches
-   the engine's violation schedules and table counters, which holds only
-   while this order is the one serial insertion order. *)
-let successors proto cfg =
-  let acc = ref [] in
-  for p = proto.Protocol.num_processes - 1 downto 0 do
-    match Config.poised proto cfg p with
-    | None -> ()
-    | Some Action.Flip ->
-      acc :=
-        (Execution.flip p true, fst (Config.step proto cfg p ~coin:(Some true)))
-        :: (Execution.flip p false, fst (Config.step proto cfg p ~coin:(Some false)))
-        :: !acc
-    | Some _ ->
-      acc := (Execution.ev p, fst (Config.step proto cfg p ~coin:None)) :: !acc
-  done;
-  !acc
 
 (* --- counterexample replay -------------------------------------------- *)
 

@@ -163,16 +163,6 @@ val check_t_resilient :
   solo_budget:int ->
   result
 
-(** [successors proto cfg] enumerates the successor configurations of
-    [cfg] in exactly the order the serial BFS inlines them: pid ascending,
-    a coin flip resolved heads before tails.  Each successor is paired
-    with the event that reaches it.  The reference BFS in
-    [test/suite_checker.ml] walks the graph through it and must agree with
-    the engine on every violation schedule and [stats] field, so this
-    order is the serial insertion order. *)
-val successors :
-  's Protocol.t -> 's Config.t -> (Execution.event * 's Config.t) list
-
 (** {2 Probes}
 
     The solo/group-termination probe behind every entry point, with its

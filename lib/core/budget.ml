@@ -77,7 +77,7 @@ let charge t k =
     (* the node counter is the one structure domain-parallel searches
        genuinely share; it is atomic by design, and logging it as such
        lets the race detector certify exactly that *)
-    Ts_model.Trace.access ~loc:"budget.nodes" Ts_model.Trace.Write ~atomic:true;
+    Ts_obs.Obs.access ~loc:"budget.nodes" Ts_obs.Obs.Write ~atomic:true;
     let before = Atomic.fetch_and_add t.nodes k in
     let after = before + k in
     if after > l.max_nodes then raise (Exhausted (Node_cap l.max_nodes));

@@ -43,10 +43,13 @@ type 'v t = {
   mutable write_through : (Ts_model.Ckey.t -> 'v -> unit) option;
 }
 
-let create ?(shards = 8) ?(name = "cache") ~capacity () =
+(* Enough stripes that a handful of worker domains rarely meet on one
+   lock; a capacity below this gets one entry per shard. *)
+let max_shards = 8
+
+let create ?(name = "cache") ~capacity () =
   if capacity < 1 then invalid_arg "Cache.create: capacity must be positive";
-  if shards < 1 then invalid_arg "Cache.create: shards must be positive";
-  let shards = min shards capacity in
+  let shards = min max_shards capacity in
   let cap_of i =
     (* divide capacity evenly; the first (capacity mod shards) shards take
        the remainder, so total capacity is exact *)
@@ -60,7 +63,7 @@ let create ?(shards = 8) ?(name = "cache") ~capacity () =
             tbl = Ckey.Tbl.create 64;
             tick = 0;
             cap = cap_of i;
-            loc = Trace.fresh_loc "cache.shard";
+            loc = Obs.fresh_loc "cache.shard";
             hits = 0;
             misses = 0;
             evictions = 0;
@@ -80,7 +83,7 @@ let shard_of t key = t.shards.(Ckey.hash key mod Array.length t.shards)
    (the detector's "never races with its own kind" class) — exactly the
    claim the mutex makes.  A buggy caller touching shard internals outside
    the lock would log a non-atomic access and be flagged. *)
-let log_access shard kind = Trace.access ~loc:shard.loc kind ~atomic:true
+let log_access shard kind = Obs.access ~loc:shard.loc kind ~atomic:true
 
 let locked shard kind f =
   log_access shard kind;
@@ -131,7 +134,7 @@ let metrics_entries t =
 
 let find t key =
   let shard = shard_of t key in
-  locked shard Trace.Read @@ fun () ->
+  locked shard Obs.Read @@ fun () ->
   match Ckey.Tbl.find_opt shard.tbl key with
   | Some e ->
     shard.hits <- shard.hits + 1;
@@ -145,7 +148,7 @@ let find t key =
 
 let put ?(write_through = true) t key v =
   let shard = shard_of t key in
-  (locked shard Trace.Write @@ fun () -> insert_locked shard key v);
+  (locked shard Obs.Write @@ fun () -> insert_locked shard key v);
   metrics_entries t;
   (* outside the shard lock: a slow durable append must never block other
      requests hashing to this shard *)
@@ -165,7 +168,7 @@ let find_or_compute t key f =
 let clear t =
   Array.iter
     (fun shard ->
-      locked shard Trace.Write @@ fun () -> Ckey.Tbl.reset shard.tbl)
+      locked shard Obs.Write @@ fun () -> Ckey.Tbl.reset shard.tbl)
     t.shards;
   metrics_entries t
 
@@ -182,7 +185,7 @@ let stats (t : _ t) =
   let acc =
     Array.fold_left
       (fun acc shard ->
-        locked shard Trace.Read @@ fun () ->
+        locked shard Obs.Read @@ fun () ->
         {
           acc with
           hits = acc.hits + shard.hits;

@@ -9,7 +9,7 @@
     wrapper — the service dispatcher today, a memoized oracle tomorrow —
     shares one implementation.
 
-    {b Sharding.}  The key's full-width FNV hash picks one of [shards]
+    {b Sharding.}  The key's full-width FNV hash picks one of 8
     independent LRU shards, each guarded by its own [Mutex]: concurrent
     requests for different shards never contend, and a shard's lock is
     never held while a caller computes a missing value.
@@ -27,7 +27,7 @@
     {b Observability.}  Hits, misses, evictions and the entry gauge mirror
     into {!Ts_obs.Obs.Metrics} under [<name>.hits] etc. (no-ops while
     metrics are disarmed), and every shard logs its accesses to the race
-    detector's feed ({!Ts_model.Trace}) as synchronized accesses, so an
+    detector's feed ({!Ts_obs.Obs.access}) as synchronized accesses, so an
     instrumented hammer run can certify the striping sound. *)
 
 (** Where an answer came from: computed on this call, or served from the
@@ -44,10 +44,10 @@ val is_cached : 'v provenance -> bool
 type 'v t
 
 (** [create ~capacity ()] builds a cache holding at most [capacity]
-    entries across [shards] (default 8) LRU shards.  [name] (default
-    ["cache"]) prefixes the mirrored metrics.
-    @raise Invalid_argument if [capacity < 1] or [shards < 1]. *)
-val create : ?shards:int -> ?name:string -> capacity:int -> unit -> 'v t
+    entries across 8 LRU shards (fewer when [capacity < 8]: one entry per
+    shard).  [name] (default ["cache"]) prefixes the mirrored metrics.
+    @raise Invalid_argument if [capacity < 1]. *)
+val create : ?name:string -> capacity:int -> unit -> 'v t
 
 (** [find_or_compute t key f] is [Cached v] when [key] is present, else
     [Fresh (f ())] after inserting the computed value.  [f] runs without

@@ -285,21 +285,6 @@ let theorem1_escalate ?(budget = Budget.unlimited) ?(retries = 4) proto ~initial
   in
   go initial_horizon 0
 
-let theorem1_auto proto ~initial_horizon ~max_horizon =
-  if initial_horizon < 1 || initial_horizon > max_horizon then
-    invalid_arg "Theorem.theorem1_auto: bad horizon range";
-  (* largest number of doublings that stays within max_horizon *)
-  let retries =
-    let rec go h r = if 2 * h > max_horizon then r else go (2 * h) (r + 1) in
-    go initial_horizon 0
-  in
-  match theorem1_escalate proto ~initial_horizon ~retries with
-  | Complete cert, horizon -> cert, horizon
-  | Partial (Horizon_wall msg, _), _ -> raise (Valency.Horizon_exceeded msg)
-  | Partial (Out_of_budget b, _), _ ->
-    (* unreachable: escalate ran with the unlimited budget *)
-    raise (Budget.Exhausted b)
-
 let verify cert (proto : 's Protocol.t) =
   if proto.Protocol.num_processes <> cert.n then Error "process count mismatch"
   else

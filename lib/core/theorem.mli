@@ -84,15 +84,6 @@ val theorem1_escalate :
   initial_horizon:int ->
   outcome * int
 
-(** [theorem1_auto proto ~initial_horizon ~max_horizon] runs {!theorem1}
-    with iterative deepening: on [Horizon_exceeded] the horizon doubles (a
-    fresh oracle each time) until the construction succeeds or
-    [max_horizon] is passed (in which case [Horizon_exceeded] is
-    re-raised).  Returns the certificate and the horizon that sufficed.
-    The exception-free equivalent is {!theorem1_escalate}. *)
-val theorem1_auto :
-  's Protocol.t -> initial_horizon:int -> max_horizon:int -> certificate * int
-
 val pp_stop : Format.formatter -> stop -> unit
 val pp_progress : Format.formatter -> progress -> unit
 

@@ -227,7 +227,9 @@ let univalent_value t cfg ps =
 (* --- successor enumeration ---------------------------------------------- *)
 
 (* [search]'s expansion order as a list, for the ledger's per-node micro
-   row (ledger/micro.ml), which times one node's successors in isolation. *)
+   row (ledger/micro.ml), which times one node's successors in isolation,
+   and for the checker's reference BFS (test/suite_checker.ml), which walks
+   the graph through it with every process a member. *)
 let successors_within proto cfg ps =
   let acc = ref [] in
   Pset.iter

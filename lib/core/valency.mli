@@ -91,7 +91,10 @@ val pp_stats : Format.formatter -> stats -> unit
     [ps] ascending, a coin flip resolved heads before tails.  The
     benchmark ledger's [micro.valency_successors_ns] row
     ([ledger/micro.ml]) calls it to time one search node's expansion on
-    its own. *)
+    its own.  With [ps] every process it is also the checker's serial BFS
+    insertion order: the reference BFS in [test/suite_checker.ml] walks
+    the graph through it and must agree with [Ts_checker.Explore] on
+    every violation schedule and [stats] field. *)
 val successors_within :
   's Protocol.t -> 's Config.t -> Pset.t -> (Execution.event * 's Config.t) list
 

@@ -67,7 +67,7 @@ let packer proto =
       (match proto.Protocol.encode with
        | Protocol.Packed f -> f
        | Protocol.Generic -> marshal_to);
-    loc = Trace.fresh_loc "ckey.packer";
+    loc = Ts_obs.Obs.fresh_loc "ckey.packer";
   }
 
 let add_status pk = function
@@ -81,7 +81,7 @@ let add_status pk = function
 let start pk =
   (* the scratch buffer is the packer's share-nothing hazard: flag any
      cross-domain reuse to the race detector *)
-  Trace.access ~loc:pk.loc Trace.Write ~atomic:false;
+  Ts_obs.Obs.access ~loc:pk.loc Ts_obs.Obs.Write ~atomic:false;
   Buffer.clear pk.buf
 
 let finish pk (cfg : _ Config.t) =

@@ -7,9 +7,11 @@
    returns or re-raises, so a raising item never leaks a domain.
 
    Every spawn/join edge and every touch of the shared reassembly array is
-   logged through Trace when tracing is armed, so the analysis layer's
+   logged through Obs when access tracing is armed, so the analysis layer's
    vector-clock race detector can certify (or refute) the sharing
    discipline of a parallel run. *)
+
+module Obs = Ts_obs.Obs
 
 let available_domains () = Domain.recommended_domain_count ()
 
@@ -52,32 +54,32 @@ let outcomes_array ~domains f items =
     in
     let spawned =
       Array.init (domains - 1) (fun k ->
-          let token = Trace.fork () in
+          let token = Obs.fork () in
           ( token,
             Domain.spawn (fun () ->
-                Trace.begin_task token;
+                Obs.begin_task token;
                 (* one span per spawned worker: the fan-out's load balance
                    shows up as the relative lengths of these tracks *)
-                let sp = Ts_obs.Obs.enter ~cat:"par" "par.worker" in
-                Ts_obs.Obs.set_int sp "stride" (k + 1);
+                let sp = Obs.enter ~cat:"par" "par.worker" in
+                Obs.set_int sp "stride" (k + 1);
                 let r = worker (k + 1) () in
-                Ts_obs.Obs.set_int sp "items" (List.length r);
-                Ts_obs.Obs.close sp;
-                Trace.end_task token;
+                Obs.set_int sp "items" (List.length r);
+                Obs.close sp;
+                Obs.end_task token;
                 r) ))
     in
     let results = Array.make n None in
-    let results_loc = Trace.fresh_loc "par.results" in
+    let results_loc = Obs.fresh_loc "par.results" in
     let collect =
       List.iter (fun (i, r) ->
-          Trace.access ~loc:results_loc Trace.Write ~atomic:false;
+          Obs.access ~loc:results_loc Obs.Write ~atomic:false;
           results.(i) <- Some r)
     in
     collect (worker 0 ());
     Array.iter
       (fun (token, d) ->
         let r = Domain.join d in
-        Trace.join token;
+        Obs.join token;
         collect r)
       spawned;
     Array.mapi strip_slot results
@@ -105,19 +107,19 @@ let map_list_outcomes ~domains f xs =
 (* Run two independent thunks, one on a fresh domain.  Always joins before
    re-raising so no domain is leaked. *)
 let both f g =
-  let token = Trace.fork () in
+  let token = Obs.fork () in
   let d =
     Domain.spawn (fun () ->
-        Trace.begin_task token;
-        let sp = Ts_obs.Obs.enter ~cat:"par" "par.both" in
+        Obs.begin_task token;
+        let sp = Obs.enter ~cat:"par" "par.both" in
         let r = catch g () in
-        Ts_obs.Obs.close sp;
-        Trace.end_task token;
+        Obs.close sp;
+        Obs.end_task token;
         r)
   in
   let a = catch f () in
   let b = Domain.join d in
-  Trace.join token;
+  Obs.join token;
   match a, b with
   | Done a, Done b -> a, b
   | Raised (e, bt), _ -> Printexc.raise_with_backtrace e bt

@@ -1,10 +1,8 @@
 (* Exporters over drained Obs event streams (see export.mli).  The JSON
    here is emitted directly into a Buffer: the observability layer sits
    below every other library in the repo, so it cannot borrow
-   Ts_analysis.Json, and the two formats it speaks (Chrome trace_event,
-   the metrics blob) are flat enough not to need a value tree. *)
-
-let metrics_version = 1
+   Ts_analysis.Json, and Chrome trace_event is flat enough not to need a
+   value tree. *)
 
 (* RFC 8259 string escaping. *)
 let add_escaped buf s =
@@ -192,36 +190,4 @@ let phase_table events =
            (if grand > 0.0 then 100.0 *. p.total_ms /. grand else 0.0)))
     ps;
   if ps = [] then Buffer.add_string buf "(no closed spans captured)\n";
-  Buffer.contents buf
-
-(* --- metrics blob ------------------------------------------------------ *)
-
-let metrics_json (s : Obs.Metrics.snapshot) =
-  let buf = Buffer.create 512 in
-  let obj fields render =
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i kv ->
-        if i > 0 then Buffer.add_char buf ',';
-        render kv)
-      fields;
-    Buffer.add_char buf '}'
-  in
-  Buffer.add_string buf (Printf.sprintf "{\"version\":%d,\"counters\":" metrics_version);
-  obj s.Obs.Metrics.counters (fun (k, v) ->
-      add_escaped buf k;
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (string_of_int v));
-  Buffer.add_string buf ",\"gauges\":";
-  obj s.Obs.Metrics.gauges (fun (k, v) ->
-      add_escaped buf k;
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (string_of_int v));
-  Buffer.add_string buf ",\"histograms\":";
-  obj s.Obs.Metrics.histograms (fun (k, (h : Obs.Metrics.histo)) ->
-      add_escaped buf k;
-      Buffer.add_string buf
-        (Printf.sprintf ":{\"count\":%d,\"sum_ms\":%.3f,\"min_ms\":%.3f,\"max_ms\":%.3f}"
-           h.Obs.Metrics.count h.Obs.Metrics.sum h.Obs.Metrics.min h.Obs.Metrics.max));
-  Buffer.add_char buf '}';
   Buffer.contents buf

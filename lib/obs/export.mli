@@ -1,21 +1,16 @@
 (** Exporters over a drained {!Obs} event stream.
 
-    Three formats, one source of truth:
+    Two formats, one source of truth:
 
     - {!chrome_trace} — Chrome [trace_event] JSON, loadable in
       [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}: spans
       become nested B/E intervals per domain track, instants become [i]
       markers, attributes become [args];
     - {!phase_table} / {!phases} — the human-readable phase-time
-      breakdown printed by [tightspace trace] and the [--metrics] flags;
-    - {!metrics_json} — the machine-readable metrics blob the bench
-      harness embeds under its versioned ["metrics_v"] key.
+      breakdown printed by [tightspace trace] and the [--metrics] flags.
 
-    All functions are pure over the event list / snapshot; untimed events
-    (accesses, fork/join edges) are skipped by the timed exporters. *)
-
-(** Version of the {!metrics_json} blob format, embedded as ["version"]. *)
-val metrics_version : int
+    Both are pure over the event list; untimed events (accesses, fork/join
+    edges) are skipped. *)
 
 (** [chrome_trace events] renders the span/instant events as a Chrome
     [trace_event] JSON document ([{"traceEvents": [...], ...}]).
@@ -43,10 +38,3 @@ val phases : Obs.event list -> phase list
 (** [phase_table events] is {!phases} rendered as an aligned text table
     with a percentage-of-total column. *)
 val phase_table : Obs.event list -> string
-
-(** [metrics_json snapshot] is the compact machine-readable metrics blob:
-    [{"version": N, "counters": {...}, "gauges": {...},
-    "histograms": {"name": {"count": ..., "sum_ms": ..., "min_ms": ...,
-    "max_ms": ...}, ...}}].  Keys are sorted (snapshots are), so equal
-    snapshots render byte-identically. *)
-val metrics_json : Obs.Metrics.snapshot -> string

@@ -12,11 +12,10 @@
       drained as {!event} lists and exported by {!Export} as phase-summary
       tables or Chrome [trace_event] JSON;
     - {b metrics} ({!Metrics.start}): named counters, gauges and
-      histograms, snapshotted as a machine-readable blob the bench
-      harness embeds in its [--json] output;
+      histograms, snapshotted and printed by the bench harness and the
+      CLI's [--metrics] flags;
     - {b accesses} ({!start_accesses}): the shared-memory access and
-      fork/join events the vector-clock race detector consumes
-      ([Ts_model.Trace] is a thin facade over this buffer).
+      fork/join events the vector-clock race detector consumes.
 
     All three share one event stream, so the analysis gate and the
     profiler consume the same model; draining one interest never discards
@@ -187,9 +186,13 @@ end
 
 (** {1 Memory-access log (race-detector feed)}
 
-    [Ts_model.Trace] re-exports these under the engine's historical names;
-    the vector-clock checker in [Ts_analysis.Race] consumes the drained
-    events. *)
+    The engine's shared-structure touch points ([Ts_model.Par],
+    [Ts_model.Ckey], the checker's tables, [Ts_core.Budget],
+    [Ts_core.Cache], the service's mailbox and store) log here; the
+    vector-clock checker in [Ts_analysis.Race] consumes the drained
+    events.  Tracing is a test/analysis harness, not a production
+    profiler, and [start_accesses]/[stop_accesses] are not meant to run
+    concurrently with each other. *)
 
 (** Whether access tracing is currently armed. *)
 val accesses : unit -> bool

@@ -223,7 +223,7 @@ type t = {
   bound_port : int;
   stop_flag : bool Atomic.t;
   mutable domain : unit Domain.t option;
-  m : Mutex.t;  (* guards counters + events, read from other domains *)
+  m : Mutex.t;  (* guards the counters, read from other domains *)
   mutable s_connections : int;
   mutable s_faulted : int;
   mutable s_resets : int;
@@ -233,11 +233,7 @@ type t = {
   mutable s_throttled : int;
   mutable s_bytes_up : int;
   mutable s_bytes_down : int;
-  mutable events_rev : string list;
-  mutable n_events : int;
 }
-
-let max_events = 1000
 
 let locked t f =
   Mutex.lock t.m;
@@ -245,13 +241,7 @@ let locked t f =
 
 let event t fmt =
   Printf.ksprintf
-    (fun msg ->
-      if t.cfg.verbose then Printf.eprintf "chaos: %s\n%!" msg;
-      locked t (fun () ->
-          if t.n_events < max_events then begin
-            t.events_rev <- msg :: t.events_rev;
-            t.n_events <- t.n_events + 1
-          end))
+    (fun msg -> if t.cfg.verbose then Printf.eprintf "chaos: %s\n%!" msg)
     fmt
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -517,8 +507,6 @@ let start cfg =
       s_throttled = 0;
       s_bytes_up = 0;
       s_bytes_down = 0;
-      events_rev = [];
-      n_events = 0;
     }
   in
   t.domain <- Some (Domain.spawn (fun () -> relay t));
@@ -547,8 +535,6 @@ let stats t =
         bytes_up = t.s_bytes_up;
         bytes_down = t.s_bytes_down;
       })
-
-let events t = locked t (fun () -> List.rev t.events_rev)
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -23,9 +23,9 @@
       bar demand byte-identical answers under corruption.
 
     Every connection's plan derives from [config.seed] and the
-    connection's accept ordinal, every injected fault is logged with
-    both ({!events}), and the whole run replays exactly from the one
-    printed seed.
+    connection's accept ordinal, every injected fault is logged to stderr
+    with both when [config.verbose] is set, and the whole run replays
+    exactly from the one printed seed.
 
     The proxy is one extra domain running a [Unix.select] relay loop —
     stdlib only, same discipline as {!Evloop}. *)
@@ -95,10 +95,5 @@ type stats = {
 }
 
 val stats : t -> stats
-
-(** Chronological log of injected faults ("conn 3: reset after 57
-    bytes (plan seed 0x...)"), newest last; capped at the most recent
-    1000 entries. *)
-val events : t -> string list
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -1,8 +1,8 @@
 (** Client for the [tightspace serve] wire protocol — a bare connection
     layer plus a resilient, retrying client built on it.
 
-    Used by the [tightspace query] subcommand, the load generator and
-    the end-to-end tests.  One {!conn} is one TCP connection carrying
+    Used by the [tightspace query] subcommand and the end-to-end
+    tests.  One {!conn} is one TCP connection carrying
     any number of sequential request/response exchanges.
 
     {b Error taxonomy.}  No function here lets [Unix.Unix_error] escape:
@@ -97,8 +97,8 @@ val error_tag : string -> string
     probe closes it, a failed one re-opens it.  [breaker_threshold = 0]
     disables the breaker.
 
-    Not thread-safe: one {!client} per domain (the load generator gives
-    each worker its own). *)
+    Not thread-safe: one {!client} per domain (the chaos end-to-end test
+    gives each of its concurrent callers its own). *)
 
 type policy = {
   attempts : int;  (** total tries per {!call}, >= 1 *)

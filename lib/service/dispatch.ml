@@ -18,12 +18,9 @@ type t = {
   extra_stats : unit -> (string * Json.t) list;
 }
 
-let create ?(cache_capacity = 4096) ?(cache_shards = 8) ?default_deadline
-    ?default_max_nodes ?(extra_stats = fun () -> []) ?store () =
-  let cache =
-    Cache.create ~shards:cache_shards ~name:"service.cache"
-      ~capacity:cache_capacity ()
-  in
+let create ?(cache_capacity = 4096) ?default_deadline ?default_max_nodes
+    ?(extra_stats = fun () -> []) ?store () =
+  let cache = Cache.create ~name:"service.cache" ~capacity:cache_capacity () in
   (match store with
    | None -> ()
    | Some st ->

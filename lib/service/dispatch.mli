@@ -53,7 +53,7 @@ val max_explore_n : int
 type t
 
 (** [create ()] builds a dispatcher.  [cache_capacity] (default [4096])
-    and [cache_shards] (default [8]) size the result cache;
+    sizes the result cache;
     [default_deadline]/[default_max_nodes] bound requests that carry no
     budget of their own; [extra_stats] is appended to the [stats]
     operation's result (the server injects queue depth and uptime);
@@ -61,7 +61,6 @@ type t
     behind the cache. *)
 val create :
   ?cache_capacity:int ->
-  ?cache_shards:int ->
   ?default_deadline:float ->
   ?default_max_nodes:int ->
   ?extra_stats:(unit -> (string * Json.t) list) ->

@@ -6,7 +6,6 @@
    blocked [select] return.  The externally readable gauges are atomics. *)
 
 module Obs = Ts_obs.Obs
-module Trace = Ts_model.Trace
 
 let poll_interval = 0.1
 (* stop-flag latency ceiling, as in the old accept loop *)
@@ -60,7 +59,7 @@ let create ~lsock =
     conns = Hashtbl.create 64;
     mailbox = Queue.create ();
     mbox_lock = Mutex.create ();
-    mbox_loc = Trace.fresh_loc "evloop.mailbox";
+    mbox_loc = Obs.fresh_loc "evloop.mailbox";
     n_open = Atomic.make 0;
     n_iterations = Atomic.make 0;
     n_accepted = Atomic.make 0;
@@ -73,7 +72,7 @@ let accepted t = Atomic.get t.n_accepted
 let post t conn response =
   (* cross-domain door: pool workers push, the loop drains — logged for
      the vector-clock race detector like the cache shards are *)
-  Trace.access ~loc:t.mbox_loc Trace.Write ~atomic:true;
+  Obs.access ~loc:t.mbox_loc Obs.Write ~atomic:true;
   Mutex.lock t.mbox_lock;
   Queue.push (conn, response) t.mailbox;
   Mutex.unlock t.mbox_lock;
@@ -248,7 +247,7 @@ let drain_mailbox t ~on_payload ~on_frame_error =
   in
   slurp ();
   let pending = Queue.create () in
-  Trace.access ~loc:t.mbox_loc Trace.Read ~atomic:true;
+  Obs.access ~loc:t.mbox_loc Obs.Read ~atomic:true;
   Mutex.lock t.mbox_lock;
   Queue.transfer t.mailbox pending;
   Mutex.unlock t.mbox_lock;

@@ -1,6 +1,6 @@
 (** A fixed pool of OCaml domains draining a bounded job queue.
 
-    The daemon's concurrency backbone: connection handlers are submitted
+    The daemon's concurrency backbone: engine computations are submitted
     as jobs, [workers] domains execute them, and the queue bound is the
     admission-control valve — a full queue {e rejects} new work
     immediately instead of buffering unboundedly, which is what lets the

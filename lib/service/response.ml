@@ -247,19 +247,11 @@ let cache_stats_to_json (s : Ts_core.Cache.stats) =
       ("shards", Json.Int s.Ts_core.Cache.shards);
     ]
 
-let envelope ~id ~provenance ~cache_key ~elapsed_ms result =
-  let opt k v = match v with None -> [] | Some s -> [ (k, Json.Str s) ] in
-  Json.Obj
-    ([ ("id", Json.Int id); ("ok", Json.Bool true) ]
-    @ opt "provenance" provenance
-    @ opt "cache_key" cache_key
-    @ [ ("elapsed_ms", Json.Float elapsed_ms); ("result", result) ])
-
-(* The hot-path envelope: splices an already-serialized result body into
-   the compact success document without rebuilding (or even parsing) it.
-   Byte-compatible with [Json.to_string (envelope ...)] — the fragments
-   that could diverge (string escaping, float rendering) are delegated to
-   the one Json emitter. *)
+(* The success envelope, built as bytes: splices an already-serialized
+   result body into the compact document without rebuilding (or even
+   parsing) it.  The fragments that need care (string escaping, float
+   rendering) are delegated to the one Json emitter, so the document is
+   what [Json.to_string] would print for the same object. *)
 let envelope_raw ~id ~provenance ~cache_key ~elapsed_ms ~result =
   let buf = Buffer.create (String.length result + 112) in
   Buffer.add_string buf "{\"id\":";

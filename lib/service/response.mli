@@ -10,7 +10,7 @@
     Accordingly, {b nothing here may depend on wall-clock, addresses,
     hashing order or domain count}: inputs, schedules, stats counters and
     verdicts only.  Timing lives in the response {e envelope}
-    ({!envelope}'s [elapsed_ms]), which is never cached. *)
+    ({!envelope_raw}'s [elapsed_ms]), which is never cached. *)
 
 open Ts_model
 open Ts_core
@@ -78,24 +78,15 @@ val store_stats_to_json : Ts_store.Store.stats -> Json.t
 (** Result-cache counters, the ["cache"] section of the stats document. *)
 val cache_stats_to_json : Cache.stats -> Json.t
 
-(** [envelope ~id ~provenance ~cache_key ~elapsed_ms result] is the
-    framed success document: [{"id": ..., "ok": true, "provenance":
-    "fresh"|"cached", "cache_key": ..., "elapsed_ms": ..., "result":
-    ...}].  [provenance]/[cache_key] are omitted for uncacheable ops. *)
-val envelope :
-  id:int ->
-  provenance:string option ->
-  cache_key:string option ->
-  elapsed_ms:float ->
-  Json.t ->
-  Json.t
-
-(** [envelope_raw ~id ~provenance ~cache_key ~elapsed_ms ~result] builds
-    the success document directly as bytes, splicing [result] (an
-    already-serialized body) without parsing or re-rendering it — the
-    event loop's hot path.  Byte-for-byte identical to
-    [Json.to_string (envelope ... (parse result))] for any [result] this
-    module produced. *)
+(** [envelope_raw ~id ~provenance ~cache_key ~elapsed_ms ~result] is the
+    framed success document, compact and with its keys in this order:
+    [{"id":ID,"ok":true,"provenance":P,"cache_key":K,"elapsed_ms":MS,
+    "result":RESULT}].  [P] is ["fresh"], ["cached"] or ["recovered"];
+    the [provenance] and [cache_key] members are omitted when [None]
+    (uncacheable ops).  [result] is an already-serialized body, spliced
+    in without parsing or re-rendering it — the event loop's hot path.
+    Strings and [MS] are rendered by [Json.to_string], so the document
+    is exactly what that emitter prints for the same object. *)
 val envelope_raw :
   id:int ->
   provenance:string option ->

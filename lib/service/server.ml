@@ -8,13 +8,10 @@ type config = {
   workers : int;
   queue_cap : int;
   cache_capacity : int;
-  cache_shards : int;
   request_deadline : float option;
   max_nodes : int option;
   store_path : string option;
   store_fsync : Store.fsync;
-  retry_after_overloaded_ms : int;
-  retry_after_draining_ms : int;
   verbose : bool;
 }
 
@@ -25,18 +22,18 @@ let default_config =
     workers = 4;
     queue_cap = 64;
     cache_capacity = 4096;
-    cache_shards = 8;
     request_deadline = Some 30.;
     max_nodes = None;
     store_path = None;
     store_fsync = Store.Always;
-    (* a full queue drains at worker speed — tell clients to come back
-       after roughly one job's latency; a draining daemon never comes
-       back, so steer them away for longer *)
-    retry_after_overloaded_ms = 50;
-    retry_after_draining_ms = 1000;
     verbose = false;
   }
+
+(* The [retry_after_ms] hints on refusals.  A full queue drains at worker
+   speed — tell clients to come back after roughly one job's latency; a
+   draining daemon never comes back, so steer them away for longer. *)
+let retry_after_overloaded_ms = 50
+let retry_after_draining_ms = 1000
 
 type t = {
   config : config;
@@ -102,13 +99,13 @@ let on_payload t conn payload =
           Atomic.incr t.refused;
           Obs.Metrics.incr "service.refused";
           Evloop.Now
-            (err_doc ~retry_after_ms:t.config.retry_after_overloaded_ms ~id
+            (err_doc ~retry_after_ms:retry_after_overloaded_ms ~id
                "overloaded" "job queue full; retry later or raise --queue-cap")
         | Pool.Shutting_down ->
           Atomic.incr t.refused;
           Obs.Metrics.incr "service.refused";
           Evloop.Now
-            (err_doc ~retry_after_ms:t.config.retry_after_draining_ms ~id
+            (err_doc ~retry_after_ms:retry_after_draining_ms ~id
                "shutting-down" "daemon is draining"))))
 
 let on_frame_error t e =
@@ -146,7 +143,6 @@ let start config =
   let stats_hook = ref (fun () -> []) in
   let dispatch =
     Dispatch.create ~cache_capacity:config.cache_capacity
-      ~cache_shards:config.cache_shards
       ?default_deadline:config.request_deadline
       ?default_max_nodes:config.max_nodes
       ~extra_stats:(fun () -> !stats_hook ())

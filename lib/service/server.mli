@@ -41,17 +41,12 @@ type config = {
   workers : int;  (** worker domains for engine computations *)
   queue_cap : int;  (** submitted-but-unserved computation bound *)
   cache_capacity : int;  (** result-cache entries *)
-  cache_shards : int;
   request_deadline : float option;
       (** default per-request wall-clock budget, seconds *)
   max_nodes : int option;  (** default per-request search-node budget *)
   store_path : string option;
       (** attach the persistent witness store at this path *)
   store_fsync : Ts_store.Store.fsync;  (** durability policy for appends *)
-  retry_after_overloaded_ms : int;
-      (** [retry_after_ms] hint carried by ["overloaded"] refusals *)
-  retry_after_draining_ms : int;
-      (** [retry_after_ms] hint carried by ["shutting-down"] refusals *)
   verbose : bool;  (** log lifecycle events to stderr *)
 }
 
@@ -81,8 +76,8 @@ val wait : t -> unit
 (** [stop t] is {!request_stop} followed by {!wait}. *)
 val stop : t -> unit
 
-(** The dispatcher, for in-process use (tests, the load generator's
-    baseline measurements). *)
+(** The dispatcher, for in-process use (the tests read its cache
+    counters). *)
 val dispatcher : t -> Dispatch.t
 
 type summary = {

@@ -2,7 +2,6 @@
 
 open Ts_model
 module Obs = Ts_obs.Obs
-module Trace = Ts_model.Trace
 
 let store_version = 1
 let magic = "TSWITLOG"
@@ -170,7 +169,7 @@ let open_ ?(fsync = Always) path =
         fd;
         path;
         lock = Mutex.create ();
-        loc = Trace.fresh_loc "store.log";
+        loc = Obs.fresh_loc "store.log";
         index = Ckey.Tbl.create 1024;
         fsync;
         scratch = Buffer.create 4096;
@@ -291,7 +290,7 @@ let append t ~key ~value =
     invalid_arg "Store.append: value exceeds max_value_bytes";
   (* the cache write-through hook lands here from whichever domain
      computed the answer — logged for the race detector *)
-  Trace.access ~loc:t.loc Trace.Write ~atomic:true;
+  Obs.access ~loc:t.loc Obs.Write ~atomic:true;
   locked t @@ fun () ->
   if Ckey.Tbl.mem t.index key then false
   else begin
@@ -313,7 +312,7 @@ let append t ~key ~value =
   end
 
 let find t key =
-  Trace.access ~loc:t.loc Trace.Read ~atomic:true;
+  Obs.access ~loc:t.loc Obs.Read ~atomic:true;
   locked t @@ fun () ->
   t.lookups <- t.lookups + 1;
   match Ckey.Tbl.find_opt t.index key with
@@ -333,7 +332,7 @@ let find t key =
       None)
 
 let mem t key =
-  Trace.access ~loc:t.loc Trace.Read ~atomic:true;
+  Obs.access ~loc:t.loc Obs.Read ~atomic:true;
   locked t @@ fun () ->
   t.lookups <- t.lookups + 1;
   let m = Ckey.Tbl.mem t.index key in

@@ -5,6 +5,7 @@
 
 open Ts_model
 open Ts_analysis
+module Obs = Ts_obs.Obs
 
 let rw_det = { Lint.binary_decides = true; may_swap = false; may_flip = false }
 let has_error ~code fs =
@@ -141,12 +142,12 @@ let determinism_unstable_poised () =
 (* race detector on hand-built logs *)
 
 let acc ~d ~loc ?(atomic = false) kind =
-  Trace.Access { domain = d; loc; kind; atomic }
+  Obs.Access { domain = d; loc; kind; atomic }
 
 let race_unordered_writes () =
   (* two domains, no fork/join edges: concurrent plain writes must race *)
   let r =
-    Race.check [ acc ~d:0 ~loc:"x" Trace.Write; acc ~d:1 ~loc:"x" Trace.Write ]
+    Race.check [ acc ~d:0 ~loc:"x" Obs.Write; acc ~d:1 ~loc:"x" Obs.Write ]
   in
   Alcotest.(check bool) "race reported" false (Race.race_free r);
   Alcotest.(check int) "one race on x" 1 (List.length r.Race.races);
@@ -159,13 +160,13 @@ let race_fork_join_orders () =
   let r =
     Race.check
       [
-        acc ~d:0 ~loc:"x" Trace.Write;
-        Trace.Fork { parent = 0; token = 1 };
-        Trace.Begin { child = 1; token = 1 };
-        acc ~d:1 ~loc:"x" Trace.Write;
-        Trace.End { child = 1; token = 1 };
-        Trace.Join { parent = 0; token = 1 };
-        acc ~d:0 ~loc:"x" Trace.Write;
+        acc ~d:0 ~loc:"x" Obs.Write;
+        Obs.Fork { parent = 0; token = 1 };
+        Obs.Begin { child = 1; token = 1 };
+        acc ~d:1 ~loc:"x" Obs.Write;
+        Obs.End { child = 1; token = 1 };
+        Obs.Join { parent = 0; token = 1 };
+        acc ~d:0 ~loc:"x" Obs.Write;
       ]
   in
   Alcotest.(check bool) "fork/join is happens-before" true (Race.race_free r)
@@ -175,10 +176,10 @@ let race_fork_without_join () =
   let r =
     Race.check
       [
-        Trace.Fork { parent = 0; token = 1 };
-        Trace.Begin { child = 1; token = 1 };
-        acc ~d:1 ~loc:"x" Trace.Write;
-        acc ~d:0 ~loc:"x" Trace.Write;
+        Obs.Fork { parent = 0; token = 1 };
+        Obs.Begin { child = 1; token = 1 };
+        acc ~d:1 ~loc:"x" Obs.Write;
+        acc ~d:0 ~loc:"x" Obs.Write;
       ]
   in
   Alcotest.(check bool) "unjoined child races parent" false (Race.race_free r)
@@ -187,22 +188,22 @@ let race_atomics_do_not_race () =
   let r =
     Race.check
       [
-        acc ~d:0 ~loc:"c" ~atomic:true Trace.Write;
-        acc ~d:1 ~loc:"c" ~atomic:true Trace.Write;
-        acc ~d:2 ~loc:"c" ~atomic:true Trace.Read;
+        acc ~d:0 ~loc:"c" ~atomic:true Obs.Write;
+        acc ~d:1 ~loc:"c" ~atomic:true Obs.Write;
+        acc ~d:2 ~loc:"c" ~atomic:true Obs.Read;
       ]
   in
   Alcotest.(check bool) "atomic-atomic pairs are synchronized" true (Race.race_free r);
   (* but a plain access against an atomic write still races *)
   let r' =
     Race.check
-      [ acc ~d:0 ~loc:"c" ~atomic:true Trace.Write; acc ~d:1 ~loc:"c" Trace.Read ]
+      [ acc ~d:0 ~loc:"c" ~atomic:true Obs.Write; acc ~d:1 ~loc:"c" Obs.Read ]
   in
   Alcotest.(check bool) "plain read vs atomic write races" false (Race.race_free r')
 
 let race_reads_do_not_race () =
   let r =
-    Race.check [ acc ~d:0 ~loc:"x" Trace.Read; acc ~d:1 ~loc:"x" Trace.Read ]
+    Race.check [ acc ~d:0 ~loc:"x" Obs.Read; acc ~d:1 ~loc:"x" Obs.Read ]
   in
   Alcotest.(check bool) "read-read never races" true (Race.race_free r)
 
@@ -219,9 +220,9 @@ let race_engine_certified () =
 
 let trace_disarmed_is_free () =
   (* instrumentation must be inert when tracing is off *)
-  Trace.access ~loc:"x" Trace.Write ~atomic:false;
-  Trace.start ();
-  let log = Trace.stop () in
+  Obs.access ~loc:"x" Obs.Write ~atomic:false;
+  Obs.start_accesses ();
+  let log = Obs.stop_accesses () in
   Alcotest.(check int) "no events leak from disarmed periods" 0 (List.length log)
 
 (* driver *)

@@ -192,6 +192,7 @@ let plain_probe proto pk cfg ps ~budget =
    the probes issued and their dequeued nodes into [nodes]. *)
 let plain_vector proto ~inputs ~max_configs ~max_depth ~solo_budget ~nodes ~examine =
   let pk = Ckey.packer proto in
+  let everyone = Pset.all proto.Protocol.num_processes in
   let probes = ref 0 in
   let probe cfg ps =
     incr probes;
@@ -226,7 +227,7 @@ let plain_vector proto ~inputs ~max_configs ~max_depth ~solo_budget ~nodes ~exam
                 Ckey.Tbl.replace visited key ();
                 Queue.add (cfg', e :: rev_sched, depth + 1) q
               end)
-            (Explore.successors proto cfg);
+            (Ts_core.Valency.successors_within proto cfg everyone);
           peak := max !peak (Queue.length q)
         end;
         go ())

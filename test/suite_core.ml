@@ -174,20 +174,24 @@ let test_theorem1_n3 () =
   Alcotest.(check bool) "fresh register is fresh" true
     (not (List.mem cert.Theorem.fresh_register cert.Theorem.covered_registers))
 
-let test_theorem1_auto_deepens () =
-  (* start hopeless, let iterative deepening find a sufficient horizon *)
-  let cert, horizon =
-    Theorem.theorem1_auto (Racing.make ~n:2) ~initial_horizon:2 ~max_horizon:128
-  in
-  Alcotest.(check bool) "horizon grew" true (horizon > 2);
-  Alcotest.(check bool) "certificate valid" true
-    (List.length cert.Theorem.registers_written >= 1)
+let test_theorem1_escalate_deepens () =
+  (* start hopeless, let iterative deepening find a sufficient horizon:
+     six doublings reach 128 *)
+  match Theorem.theorem1_escalate (Racing.make ~n:2) ~initial_horizon:2 ~retries:6 with
+  | Theorem.Complete cert, horizon ->
+    Alcotest.(check bool) "horizon grew" true (horizon > 2);
+    Alcotest.(check bool) "certificate valid" true
+      (List.length cert.Theorem.registers_written >= 1)
+  | Theorem.Partial (stop, _), _ ->
+    Alcotest.failf "deepening stopped: %a" Theorem.pp_stop stop
 
-let test_theorem1_auto_gives_up () =
-  Alcotest.(check bool) "max horizon respected" true
-    (match Theorem.theorem1_auto (Racing.make ~n:3) ~initial_horizon:2 ~max_horizon:4 with
-     | _ -> false
-     | exception Valency.Horizon_exceeded _ -> true)
+let test_theorem1_escalate_gives_up () =
+  (* one doubling (2 -> 4) is not enough for racing-3: the retries run
+     out at the horizon wall, at the last horizon tried *)
+  match Theorem.theorem1_escalate (Racing.make ~n:3) ~initial_horizon:2 ~retries:1 with
+  | Theorem.Partial (Theorem.Horizon_wall _, _), horizon ->
+    Alcotest.(check int) "max horizon respected" 4 horizon
+  | _ -> Alcotest.fail "expected Partial (Horizon_wall _, _)"
 
 let test_theorem1_small_horizon_raises () =
   let t = Valency.create (Racing.make ~n:3) ~horizon:5 in
@@ -324,8 +328,8 @@ let suite =
       Alcotest.test_case "Theorem 1 on randomized racing-2" `Quick test_theorem1_randomized;
       Alcotest.test_case "Theorem 1 on randomized racing-3" `Slow test_theorem1_randomized_n3;
       Alcotest.test_case "horizon too small raises" `Quick test_theorem1_small_horizon_raises;
-      Alcotest.test_case "iterative deepening succeeds" `Quick test_theorem1_auto_deepens;
-      Alcotest.test_case "iterative deepening bounded" `Quick test_theorem1_auto_gives_up;
+      Alcotest.test_case "iterative deepening succeeds" `Quick test_theorem1_escalate_deepens;
+      Alcotest.test_case "iterative deepening bounded" `Quick test_theorem1_escalate_gives_up;
       Alcotest.test_case "budget guard" `Quick test_budget_guard;
       Alcotest.test_case "budget-capped theorem 1 is partial" `Quick
         test_theorem1_budget_partial;

@@ -3,6 +3,7 @@
 open Ts_model
 open Ts_checker
 open Ts_protocols
+module Obs = Ts_obs.Obs
 
 (* --- differential: check_set_agreement serial vs domains:4 ------------- *)
 
@@ -176,8 +177,8 @@ let cache_key i = Ckey.of_string (Printf.sprintf "hammer-key-%d" (i mod 24))
 let cache_value i = (i mod 24) * 1000 + String.length "hammer"
 
 let test_cache_hammer () =
-  let cache = Ts_core.Cache.create ~shards:4 ~name:"hammer" ~capacity:16 () in
-  Trace.start ();
+  let cache = Ts_core.Cache.create ~name:"hammer" ~capacity:16 () in
+  Obs.start_accesses ();
   let outcomes =
     Par.map_list ~domains:4
       (fun d ->
@@ -191,7 +192,7 @@ let test_cache_hammer () =
             got = cache_value i))
       [ 0; 1; 2; 3 ]
   in
-  let events = Trace.stop () in
+  let events = Obs.stop_accesses () in
   (* every answer — fresh, cached or recomputed-after-eviction — equals
      the uncached recomputation *)
   Alcotest.(check bool) "all values correct under contention" true
@@ -227,7 +228,7 @@ let test_service_store_race_free () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  Trace.start ();
+  Obs.start_accesses ();
   let events =
     let server =
       Server.start
@@ -258,7 +259,7 @@ let test_service_store_race_free () =
     in
     Alcotest.(check bool) "every certified query answered" true
       (List.for_all (List.for_all Fun.id) answers);
-    Trace.stop ()
+    Obs.stop_accesses ()
   in
   let report = Ts_analysis.Race.check events in
   Alcotest.(check bool) "accesses logged" true
@@ -266,7 +267,7 @@ let test_service_store_race_free () =
   let touched prefix =
     List.exists
       (function
-        | Trace.Access { loc; _ } ->
+        | Obs.Access { loc; _ } ->
           String.length loc >= String.length prefix
           && String.sub loc 0 (String.length prefix) = prefix
         | _ -> false)

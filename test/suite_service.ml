@@ -600,48 +600,80 @@ let test_retry_after_honored () =
   Alcotest.(check bool) "the hinted pause was actually taken" true
     (elapsed_ms >= 25.)
 
-(* the e2e chaos bar in miniature: every call through a proxy faulting
-   every connection must still succeed with byte-identical answers *)
+(* the e2e chaos bar in miniature: two concurrent resilient clients send a
+   mix of witness, check and valency requests through a proxy faulting
+   every connection, and every call must still succeed with the bytes of
+   the fault-free answer *)
 let test_resilient_through_chaos () =
   with_server ~workers:2 @@ fun server ->
   let port = Server.port server in
-  (* fault-free reference body *)
-  let direct = Client.connect_exn ~port () in
-  let reference =
-    match Json.member "result" (rpc_ok direct (Request.to_json witness_req)) with
-    | Some r -> Json.to_string r
-    | None -> Alcotest.fail "no result"
+  let base = Request.defaults in
+  let reqs =
+    [|
+      witness_req;
+      { witness_req with Request.protocol = "swap" };
+      { base with Request.op = Request.Check; protocol = "broken-lww"; n = 2 };
+      { base with Request.op = Request.Check; protocol = "broken-max"; n = 2 };
+      { base with Request.op = Request.Check; protocol = "racing"; n = 2;
+                  max_configs = 20_000 };
+      { base with Request.op = Request.Valency; protocol = "racing"; n = 2 };
+    |]
   in
+  let body doc = Option.map Json.to_string (Json.member "result" doc) in
+  (* fault-free reference bodies over a direct connection *)
+  let direct = Client.connect_exn ~port () in
+  let reference = Array.map (fun r -> body (rpc_ok direct (Request.to_json r))) reqs in
   Client.close direct;
+  Array.iteri
+    (fun k r -> if r = None then Alcotest.failf "request %d: no fault-free result" k)
+    reference;
   let proxy =
     Chaos.start
       { (Chaos.default_config ~upstream_port:port) with seed = 11; fault_prob = 1.0 }
   in
   Fun.protect ~finally:(fun () -> Chaos.stop proxy) @@ fun () ->
-  let cl =
-    Client.make
-      ~policy:{ Client.default_policy with attempts = 12; backoff_ms = 5; seed = 11 }
-      ~port:(Chaos.port proxy) ()
+  let calls_per_client = 12 in
+  (* each caller returns (request index, answer body or failure) per call *)
+  let caller w () =
+    let cl =
+      Client.make
+        ~policy:
+          { Client.default_policy with attempts = 12; backoff_ms = 5;
+                                       seed = 11 + (7919 * w) }
+        ~port:(Chaos.port proxy) ()
+    in
+    let answers =
+      List.init calls_per_client (fun j ->
+          let k = (w + j) mod Array.length reqs in
+          let req = { reqs.(k) with Request.id = (100 * w) + j } in
+          (k, Result.map body (Client.call cl (Request.to_json req))))
+    in
+    let stats = Client.stats cl in
+    Client.shutdown cl;
+    (answers, stats)
   in
-  for i = 1 to 25 do
-    match Client.call cl (Request.to_json { witness_req with Request.id = i }) with
-    | Error msg -> Alcotest.failf "call %d exhausted: %s" i msg
-    | Ok doc ->
-      (match Json.member "result" doc with
-       | Some r ->
-         Alcotest.(check string)
-           (Printf.sprintf "call %d byte-identical through chaos" i)
-           reference (Json.to_string r)
-       | None -> Alcotest.failf "call %d: no result" i)
-  done;
-  let cs = Client.stats cl in
-  Client.shutdown cl;
+  let per_client = List.map Domain.join (List.init 2 (fun w -> Domain.spawn (caller w))) in
+  List.iteri
+    (fun w (answers, _) ->
+      List.iteri
+        (fun j (k, got) ->
+          match got with
+          | Error msg -> Alcotest.failf "client %d call %d exhausted: %s" w j msg
+          | Ok got ->
+            Alcotest.(check (option string))
+              (Printf.sprintf "client %d call %d (%s) byte-identical through chaos" w j
+                 (Request.op_to_string reqs.(k).Request.op))
+              reference.(k) got)
+        answers)
+    per_client;
+  let calls = List.fold_left (fun acc (_, cs) -> acc + cs.Client.calls) 0 per_client in
+  let retries = List.fold_left (fun acc (_, cs) -> acc + cs.Client.retries) 0 per_client in
   let ps = Chaos.stats proxy in
-  Alcotest.(check int) "every call eventually answered" 25 cs.Client.calls;
+  Alcotest.(check int) "every call eventually answered" (2 * calls_per_client) calls;
   Alcotest.(check bool) "faults were actually injected" true
     (ps.Chaos.faulted > 0);
   Alcotest.(check bool) "and absorbed by retries, not luck" true
-    (cs.Client.retries > 0 || ps.Chaos.resets = 0)
+    (retries > 0 || ps.Chaos.resets = 0)
 
 (* a dead upstream trips the breaker after the configured streak *)
 let test_breaker_opens () =
@@ -778,23 +810,13 @@ let test_decoders_never_raise () =
           deadline = Some 1.5; max_nodes = Some 9; certificate = true };
       ]
   in
-  (* one edit: overwrite, insert or delete a byte at a random position *)
-  let edit s (kind, pos, c) =
-    let pos = pos mod (String.length s + 1) in
-    let before = String.sub s 0 pos in
-    let after k = String.sub s (pos + k) (String.length s - pos - k) in
-    match kind with
-    | 0 when pos < String.length s -> before ^ String.make 1 c ^ after 1
-    | 1 when pos < String.length s -> before ^ after 1
-    | _ -> before ^ String.make 1 c ^ after 0
-  in
   let gen =
     QCheck2.Gen.(
       oneof
         [
           string;
           map frame string;
-          map2 (List.fold_left edit) (oneofl valid)
+          map2 (List.fold_left Byte_edit.edit) (oneofl valid)
             (list_size (int_range 1 5) (triple (int_bound 2) nat char));
         ])
   in
