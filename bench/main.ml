@@ -161,7 +161,7 @@ let () =
   let args = Array.to_list Sys.argv in
   let tables_only = List.mem "--tables-only" args in
   let bench_only = List.mem "--bench-only" args in
-  let max_n = if List.mem "--deep" args then 4 else 3 in
+  let max_n = if List.mem "--deep" args then 5 else 4 in
   Format.printf "tightspace benchmark harness — reproduction of Zhu, 'A Tight Space Bound@.";
   Format.printf "for Consensus' (PODC'16 BA / STOC'16), plus the JTT and Fan-Lynch bounds.@.";
   if not bench_only then Tables.all ~max_n ();

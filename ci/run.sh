@@ -239,13 +239,18 @@ CERTDIR=/tmp/ci-certs-$$
 mkdir -p "$CERTDIR"
 timeout 300 "$TS" witness --protocol racing -n 2 \
   --certificate "$CERTDIR/racing.cert" > /dev/null
+# n = 4 witnesses: Lemmas 1, 3 and 4 all run, unlike the n = 2 base case
+timeout 300 "$TS" witness --protocol racing -n 4 \
+  --certificate "$CERTDIR/racing-4.cert" > /dev/null
+timeout 300 "$TS" witness --protocol racing-rand -n 4 \
+  --certificate "$CERTDIR/racing-rand-4.cert" > /dev/null
 # the violation subcommands exit 1 when they find what they are sent to
 # find; the certificate is the point here, not the exit code
 timeout 300 "$TS" check --protocol broken-lww -n 2 \
   --certificate "$CERTDIR/broken-lww.cert" > /dev/null || true
 timeout 300 "$TS" resilient --protocol broken-wait -n 2 -t 1 \
   --certificate "$CERTDIR/broken-wait.cert" > /dev/null || true
-for f in racing broken-lww broken-wait; do
+for f in racing racing-4 racing-rand-4 broken-lww broken-wait; do
   [ -s "$CERTDIR/$f.cert" ] || {
     echo "ci: no certificate was written for $f" >&2; exit 1; }
 done

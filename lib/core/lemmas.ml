@@ -120,10 +120,10 @@ let lemma3 t c ~p ~r =
   let with_beta cfg = fst (apply_schedule t cfg beta) in
   (* v = a value R can decide from C·β (Proposition 1(i)). *)
   let v =
-    match Valency.classify t (with_beta c) r with
-    | Valency.Univalent (v, _) -> v
-    | Valency.Bivalent _ -> Valency.zero
-    | Valency.Blocked -> fail "lemma3: R can decide nothing from C·β within horizon"
+    let c_beta = with_beta c in
+    if Valency.decides t c_beta r Valency.zero then Valency.zero
+    else if Valency.decides t c_beta r Valency.one then Valency.one
+    else fail "lemma3: R can decide nothing from C·β within horizon"
   in
   (* ψ = Q-only execution from C deciding v̄ (Q is bivalent from C). *)
   let psi =
@@ -133,7 +133,7 @@ let lemma3 t c ~p ~r =
   in
   (* φ = longest prefix of ψ such that R can decide v from C·φ·β; the next
      step is by the q we return. *)
-  let r_can_decide_v cfg = Valency.can_decide t (with_beta cfg) r v <> None in
+  let r_can_decide_v cfg = Valency.decides t (with_beta cfg) r v in
   if not (r_can_decide_v c) then
     fail "lemma3: R cannot decide %a from C·β (oracle inconsistency)" Value.pp v;
   let rec walk cfg phi_rev = function

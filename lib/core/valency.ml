@@ -104,7 +104,8 @@ let search t cfg ps vs =
   let missing = ref (Array.length wanted) in
   let nodes = ref 0 in
   let peak = ref 1 in
-  (* a tripped budget is captured, not raised: the caller's [record] must
+  (* an exception (a tripped budget, a raising protocol step) is captured,
+     not raised: the span must close and the caller's [record] must
      account this search's work first *)
   let stop = ref None in
   (try
@@ -143,7 +144,7 @@ let search t cfg ps vs =
      done
    with
    | Exit -> ()
-   | Budget.Exhausted _ as e -> stop := Some e);
+   | e -> stop := Some e);
   if Obs.tracing () then
     Obs.set_str sp "targets"
       (String.concat "," (List.map (fun v -> string_of_int (Value.to_int v)) vs));
@@ -202,22 +203,56 @@ let verdict_of = function
   | None, None -> Blocked
 
 (* Both probes missing the memo are answered by one joint search. *)
+let search_both t k0 k1 cfg ps =
+  let found = record t (search t cfg ps [ zero; one ]) in
+  Memo.replace t.memo k0 found.(0);
+  Memo.replace t.memo k1 found.(1);
+  found.(0), found.(1)
+
 let classify t cfg ps =
   let k0 = memo_key t cfg ps zero and k1 = memo_key t cfg ps one in
   match lookup t k0, lookup t k1 with
   | Some r0, Some r1 -> verdict_of (r0, r1)
   | Some r0, None -> verdict_of (r0, search_one t k1 cfg ps one)
   | None, Some r1 -> verdict_of (search_one t k0 cfg ps zero, r1)
-  | None, None ->
-    let found = record t (search t cfg ps [ zero; one ]) in
-    Memo.replace t.memo k0 found.(0);
-    Memo.replace t.memo k1 found.(1);
-    verdict_of (found.(0), found.(1))
+  | None, None -> verdict_of (search_both t k0 k1 cfg ps)
+
+(* Yes/no answers need no P-wide witness.  Definition 1 is monotone in P:
+   a {p}-only execution is a P-only one, and [search] is complete up to
+   the horizon, so a member's solo witness is one the P-wide search would
+   also find.  [known] answers from the exact memo entry, then from each
+   member's (memoized) solo probe, and is [None] when only the P-wide
+   search can tell.  A singleton's solo probe is its exact entry, already
+   missed, so it is not asked twice. *)
+let known t key cfg ps v =
+  match lookup t key with
+  | Some r -> Some (Option.is_some r)
+  | None ->
+    if
+      Pset.cardinal ps > 1
+      && Pset.exists (fun p -> Option.is_some (can_decide t cfg (Pset.singleton p) v)) ps
+    then Some true
+    else None
+
+let decides t cfg ps v =
+  let key = memo_key t cfg ps v in
+  match known t key cfg ps v with
+  | Some b -> b
+  | None -> Option.is_some (search_one t key cfg ps v)
 
 let is_bivalent t cfg ps =
-  match classify t cfg ps with
-  | Bivalent _ -> true
-  | Univalent _ | Blocked -> false
+  let k0 = memo_key t cfg ps zero and k1 = memo_key t cfg ps one in
+  match known t k0 cfg ps zero with
+  | Some false -> false
+  | a0 ->
+    (match a0, known t k1 cfg ps one with
+     | _, Some false -> false
+     | Some _, Some _ -> true
+     | Some _, None -> Option.is_some (search_one t k1 cfg ps one)
+     | None, Some _ -> Option.is_some (search_one t k0 cfg ps zero)
+     | None, None ->
+       let w0, w1 = search_both t k0 k1 cfg ps in
+       Option.is_some w0 && Option.is_some w1)
 
 let univalent_value t cfg ps =
   match classify t cfg ps with

@@ -64,6 +64,24 @@ type verdict =
     witness is the one {!can_decide} alone returns, and the search
     dequeues the max, not the sum, of the two probes' node counts. *)
 val classify : 's t -> 's Config.t -> Pset.t -> verdict
+
+(** [decides t cfg ps v] is [can_decide t cfg ps v <> None], answered
+    without a [ps]-wide witness where it can be.  Definition 1 is monotone
+    in P: a Q-only execution is also a P-only one for every Q ⊆ P.  The
+    search is complete up to the horizon, so a member's solo witness (of
+    length at most the horizon) is one the [ps]-wide search would also
+    find.  The answer therefore comes from the exact memo entry first,
+    then from each member's memoized solo probe [can_decide t cfg {p} v],
+    and the [ps]-wide search runs only when no member decides alone.  A
+    positive answer found this way memoizes nothing under [ps]'s own key,
+    so a later {!can_decide} still returns the minimal [ps]-wide witness. *)
+val decides : 's t -> 's Config.t -> Pset.t -> Value.t -> bool
+
+(** [is_bivalent t cfg ps] is [true] iff {!classify} would say
+    [Bivalent], answered in the steps of {!decides} for each value: a
+    value still unwitnessed after the memo and the members' solo probes
+    costs one [ps]-wide search, and when both are, they share one joint
+    search, as in {!classify}. *)
 val is_bivalent : 's t -> 's Config.t -> Pset.t -> bool
 
 (** [univalent_value t cfg ps] is [Some v] if [ps] is v-univalent (within
@@ -71,7 +89,9 @@ val is_bivalent : 's t -> 's Config.t -> Pset.t -> bool
 val univalent_value : 's t -> 's Config.t -> Pset.t -> Value.t option
 
 (** Number of BFS searches actually run: one per {!can_decide} memo miss,
-    and one per {!classify} call with any probe missing. *)
+    one per {!classify} call with any probe missing, and for {!decides}
+    and {!is_bivalent} one per members' solo probe that misses the memo
+    plus at most one [ps]-wide search. *)
 val searches : 's t -> int
 
 (** Cumulative search-engine counters of this oracle. *)

@@ -38,9 +38,15 @@ let entries :
      fun ~n -> Ok (Protocol.Packed (Broken.scribbler ~n)));
   ]
 
+(* A constructor refuses an unsupported [n] by raising [Invalid_argument];
+   that refusal becomes an [Error] here, once, for every entry. *)
 let find name ~n =
   match List.find_opt (fun (nm, _, _) -> String.equal nm name) entries with
-  | Some (_, _, make) -> make ~n
+  | Some (_, _, make) -> (
+    match make ~n with
+    | r -> r
+    | exception Invalid_argument msg ->
+      Error (Printf.sprintf "%s does not support n = %d (%s)" name n msg))
   | None -> Error ("unknown protocol: " ^ name)
 
 let names () = List.map (fun (nm, _, _) -> nm) entries

@@ -194,6 +194,32 @@ let test_engine_witnesses_certify () =
   in
   QCheck2.Test.check_exn test
 
+(* Theorem 1 at n = 4: from horizon 40 both racing variants deepen once
+   and complete at 80, and their certificates are pinned byte for byte.
+   The pins are the bytes of the oracle that answered every yes/no
+   valency question with a P-wide search; answering them from members'
+   solo witnesses must not move a byte. *)
+let test_n4_certificates_pinned () =
+  List.iter
+    (fun (name, proto, len, md5) ->
+      match Theorem.theorem1_escalate proto ~initial_horizon:40 with
+      | Theorem.Complete c, horizon ->
+        Alcotest.(check int) (name ^ ": completing horizon") 80 horizon;
+        let cert = Cert.of_theorem proto c in
+        ok_or_fail (name ^ ": micro-checker") (Cert.microcheck cert);
+        let s = Cert.to_string cert in
+        Alcotest.(check int) (name ^ ": certificate length") len (String.length s);
+        Alcotest.(check string) (name ^ ": certificate MD5") md5
+          (Digest.to_hex (Digest.string s))
+      | Theorem.Partial _, _ -> Alcotest.failf "%s: Theorem 1 did not complete" name)
+    [
+      ("racing-4", Ts_protocols.Racing.make ~n:4, 4_013, "aef0438a55378b1c50740dbbe291dcc1");
+      ( "racing-rand-4",
+        Ts_protocols.Racing.make_randomized ~n:4,
+        5_680,
+        "d061eafc62436fc84fb98485a634ed0f" );
+    ]
+
 let suite =
   ( "cert",
     [
@@ -208,4 +234,6 @@ let suite =
         test_byte_flip_property;
       Alcotest.test_case "engine witnesses certify (property)" `Slow
         test_engine_witnesses_certify;
+      Alcotest.test_case "n = 4 theorem certificates pinned" `Quick
+        test_n4_certificates_pinned;
     ] )

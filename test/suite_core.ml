@@ -308,6 +308,110 @@ let test_covering_helpers () =
   Alcotest.(check int) "block write schedule" 1 (List.length (Covering.block_write (Pset.singleton 0)));
   Alcotest.(check int) "empty block write" 0 (List.length (Covering.block_write Pset.empty))
 
+(* --- differential: yes/no answers against the P-wide search ------------- *)
+
+(* [Ts_reference] is this library's Theorem 1 walk compiled against an
+   oracle whose [is_bivalent] and [decides] come from one search over the
+   whole participant set (test/reference/valency.ml), as every yes/no
+   answer did before members' solo witnesses were consulted.  The two
+   engines must agree exactly: the same schedule and registers written,
+   the same refusal message, the same raised exception. *)
+module Reference = Ts_reference
+
+let outcome f = match f () with r -> Ok r | exception e -> Error (Printexc.to_string e)
+
+(* every catalog protocol at n = 2 and 3; this covers every registry
+   instance, since each is a catalog protocol at one of those n *)
+let catalog_instances () =
+  List.concat_map
+    (fun name ->
+      List.filter_map
+        (fun n ->
+          match Catalog.find name ~n with
+          | Ok p -> Some (Printf.sprintf "%s-%d" name n, p)
+          | Error _ -> None)
+        [ 2; 3 ])
+    (Catalog.names ())
+
+let differential_horizons = [ 4; 8; 15; 30; 60 ]
+
+let test_theorem1_matches_reference () =
+  List.iter
+    (fun (name, Protocol.Packed proto) ->
+      List.iter
+        (fun horizon ->
+          let expected =
+            outcome (fun () ->
+                let c = Reference.Theorem.theorem1 (Valency.create proto ~horizon) in
+                c.Reference.Theorem.schedule, c.Reference.Theorem.registers_written)
+          in
+          let got =
+            outcome (fun () ->
+                let c = Theorem.theorem1 (Valency.create proto ~horizon) in
+                c.Theorem.schedule, c.Theorem.registers_written)
+          in
+          if got <> expected then
+            Alcotest.failf "%s at horizon %d: Theorem 1 differs from the reference (%s)" name
+              horizon
+              (match got, expected with
+               | Error m, _ | _, Error m -> m
+               | Ok _, Ok _ -> "schedules or registers differ"))
+        differential_horizons)
+    (catalog_instances ())
+
+(* The same comparison question by question: [is_bivalent] and [decides]
+   for both values from every binary input vector, over every non-empty
+   participant set.  Memo entries left by one question feed the next, so
+   two oracles per protocol and horizon ask in different orders: [t] asks
+   [is_bivalent] first, [t'] asks [decides] 1 first and so meets
+   [is_bivalent] with that value possibly in the exact memo.  Horizon 60 is
+   left to the Theorem 1 comparison: from a univalent initial
+   configuration the reference searches the whole 60-step ball. *)
+let test_boolean_answers_match_reference () =
+  List.iter
+    (fun (name, Protocol.Packed proto) ->
+      let n = proto.Protocol.num_processes in
+      List.iter
+        (fun horizon ->
+          let t = Valency.create proto ~horizon and t' = Valency.create proto ~horizon in
+          let r = Reference.Valency.create proto ~horizon in
+          List.iter
+            (fun inputs ->
+              let cfg = Config.initial proto ~inputs in
+              for mask = 1 to (1 lsl n) - 1 do
+                let ps = Pset.filter (fun p -> mask land (1 lsl p) <> 0) (Pset.all n) in
+                let check what expected got =
+                  if got <> expected then
+                    Alcotest.failf "%s h=%d inputs %a %a: %s differs from the reference" name
+                      horizon Fmt.(array ~sep:(any ",") Value.pp) inputs Pset.pp ps what
+                in
+                let bivalent = outcome (fun () -> Reference.Valency.is_bivalent r cfg ps) in
+                let decides v = outcome (fun () -> Reference.Valency.decides r cfg ps v) in
+                let check_decides oracle v =
+                  check (Fmt.str "decides %a" Value.pp v) (decides v)
+                    (outcome (fun () -> Valency.decides oracle cfg ps v))
+                in
+                check "is_bivalent" bivalent (outcome (fun () -> Valency.is_bivalent t cfg ps));
+                check_decides t Valency.zero;
+                check_decides t Valency.one;
+                check_decides t' Valency.one;
+                check "is_bivalent after decides 1" bivalent
+                  (outcome (fun () -> Valency.is_bivalent t' cfg ps));
+                check_decides t' Valency.zero
+              done)
+            (Ts_checker.Explore.binary_inputs n))
+        (List.filter (fun h -> h < 60) differential_horizons))
+    (catalog_instances ())
+
+(* The reference really is the P-wide engine: its racing-3 run does the
+   work the solo witnesses save. *)
+let test_reference_counts () =
+  let t = Valency.create (Racing.make ~n:3) ~horizon:30 in
+  ignore (Reference.Theorem.theorem1 t);
+  let s = Valency.stats t in
+  Alcotest.(check int) "reference searches" 23 s.Valency.searches;
+  Alcotest.(check int) "reference nodes" 20_798 s.Valency.nodes_expanded
+
 let suite =
   ( "core-engine",
     [
@@ -341,4 +445,9 @@ let suite =
       Alcotest.test_case "certificate pretty-printing" `Quick test_certificate_pp;
       Alcotest.test_case "bound curves" `Quick test_bounds;
       Alcotest.test_case "covering helpers" `Quick test_covering_helpers;
+      Alcotest.test_case "Theorem 1 = P-wide reference (differential)" `Quick
+        test_theorem1_matches_reference;
+      Alcotest.test_case "yes/no answers = P-wide reference (differential)" `Quick
+        test_boolean_answers_match_reference;
+      Alcotest.test_case "reference does the P-wide work" `Quick test_reference_counts;
     ] )

@@ -234,6 +234,39 @@ let differential_explore () =
     (Some r_t.Ts_checker.Explore.stats.Ts_checker.Explore.table_misses)
     (List.assoc_opt "explore.table_misses" snap.Obs.Metrics.counters)
 
+(* Regression: a protocol step that raises inside a valency search (the
+   rogue writer writes a register it never declared) must still close the
+   search span and account the search's work before the exception leaves
+   the oracle.  The leaked span used to become the next span's parent, and
+   [stats] reported no search at all. *)
+let search_raise_closes_span () =
+  let open Ts_model in
+  let proto = Ts_protocols.Broken.rogue_writer ~n:2 in
+  let t = Valency.create proto ~horizon:10 in
+  let i0 = Config.initial proto ~inputs:[| Value.int 0; Value.int 1 |] in
+  Obs.start_tracing ();
+  let raised =
+    match Valency.classify t i0 (Pset.all 2) with
+    | _ -> None
+    | exception e -> Some (Printexc.to_string e)
+  in
+  Obs.close (Obs.enter ~cat:"test" "after");
+  let events = Obs.stop_tracing () in
+  Alcotest.(check (option string)) "the protocol's exception propagates"
+    (Some (Printexc.to_string (Invalid_argument "index out of bounds"))) raised;
+  let opens = List.filter (function Obs.Span_open _ -> true | _ -> false) events in
+  let closes = List.filter (function Obs.Span_close _ -> true | _ -> false) events in
+  Alcotest.(check int) "every span closed" (List.length opens) (List.length closes);
+  List.iter
+    (function
+      | Obs.Span_open { name = "after"; parent; _ } ->
+        Alcotest.(check int) "the next span is a root span" (-1) parent
+      | _ -> ())
+    events;
+  let s = Valency.stats t in
+  Alcotest.(check int) "the search is counted" 1 s.Valency.searches;
+  Alcotest.(check int) "and its dequeued node" 1 s.Valency.nodes_expanded
+
 (* --- exporters --------------------------------------------------------- *)
 
 let count_substring hay needle =
@@ -383,4 +416,6 @@ let suite =
       Alcotest.test_case "engine_log: consumers see every event" `Quick engine_log_unified;
       Alcotest.test_case "trace: interests drain independently" `Quick
         trace_interests_independent;
+      Alcotest.test_case "span: a raising search closes and counts" `Quick
+        search_raise_closes_span;
     ] )

@@ -95,22 +95,34 @@ let test_joint_valency () =
         e.Ts_analysis.Registry.inputs_list)
     (Ts_analysis.Registry.all ())
 
-(* exact work counts of the joint search on racing-3 at horizon 30 *)
+(* exact work counts on racing-3 at horizon 30: Theorem 1, the joint
+   search behind [classify], and [is_bivalent]'s boolean path, which
+   answers the same question from the members' solo probes *)
 let test_joint_valency_counts () =
   let proto = Racing.make ~n:3 in
   let t = Valency.create proto ~horizon:30 in
   ignore (Ts_core.Theorem.theorem1 t);
   let s = Valency.stats t in
-  Alcotest.(check int) "theorem1 searches" 23 s.Valency.searches;
-  Alcotest.(check int) "theorem1 nodes" 20_798 s.Valency.nodes_expanded;
-  let t = Valency.create proto ~horizon:30 in
+  Alcotest.(check int) "theorem1 searches" 28 s.Valency.searches;
+  Alcotest.(check int) "theorem1 nodes" 1_543 s.Valency.nodes_expanded;
+  Alcotest.(check int) "theorem1 peak frontier" 111 s.Valency.peak_frontier;
   let i0 = Config.initial proto ~inputs:[| Value.int 0; Value.int 1; Value.int 0 |] in
-  Alcotest.(check bool) "initial configuration bivalent" true
-    (Valency.is_bivalent t i0 (Pset.all 3));
+  let t = Valency.create proto ~horizon:30 in
+  (match Valency.classify t i0 (Pset.all 3) with
+   | Valency.Bivalent _ -> ()
+   | _ -> Alcotest.fail "initial configuration not classified bivalent");
   let s = Valency.stats t in
   Alcotest.(check int) "classify searches" 1 s.Valency.searches;
   Alcotest.(check int) "classify nodes" 17_391 s.Valency.nodes_expanded;
-  Alcotest.(check int) "classify peak frontier" 3_714 s.Valency.peak_frontier
+  Alcotest.(check int) "classify peak frontier" 3_714 s.Valency.peak_frontier;
+  let t = Valency.create proto ~horizon:30 in
+  Alcotest.(check bool) "initial configuration bivalent" true
+    (Valency.is_bivalent t i0 (Pset.all 3));
+  let s = Valency.stats t in
+  (* p0 decides 0 alone; p0 cannot decide 1 alone, p1 can *)
+  Alcotest.(check int) "is_bivalent searches (solo probes)" 3 s.Valency.searches;
+  Alcotest.(check int) "is_bivalent nodes" 87 s.Valency.nodes_expanded;
+  Alcotest.(check int) "is_bivalent peak frontier" 1 s.Valency.peak_frontier
 
 (* --- fault containment in the domain fan-out --------------------------- *)
 

@@ -193,6 +193,31 @@ let test_violation_schedules_replay () =
       (Config.decided_values cfg' = values)
   | _ -> Alcotest.fail "expected agreement violation with schedule"
 
+(* [Catalog.find] is total: a constructor that refuses an unsupported n by
+   raising (racing at n <= 0, swap-chain at n <= 2) must come back as an
+   [Error] naming the protocol, never as an exception. *)
+let test_catalog_find_total () =
+  List.iter
+    (fun name ->
+      List.iter
+        (fun n ->
+          match Catalog.find name ~n with
+          | Ok _ | Error _ -> ()
+          | exception e ->
+            Alcotest.failf "Catalog.find %S ~n:%d raised %s" name n (Printexc.to_string e))
+        [ -1; 0; 1; 2; 3 ])
+    (Catalog.names ());
+  List.iter
+    (fun (name, n) ->
+      match Catalog.find name ~n with
+      | Ok _ -> Alcotest.failf "%s at n = %d was instantiated" name n
+      | Error msg ->
+        Alcotest.(check bool) ("refusal names the protocol: " ^ msg) true
+          (String.starts_with ~prefix:name msg))
+    [ ("racing", 0); ("racing-rand", -1); ("multivalued", 0); ("swap-chain", 2) ];
+  Alcotest.(check bool) "swap-chain at n = 3 is still served" true
+    (Result.is_ok (Catalog.find "swap-chain" ~n:3))
+
 let suite =
   ( "protocols",
     [
@@ -212,4 +237,5 @@ let suite =
       Alcotest.test_case "broken: constant 7 caught" `Quick test_broken_const;
       Alcotest.test_case "broken: insomniac caught" `Quick test_broken_spin;
       Alcotest.test_case "counterexample schedules replay" `Quick test_violation_schedules_replay;
+      Alcotest.test_case "catalog: find never raises" `Quick test_catalog_find_total;
     ] )

@@ -783,6 +783,21 @@ let test_negative_counts_refused () =
   Alcotest.(check (option string)) "and bivalent" (Some "bivalent")
     (member_str "class" (result_of resp))
 
+(* Regression: swap-chain exists only for n >= 3, and its constructor
+   raised at n = 2, so the daemon answered "invalid-argument" where swap
+   at n = 3 answers "unknown-protocol".  Both are the catalog refusing. *)
+let test_unsupported_n_refused () =
+  let d = Dispatch.create () in
+  List.iter
+    (fun (protocol, n) ->
+      let req = { Request.defaults with Request.op = Request.Witness; protocol; n } in
+      let doc = Dispatch.handle d req in
+      Alcotest.(check (option string))
+        (Printf.sprintf "%s at n = %d" protocol n)
+        (Some "unknown-protocol")
+        (Option.bind (Json.member "error" doc) (member_str "code")))
+    [ ("swap-chain", 2); ("swap", 3) ]
+
 (* Robustness: a client's bytes go through Frame.parse, Json.of_string and
    Request.of_json before anything else reads them.  Random strings,
    random payloads in well-formed frames, and 1-5 byte edits of valid
@@ -876,4 +891,6 @@ let suite =
         test_negative_counts_refused;
       Alcotest.test_case "decoders of untrusted bytes never raise" `Quick
         test_decoders_never_raise;
+      Alcotest.test_case "an unsupported n is an unknown protocol" `Quick
+        test_unsupported_n_refused;
     ] )
