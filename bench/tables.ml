@@ -437,46 +437,30 @@ let e17 () =
 (* E26: the two lower-bound engines side by side.  Same protocols, same
    claimed bound, incomparable machinery: the Lemmas engine pays for
    valency-oracle searches, the revisionist engine for simulated private
-   steps and revisions.  Both witnesses are re-verified in the loop, so a
-   row of this table is a completed crosscheck agreement. *)
+   steps and revisions.  Each row is one run of the two-engine comparison
+   the crosscheck gate runs, so both witnesses are accepted (replay,
+   certificate replay, micro-checker) before the row reports a bound. *)
 let e26 () =
   header "E26" "Two engines, one bound: Lemmas 1-4 vs revisionist simulations";
-  let module R = Ts_revisionist.Revisionist in
+  let module X = Ts_analysis.Crosscheck in
   Format.printf "%-14s %4s %6s | %12s %9s %8s | %12s %9s %8s@." "protocol" "n"
     "agree" "lemmas-sched" "searches" "ms" "rev-sched" "revisions" "ms";
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    (x, (Unix.gettimeofday () -. t0) *. 1e3)
-  in
+  let ms (side : _ X.side) = Int64.to_float side.X.ns /. 1e6 in
   List.iter
     (fun (Protocol.Packed proto) ->
       let n = proto.Protocol.num_processes in
-      let lem, lem_ms =
-        timed (fun () ->
-            match Theorem.theorem1_escalate proto ~initial_horizon:(10 * n) with
-            | Theorem.Complete c, _ when Theorem.verify c proto = Ok () -> Some c
-            | _ -> None)
-      in
-      let rev, rev_ms =
-        timed (fun () ->
-            match R.escalate proto ~initial_solo:(10 * n) with
-            | R.Complete c, _ when R.verify c proto = Ok () -> Some c
-            | _ -> None)
-      in
-      match (lem, rev) with
-      | Some lc, Some rc ->
+      let c = X.compare_engines proto in
+      match (c.X.lemmas.X.result, c.X.revisionist.X.result) with
+      | X.Completed (l, _), X.Completed (r, _) ->
         let agree =
-          match Outcome.agree (Outcome.of_theorem lc) (R.summary rc) with
-          | Ok b -> string_of_int b
-          | Error _ -> "DIVERGE"
+          match c.X.verdict with
+          | X.Agreed b -> string_of_int b
+          | X.Diverged _ | X.Unavailable _ -> "DIVERGE"
         in
         Format.printf "%-14s %4d %6s | %12d %9d %8.1f | %12d %9d %8.1f@."
-          proto.Protocol.name n agree
-          (List.length lc.Theorem.schedule)
-          lc.Theorem.oracle_searches lem_ms
-          (List.length rc.R.schedule)
-          rc.R.revisions rev_ms
+          proto.Protocol.name n agree l.Outcome.schedule_length
+          l.Outcome.search_effort (ms c.X.lemmas) r.Outcome.schedule_length
+          r.Outcome.search_effort (ms c.X.revisionist)
       | _ ->
         Format.printf "%-14s %4d %6s@." proto.Protocol.name n
           "(an engine stopped)")
@@ -487,7 +471,9 @@ let e26 () =
       Protocol.Packed (Swap_consensus.two_process ());
     ];
   Format.printf
-    "  Same bound from disjoint proofs: the oracle-driven Lemma walk and the@.  \  parking adversary agree register-for-register (tightspace crosscheck@.  \  gates CI on exactly this agreement).@."
+    "  Same bound from disjoint proofs: the oracle-driven Lemma walk and the@.  \
+     \  parking adversary agree register-for-register (tightspace crosscheck@.  \
+     \  gates CI on exactly this comparison).@."
 
 let all ?max_n () =
   e1 ?max_n ();

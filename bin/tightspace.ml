@@ -117,10 +117,10 @@ let certificate_arg =
                  FILE.  Witness needs a complete construction; check and \
                  resilient need a violation.")
 
-(* The two lower-bound engines, selectable wherever a space-bound witness
-   is produced.  [lemmas] is the Lemma 1-4 / Theorem-1 construction,
-   [revisionist] the revisionist-simulation engine, [both] runs the two
-   and demands they agree. *)
+(* The two lower-bound engines, selectable on [witness].  [lemmas] is the
+   Lemma 1-4 / Theorem-1 construction, [revisionist] the
+   revisionist-simulation engine, [both] runs the two-engine comparison
+   ([Ts_analysis.Crosscheck]). *)
 module Rev = Ts_revisionist.Revisionist
 
 let engine_conv =
@@ -131,27 +131,13 @@ let engine_arg =
        & info [ "engine" ] ~docv:"ENGINE"
            ~doc:"Lower-bound engine: $(b,lemmas) (the Lemma 1-4 \
                  construction), $(b,revisionist) (revisionist \
-                 simulations), or $(b,both) (run the two and fail unless \
-                 they agree on the bound).")
+                 simulations), or $(b,both) (compare the two, as \
+                 $(b,tightspace crosscheck) does: exit 0 when they agree \
+                 on the bound, 1 when they diverge, 2 when there is \
+                 nothing to compare).")
 
-(* Run the Lemmas engine to an outcome: an explicit horizon is a promise
-   (no escalation), the default escalates from 10n. *)
-let lemmas_outcome ~budget ~horizon ~n proto =
-  match horizon with
-  | Some h ->
-    let t = Valency.create ~budget proto ~horizon:h in
-    Theorem.theorem1_outcome t, h
-  | None -> Theorem.theorem1_escalate ~budget proto ~initial_horizon:(10 * n)
-
-(* The revisionist sibling: --horizon doubles as the private-run
-   allowance, same no-escalation promise when explicit. *)
-let revisionist_outcome ~budget ~horizon ~n proto =
-  match horizon with
-  | Some h -> Rev.construct ~budget ~max_solo:h proto, h
-  | None -> Rev.escalate ~budget proto ~initial_solo:(10 * n)
-
-let witness_revisionist ~json ~certificate ~budget ~horizon ~n proto =
-  match revisionist_outcome ~budget ~horizon ~n proto with
+let witness_revisionist ~json ~certificate ~budget ~horizon proto =
+  match Rev.witness ~budget ?max_solo:horizon proto with
   | Rev.Complete cert, used ->
     let verified = Rev.verify cert proto in
     if json then
@@ -192,98 +178,83 @@ let witness_revisionist ~json ~certificate ~budget ~horizon ~n proto =
       Format.eprintf "no certificate: the construction was partial.@.";
     2
 
-(* --engine both: run the two engines and diff the claims.  Exit 0 only
-   when both constructions complete, both witnesses replay, and the
-   bounds agree; 2 when either is partial; 1 on any divergence. *)
-let witness_both ~json ~budget ~horizon ~n proto =
-  let lem, lem_used = lemmas_outcome ~budget ~horizon ~n proto in
-  let rev, rev_used = revisionist_outcome ~budget ~horizon ~n proto in
-  match lem, rev with
-  | Theorem.Complete lc, Rev.Complete rc ->
-    let lv = Theorem.verify lc proto in
-    let rv = Rev.verify rc proto in
-    let agreement =
-      match lv, rv with
-      | Ok (), Ok () -> Outcome.agree (Outcome.of_theorem lc) (Rev.summary rc)
-      | Error e, _ -> Error ("lemmas witness replay failed: " ^ e)
-      | _, Error e -> Error ("revisionist witness replay failed: " ^ e)
+(* The two-engine comparison's exit code, shared by [witness --engine
+   both] and [crosscheck --protocol]: 0 agreed, 1 diverged, 2 nothing to
+   compare. *)
+let verdict_exit = function
+  | Ts_analysis.Crosscheck.Agreed _ -> 0
+  | Ts_analysis.Crosscheck.Diverged _ -> 1
+  | Ts_analysis.Crosscheck.Unavailable _ -> 2
+
+(* --engine both: render the two-engine comparison.  The JSON document
+   keeps each engine's own answer and adds the comparison's verdict. *)
+let print_comparison ~json ~budget ~horizon proto =
+  let module X = Ts_analysis.Crosscheck in
+  let module J = Ts_analysis.Json in
+  let module R = Ts_service.Response in
+  let c = X.compare_engines ~budget:(fun () -> budget) ?horizon proto in
+  let lem = c.X.lemmas and rev = c.X.revisionist in
+  let accepted (side : _ X.side) =
+    match side.X.result with X.Completed (_, e :: _) -> Error e | _ -> Ok ()
+  in
+  if json then begin
+    let fields =
+      match (lem.X.outcome, rev.X.outcome) with
+      | Theorem.Complete lc, Rev.Complete rc ->
+        [
+          ("status", J.Str "complete");
+          ("lemmas",
+           R.witness_to_json ~horizon_used:lem.X.used ~verified:(accepted lem)
+             lc);
+          ("revisionist",
+           R.revisionist_to_json ~max_solo_used:rev.X.used
+             ~verified:(accepted rev) rc);
+          ("agreement",
+           match c.X.verdict with
+           | X.Agreed bound ->
+             J.Obj [ ("agreed", J.Bool true); ("bound", J.Int bound) ]
+           | X.Diverged reason | X.Unavailable reason ->
+             J.Obj [ ("agreed", J.Bool false); ("reason", J.Str reason) ]);
+        ]
+      | lo, ro ->
+        [
+          ("status", J.Str "partial");
+          ("lemmas",
+           match lo with
+           | Theorem.Complete _ -> J.Str "complete"
+           | Theorem.Partial (stop, p) ->
+             R.witness_partial_to_json ~horizon_used:lem.X.used stop p);
+          ("revisionist",
+           match ro with
+           | Rev.Complete _ -> J.Str "complete"
+           | Rev.Partial (stop, p) ->
+             R.revisionist_partial_to_json ~max_solo_used:rev.X.used stop p);
+        ]
     in
-    if json then
-      pr_json
-        (Ts_analysis.Json.Obj
-           [
-             ("status", Ts_analysis.Json.Str "complete");
-             ("lemmas",
-              Ts_service.Response.witness_to_json ~horizon_used:lem_used
-                ~verified:lv lc);
-             ("revisionist",
-              Ts_service.Response.revisionist_to_json ~max_solo_used:rev_used
-                ~verified:rv rc);
-             ("agreement",
-              match agreement with
-              | Ok bound ->
-                Ts_analysis.Json.Obj
-                  [
-                    ("agreed", Ts_analysis.Json.Bool true);
-                    ("bound", Ts_analysis.Json.Int bound);
-                  ]
-              | Error reason ->
-                Ts_analysis.Json.Obj
-                  [
-                    ("agreed", Ts_analysis.Json.Bool false);
-                    ("reason", Ts_analysis.Json.Str reason);
-                  ]);
-           ])
-    else begin
-      Format.printf "%a@.@.%a@.@." Theorem.pp_certificate lc Rev.pp_certificate
-        rc;
-      match agreement with
-      | Ok bound -> Format.printf "engines agree: space bound %d.@." bound
-      | Error reason -> Format.printf "engines DIVERGE: %s@." reason
-    end;
-    (match agreement with Ok _ -> 0 | Error _ -> 1)
-  | _ ->
-    let side name = function
-      | `Done -> Format.printf "%s: complete.@." name
-      | `Part reason -> Format.printf "%s: partial (%s).@." name reason
-    in
-    let lem_state =
-      match lem with
-      | Theorem.Complete _ -> `Done
-      | Theorem.Partial (stop, _) ->
-        `Part (Format.asprintf "%a" Theorem.pp_stop stop)
-    in
-    let rev_state =
-      match rev with
-      | Rev.Complete _ -> `Done
-      | Rev.Partial (stop, _) ->
-        `Part (Format.asprintf "%a" Rev.pp_stop stop)
-    in
-    if json then
-      pr_json
-        (Ts_analysis.Json.Obj
-           [
-             ("status", Ts_analysis.Json.Str "partial");
-             ("lemmas",
-              match lem with
-              | Theorem.Complete _ -> Ts_analysis.Json.Str "complete"
-              | Theorem.Partial (stop, p) ->
-                Ts_service.Response.witness_partial_to_json
-                  ~horizon_used:lem_used stop p);
-             ("revisionist",
-              match rev with
-              | Rev.Complete _ -> Ts_analysis.Json.Str "complete"
-              | Rev.Partial (stop, p) ->
-                Ts_service.Response.revisionist_partial_to_json
-                  ~max_solo_used:rev_used stop p);
-           ])
-    else begin
-      side "lemmas" lem_state;
-      side "revisionist" rev_state;
+    pr_json (J.Obj (fields @ [ ("verdict", X.verdict_to_json c.X.verdict) ]))
+  end
+  else begin
+    (match (lem.X.outcome, rev.X.outcome) with
+     | Theorem.Complete lc, Rev.Complete rc ->
+       Format.printf "%a@.@.%a@.@." Theorem.pp_certificate lc
+         Rev.pp_certificate rc
+     | _ ->
+       let side name (s : _ X.side) =
+         match s.X.result with
+         | X.Completed _ -> Format.printf "%s: complete.@." name
+         | X.Walled reason | X.Tripped reason ->
+           Format.printf "%s: partial (%s).@." name reason
+       in
+       side "lemmas" lem;
+       side "revisionist" rev);
+    match c.X.verdict with
+    | X.Agreed bound -> Format.printf "engines agree: space bound %d.@." bound
+    | X.Diverged reason -> Format.printf "engines DIVERGE: %s@." reason
+    | X.Unavailable _ ->
       Format.printf
         "no comparison: both constructions must complete; raise budgets and rerun.@."
-    end;
-    2
+  end;
+  verdict_exit c.X.verdict
 
 (* witness *)
 let witness n horizon protocol diagram deadline max_nodes metrics json certificate engine =
@@ -294,16 +265,16 @@ let witness n horizon protocol diagram deadline max_nodes metrics json certifica
     let budget = budget_of ?deadline ?max_nodes () in
     match engine with
     | `Revisionist ->
-      witness_revisionist ~json ~certificate ~budget ~horizon ~n proto
+      witness_revisionist ~json ~certificate ~budget ~horizon proto
     | `Both ->
       if certificate <> None then begin
         prerr_endline
           "witness: --certificate needs a single engine; pick --engine lemmas or revisionist.";
         1
       end
-      else witness_both ~json ~budget ~horizon ~n proto
+      else print_comparison ~json ~budget ~horizon proto
     | `Lemmas ->
-    let outcome, used = lemmas_outcome ~budget ~horizon ~n proto in
+    let outcome, used = Theorem.witness ~budget ?horizon proto in
     (match outcome with
      | Theorem.Complete cert ->
        let verified = Theorem.verify cert proto in
@@ -369,15 +340,14 @@ let witness_cmd =
 
 (* check: shared result reporting for the exploration subcommands.
 
-   Exit codes (documented in the README table): 0 clean, 1 violation or
-   worker error, 2 partial (budget tripped with no violation found — the
-   verdict is evidence, not a proof, so scripts must be able to tell). *)
+   Exit codes (documented in the README table): 0 clean, 1 violation, 2
+   partial (budget tripped with no violation found — the verdict is
+   evidence, not a proof, so scripts must be able to tell). *)
 let explore_exit r =
   let open Ts_checker.Explore in
   match r.verdict with
   | Error _ -> 1
-  | Ok () ->
-    if r.worker_errors <> [] then 1 else if r.stopped <> None then 2 else 0
+  | Ok () -> if r.stopped <> None then 2 else 0
 
 let report_explore ?(json = false) ?replay r =
   let replay_result = replay in
@@ -386,10 +356,6 @@ let report_explore ?(json = false) ?replay r =
   if json then
     pr_json (Ts_service.Response.explore_to_json ?replay:replay_result r)
   else begin
-    List.iter
-      (fun (idx, msg) ->
-        Format.printf "worker error on input vector %d: %s@." idx msg)
-      r.worker_errors;
     (match r.stopped with
      | Some b ->
        Format.printf "budget tripped (%a): verdict below is partial; raise --deadline / --max-nodes.@."
@@ -414,6 +380,12 @@ let domains_arg =
   Arg.(value & opt int 1
        & info [ "domains" ] ~docv:"D" ~doc:"Check input vectors on D domains.")
 
+let solo_budget_arg =
+  Arg.(value & opt int Ts_service.Request.defaults.Ts_service.Request.solo_budget
+       & info [ "solo-budget" ] ~docv:"STEPS"
+           ~doc:"Step cap for each solo (and survivor-group) termination \
+                 probe.")
+
 (* A violation is the only checkable claim these subcommands produce; a
    clean verdict is a bounded guarantee with no finite witness to
    certify. *)
@@ -428,38 +400,7 @@ let certify_violation ~certificate proto (r : Ts_checker.Explore.result) =
       Format.eprintf "no certificate: no violation was found.@.";
       true)
 
-(* The optional space-bound appendix behind [check --engine]: run the
-   selected lower-bound engine(s) after the property check and fold its
-   exit code in.  Reuses the witness subcommand's reporting, so the
-   appendix documents are the same shape [witness --json] emits. *)
-let space_bound_pass ~json ~budget ~n proto = function
-  | `Both -> witness_both ~json ~budget ~horizon:None ~n proto
-  | `Revisionist ->
-    witness_revisionist ~json ~certificate:None ~budget ~horizon:None ~n proto
-  | `Lemmas -> (
-    match lemmas_outcome ~budget ~horizon:None ~n proto with
-    | Theorem.Complete c, used ->
-      let v = Theorem.verify c proto in
-      if json then
-        pr_json
-          (Ts_service.Response.witness_to_json ~horizon_used:used ~verified:v c)
-      else begin
-        Format.printf "%a@." Theorem.pp_certificate c;
-        match v with
-        | Ok () -> Format.printf "independent replay: verified.@."
-        | Error e -> Format.printf "replay FAILED: %s@." e
-      end;
-      (match v with Ok () -> 0 | Error _ -> 1)
-    | Theorem.Partial (stop, p), used ->
-      if json then
-        pr_json
-          (Ts_service.Response.witness_partial_to_json ~horizon_used:used stop
-             p)
-      else
-        Format.printf "space-bound pass partial: %a@." Theorem.pp_stop stop;
-      2)
-
-let check n protocol max_configs max_depth domains deadline max_nodes metrics json certificate engine =
+let check n protocol max_configs max_depth solo_budget domains deadline max_nodes metrics json certificate =
   match protocol_of_name protocol n with
   | Error (`Msg m) -> prerr_endline m; 1
   | Ok (Protocol.Packed proto) ->
@@ -469,44 +410,25 @@ let check n protocol max_configs max_depth domains deadline max_nodes metrics js
       Ts_checker.Explore.check_consensus proto ~domains
         ~budget:(budget_of ?deadline ?max_nodes ())
         ~inputs_list:(Ts_checker.Explore.binary_inputs n) ~max_configs ~max_depth
-        ~solo_budget:300 ~check_solo:true
+        ~solo_budget ~check_solo:true
     in
     let cert_ok = certify_violation ~certificate proto r in
     let code = report_explore ~json r in
-    let engine_code =
-      match engine with
-      | None -> 0
-      | Some eng ->
-        if not json then Format.printf "@.space-bound pass (--engine):@.";
-        space_bound_pass ~json ~budget:(budget_of ?deadline ?max_nodes ()) ~n
-          proto eng
-    in
-    if cert_ok then max code engine_code else 1
-
-let check_engine_arg =
-  Arg.(value & opt (some engine_conv) None
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Append a space-bound witness pass after the property check: \
-                 $(b,lemmas), $(b,revisionist) or $(b,both) (which also \
-                 diffs the two bounds and fails on divergence).  The pass \
-                 prints its own document after the check's; the merged exit \
-                 code is the worse of the two.  Without this flag the \
-                 output is exactly the classic check's.")
+    if cert_ok then code else 1
 
 let check_cmd =
   Cmd.v (Cmd.info "check" ~doc:"Bounded model-check a protocol")
     Term.(const check $ n_arg $ protocol_arg $ max_configs_arg $ max_depth_arg
-          $ domains_arg $ deadline_arg $ max_nodes_arg $ metrics_arg $ json_arg
-          $ certificate_arg $ check_engine_arg)
+          $ solo_budget_arg $ domains_arg $ deadline_arg $ max_nodes_arg
+          $ metrics_arg $ json_arg $ certificate_arg)
 
 (* resilient *)
-let resilient n t protocol max_configs max_depth domains deadline max_nodes metrics json certificate =
+let resilient n t protocol max_configs max_depth solo_budget domains deadline max_nodes metrics json certificate =
   match protocol_of_name protocol n with
   | Error (`Msg m) -> prerr_endline m; 1
   | Ok (Protocol.Packed proto) ->
     install_flush_handler ();
     with_metrics metrics @@ fun () ->
-    let solo_budget = 300 in
     let r =
       Ts_checker.Explore.check_t_resilient proto ~domains ~t
         ~budget:(budget_of ?deadline ?max_nodes ())
@@ -539,8 +461,8 @@ let resilient_cmd =
     (Cmd.info "resilient"
        ~doc:"Check t-resilient termination under crash-stop faults")
     Term.(const resilient $ n_arg $ t $ protocol_arg $ max_configs_arg
-          $ max_depth_arg $ domains_arg $ deadline_arg $ max_nodes_arg
-          $ metrics_arg $ json_arg $ certificate_arg)
+          $ max_depth_arg $ solo_budget_arg $ domains_arg $ deadline_arg
+          $ max_nodes_arg $ metrics_arg $ json_arg $ certificate_arg)
 
 (* jtt *)
 let jtt n obj =
@@ -768,14 +690,7 @@ let trace_run n horizon protocol out metrics deadline max_nodes =
     (* Capture construction failures so a failed run still exports the
        spans recorded up to the failure point. *)
     let outcome =
-      match
-        match horizon with
-        | Some h ->
-          let t = Valency.create ~budget proto ~horizon:h in
-          Theorem.theorem1_outcome t
-        | None ->
-          fst (Theorem.theorem1_escalate ~budget proto ~initial_horizon:(10 * n))
-      with
+      match fst (Theorem.witness ~budget ?horizon proto) with
       | o -> Ok o
       | exception Failure msg -> Error msg
     in
@@ -819,7 +734,7 @@ let trace_cmd =
           $ metrics_arg $ deadline_arg $ max_nodes_arg)
 
 (* analyze *)
-let analyze all protocol json domains certify crosscheck =
+let analyze all protocol json domains certify =
   let module A = Ts_analysis.Analyze in
   let pr_json j =
     print_endline (Ts_analysis.Json.to_string_pretty j)
@@ -834,10 +749,9 @@ let analyze all protocol json domains certify crosscheck =
     else
       match protocol with
       | None ->
-        if certify || crosscheck then 0
+        if certify then 0
         else begin
-          prerr_endline
-            "analyze: pass --all, --protocol NAME, --certify or --crosscheck";
+          prerr_endline "analyze: pass --all, --protocol NAME or --certify";
           2
         end
       | Some name ->
@@ -864,18 +778,8 @@ let analyze all protocol json domains certify crosscheck =
       if r.C.ok then 0 else 1
     end
   in
-  let crosschecked =
-    if not crosscheck then 0
-    else begin
-      let module X = Ts_analysis.Crosscheck in
-      let r = X.run ~domains () in
-      if json then pr_json (X.report_to_json r)
-      else Format.printf "%a@." X.pp_report r;
-      if r.X.ok then 0 else 1
-    end
-  in
-  (* with several passes requested, any one failing fails the gate *)
-  max base (max certified crosschecked)
+  (* with both passes requested, either one failing fails the gate *)
+  max base certified
 
 let analyze_cmd =
   let all =
@@ -897,22 +801,12 @@ let analyze_cmd =
                    and the engine replay accept each one, and demand every \
                    tampered variant is rejected.")
   in
-  let crosscheck =
-    Arg.(value & flag
-         & info [ "crosscheck" ]
-             ~doc:"Run the gating two-engine cross-check: both lower-bound \
-                   engines over every registry entry, demanding identical \
-                   bounds and accepted witnesses where agreement is \
-                   expected, and demanding the planted divergence fixture \
-                   is caught.")
-  in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Run the static analyzers: footprint lint, determinism checker, \
-             bounded property pass, engine race detector, certificate gate, \
-             two-engine cross-check")
-    Term.(const analyze $ all $ protocol $ json $ domains_arg $ certify
-          $ crosscheck)
+             bounded property pass, engine race detector, certificate gate \
+             (the two-engine cross-check is $(b,tightspace crosscheck))")
+    Term.(const analyze $ all $ protocol $ json $ domains_arg $ certify)
 
 let cover_cmd =
   let alg =
@@ -1124,9 +1018,6 @@ let query_cmd =
              ~doc:"Operation: witness, check, resilient, valency, analyze, \
                    ping or stats.")
   in
-  let solo_budget =
-    Arg.(value & opt int 300 & info [ "solo-budget" ] ~doc:"Solo-run step cap.")
-  in
   let t_faults =
     Arg.(value & opt int 1
          & info [ "t" ] ~docv:"T" ~doc:"Crash-fault tolerance for resilient.")
@@ -1165,7 +1056,7 @@ let query_cmd =
        ~doc:"Send one request to a running serve daemon and print the \
              response document")
     Term.(const query $ host $ port $ op $ protocol_arg $ n_arg $ horizon_arg
-          $ seed_arg $ max_configs_arg $ max_depth_arg $ solo_budget $ t_faults
+          $ seed_arg $ max_configs_arg $ max_depth_arg $ solo_budget_arg $ t_faults
           $ deadline_arg $ max_nodes_arg $ id $ raw $ retries $ timeout_ms
           $ certificate)
 
@@ -1250,10 +1141,7 @@ let crosscheck protocol json domains deadline metrics =
           let row = X.run_entry ?deadline e in
           if json then pr_json (X.row_to_json row)
           else Format.printf "%a@." X.pp_row row;
-          (match row.X.verdict with
-          | X.Agreed _ -> 0
-          | X.Diverged _ -> 1
-          | X.Unavailable _ -> 2))
+          verdict_exit row.X.verdict)
   | None ->
       let r = X.run ~domains ?deadline () in
       if json then pr_json (X.report_to_json r)
@@ -1609,10 +1497,11 @@ let () =
   let info = Cmd.info "tightspace" ~version:"1.0.0" ~doc in
   (* Last-resort guard: engine exceptions that slip past a subcommand must
      surface as an actionable message and a nonzero exit, never as a raw
-     backtrace. *)
+     backtrace.  [~catch:false] hands them to this handler instead of
+     cmdliner's own. *)
   let code =
     try
-      Cmd.eval'
+      Cmd.eval' ~catch:false
         (Cmd.group info
            [
              witness_cmd; check_cmd; resilient_cmd; jtt_cmd; mutex_cmd;
@@ -1633,8 +1522,14 @@ let () =
       3
     | Invalid_argument msg ->
       Format.eprintf
-        "tightspace: invalid arguments: %s@.hint: check -n, --t, --k and the chosen --protocol fit together.@."
+        "tightspace: invalid arguments: %s@.hint: check -n, -t, -k and the chosen --protocol fit together.@."
         msg;
       2
+    | exn ->
+      (* OCaml's own uncaught-exception exit is 2, which means "partial"
+         here; an unexpected exception is an internal error *)
+      Format.eprintf "tightspace: internal error, uncaught exception: %s@."
+        (Printexc.to_string exn);
+      125
   in
   exit code

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # CI entry point: full build, test suite, and a bench smoke run.
 # Assumes an opam switch with OCaml >= 5.1 and the repo's dependencies
-# (fmt, logs, cmdliner, alcotest, qcheck(-alcotest,-core), bechamel)
+# (fmt, cmdliner, alcotest, qcheck(-alcotest,-core), bechamel)
 # already installed — see README "Install & run".
 #
 # The test and smoke steps run under `timeout`: a hung search must fail
@@ -37,8 +37,8 @@ dune build @all
 echo "== dune runtest (20 min cap) =="
 timeout 1200 dune runtest
 
-echo "== bench smoke (tables only, no timings; 5 min cap) =="
-timeout 300 dune exec bench/main.exe -- --tables-only > /dev/null
+echo "== bench smoke (experiment tables; 5 min cap) =="
+timeout 300 dune exec bench/main.exe > /dev/null
 
 echo "== fault-injection smoke (crash storm + t-resilience; 5 min cap) =="
 timeout 300 dune exec examples/crash_storm.exe > /dev/null
@@ -304,17 +304,27 @@ fi
 # ...and a genuine agreement exits zero
 timeout 300 dune exec bin/tightspace.exe -- crosscheck --protocol racing \
   > /dev/null
-# the two-engine witness path agrees end to end on the CLI too
+# the two-engine witness path runs the same comparison: it agrees end to
+# end on the CLI too, and calls the planted fixture a divergence (exit 1)
 timeout 300 "$TS" witness --protocol racing -n 2 --engine both \
   > /tmp/witness-both.out
 grep -q "engines agree: space bound 1" /tmp/witness-both.out
+set +e
+timeout 300 "$TS" witness --protocol broken-scribbler -n 2 --engine both \
+  > /dev/null
+RC=$?
+set -e
+if [ "$RC" -ne 1 ]; then
+  echo "ci: witness --engine both on broken-scribbler exited $RC, want 1" >&2
+  exit 1
+fi
 # a second-engine certificate round-trips through the micro-checker
 timeout 300 "$TS" witness --protocol racing -n 2 --engine revisionist \
   --certificate /tmp/ci-rev-$$.cert > /dev/null
 timeout 60 "$TS" certify /tmp/ci-rev-$$.cert
 rm -f /tmp/ci-rev-$$.cert
 
-echo "== check --json smoke (verdicts and exit codes; 5 min cap) =="
+echo "== check --json and exit-code smoke (5 min cap) =="
 # scripts branch on these: a clean bounded check exits 0, a violation 1,
 # and the JSON document carries the matching verdict
 timeout 300 "$TS" check --protocol racing -n 2 --max-configs 400 --max-depth 12 \
@@ -330,6 +340,16 @@ if [ "$RC" -ne 1 ]; then
   exit 1
 fi
 grep -q '"verdict": "violation"' /tmp/ci-check-broken.json
+# an engine refusing its arguments reaches the CLI's own handler: exit 2
+# with a hint, not cmdliner's internal-error exit
+set +e
+timeout 60 "$TS" witness --protocol racing -n 1 > /dev/null 2>&1
+RC=$?
+set -e
+if [ "$RC" -ne 2 ]; then
+  echo "ci: witness at n = 1 exited $RC, want 2" >&2
+  exit 1
+fi
 
 echo "== ledger smoke (every benchmark workload, 1 s each; 5 min cap) =="
 # every served answer the benchmark ledger draws is checked (witnesses,

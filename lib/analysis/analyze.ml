@@ -52,11 +52,6 @@ let property_findings ?(domains = 1) (e : Registry.entry) =
              (String.concat "," (List.map string_of_int crashed)) )
      in
      report snk ~code Finding.Error msg);
-  List.iter
-    (fun (i, msg) ->
-      report snk ~code:"worker-raised" Finding.Error
-        (Printf.sprintf "parallel worker for input vector %d raised: %s" i msg))
-    r.Ts_checker.Explore.worker_errors;
   (match r.Ts_checker.Explore.stopped with
    | None -> ()
    | Some b ->

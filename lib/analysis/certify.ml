@@ -1,15 +1,15 @@
 open Ts_model
 module Cert = Ts_cert.Cert
 module Explore = Ts_checker.Explore
-module Theorem = Ts_core.Theorem
 
 (* The gating certificate pass behind [tightspace analyze --certify].
 
-   For every registry entry it harvests the engine's witnesses — Theorem-1
-   space-bound certificates where the construction is tractable, property
-   violations for the negative controls, a resilience violation for the
-   crash control, a 1-agreement violation for the k-set protocol — wraps
-   each in a {!Ts_cert.Cert} certificate and demands that
+   For every registry entry it harvests the engine's witnesses — both
+   engines' space-bound certificates for the entries the two-engine gate
+   expects to agree, taken from that comparison, property violations for
+   the negative controls, a resilience violation for the crash control, a
+   1-agreement violation for the k-set protocol — wraps each in a
+   {!Ts_cert.Cert} certificate and demands that
 
    - the independent micro-checker accepts it,
    - the engine-side protocol replay ({!Ts_cert.Cert.validate}) accepts it,
@@ -17,8 +17,8 @@ module Theorem = Ts_core.Theorem
      recomputed digest, digest tamper, single byte flip) is rejected.
 
    A protocol with no executable witness (the lint controls, or a clean
-   protocol whose Theorem-1 run is out of reach at gate budgets) is
-   recorded as skipped with its reason; everything else must certify. *)
+   protocol the two-engine gate does not expect to agree) is recorded as
+   skipped with its reason; everything else must certify. *)
 
 type protocol_report = {
   name : string;
@@ -33,12 +33,6 @@ type protocol_report = {
 }
 
 type report = { protocols : protocol_report list; ok : bool }
-
-(* Protocols whose Theorem-1 construction completes at gate budgets; the
-   other clean entries certify through violation witnesses instead (kset
-   at k = 1) or are skipped with a reason (multivalued: the n - 1 bound
-   construction is out of reach at CI time scales). *)
-let theorem_entries = [ "racing"; "racing-rand"; "swap" ]
 
 let timed f =
   let t0 = Unix.gettimeofday () in
@@ -151,24 +145,18 @@ let harvest (e : Registry.entry) ~domains :
         match r.Explore.verdict with
         | Error v -> certs := ("resilience", Cert.of_violation proto v) :: !certs
         | Ok () -> ());
-      (* space-bound witnesses for the tractable clean entries, from BOTH
-         lower-bound engines: the revisionist witness certifies under the
-         same kind, so the micro-checker and the mutant battery exercise
-         second-engine certificates exactly like first-engine ones *)
-      if List.mem e.Registry.cli_name theorem_entries then begin
-        (let budget = Ts_core.Budget.create ~deadline:60.0 () in
-         match Theorem.theorem1_escalate ~budget proto ~initial_horizon:8 with
-         | Theorem.Complete c, _ ->
-             certs := ("space_bound", Cert.of_theorem proto c) :: !certs
-         | Theorem.Partial _, _ -> ());
-        let budget = Ts_core.Budget.create ~deadline:60.0 () in
-        let module R = Ts_revisionist.Revisionist in
-        match R.escalate ~budget proto ~initial_solo:32 with
-        | R.Complete c, _ ->
-            certs :=
-              ("space_bound-revisionist", Cert.of_revisionist proto c) :: !certs
-        | R.Partial _, _ -> ()
-      end
+      (* space-bound witnesses from BOTH lower-bound engines, as the
+         two-engine comparison built and accepted them: the revisionist
+         witness certifies under the same kind, so the micro-checker and
+         the mutant battery exercise second-engine certificates exactly
+         like first-engine ones *)
+      if e.Registry.xcheck = Registry.Expect_agree then
+        match (Crosscheck.run_entry e).Crosscheck.comparison with
+        | None -> ()
+        | Some c ->
+          let add what = Option.iter (fun cert -> certs := (what, cert) :: !certs) in
+          add "space_bound" c.Crosscheck.lemmas.Crosscheck.cert;
+          add "space_bound-revisionist" c.Crosscheck.revisionist.Crosscheck.cert
     in
     match List.rev !certs with
     | [] -> (Error "no witness emitted at gate budgets", engine_ns)

@@ -1,18 +1,21 @@
 (** The gating certificate pass behind [tightspace analyze --certify].
 
-    Harvests the engine's witnesses for every registry entry — Theorem-1
-    space-bound certificates for the tractable clean protocols, property
-    violations for the negative controls, a resilience violation for the
-    crash control, a 1-agreement violation for the k-set protocol — and
+    Harvests the engine's witnesses for every registry entry — both
+    engines' space-bound certificates for the [Expect_agree] entries,
+    taken from the two-engine comparison ({!Crosscheck.run_entry}, so CI
+    certifies the witnesses [tightspace witness] and the daemon produce),
+    property violations for the negative controls, a resilience violation
+    for the crash control, a 1-agreement violation for the k-set
+    protocol — and
     demands that every emitted certificate passes {e both} independent
     checks ({!Ts_microcheck.Microcheck} and the engine-side
     {!Ts_cert.Cert.validate}) while every mutated variant (byte flip,
     schedule truncation with a forged digest, verdict rewrite with a
     forged digest, digest zeroing) is rejected.
 
-    Entries with no executable witness (the lint controls, or clean
-    protocols whose Theorem-1 construction is out of reach at gate
-    budgets) are recorded as skipped with a reason.  [report.ok] — every
+    Entries with no executable witness (the lint controls, or a clean
+    protocol the two-engine gate does not expect to agree, such as
+    multivalued) are recorded as skipped with a reason.  [report.ok] — every
     witness validated, every mutant rejected, at least one witness
     overall — is the CI gate. *)
 

@@ -8,144 +8,164 @@ module Obs = Ts_obs.Obs
 
 type engine_result =
   | Completed of Outcome.summary * string list
-  | Stopped of string
+  | Walled of string
+  | Tripped of string
+
+type 'o side = {
+  outcome : 'o;
+  used : int;
+  result : engine_result;
+  cert : Cert.t option;
+  ns : int64;
+}
 
 type verdict =
   | Agreed of int
   | Diverged of string
   | Unavailable of string
 
-type row = {
-  name : string;
-  expect : Registry.xcheck;
-  lemmas : engine_result option;
-  revisionist : engine_result option;
+type comparison = {
+  lemmas : Theorem.outcome side;
+  revisionist : Revisionist.outcome side;
   verdict : verdict;
-  lemmas_ns : int64;
-  revisionist_ns : int64;
 }
 
-type report = { rows : row list; ok : bool }
-
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let x = f () in
-  let t1 = Unix.gettimeofday () in
-  (x, Int64.of_float ((t1 -. t0) *. 1e9))
+let ns_since t0 = Int64.of_float ((Unix.gettimeofday () -. t0) *. 1e9)
 
 (* Witness acceptance: the engine-side replay on the shared execution
    substrate, plus the certificate pipeline (engine validate + the
-   independent micro-checker) where the fault-free space_bound kind
-   applies.  Returns the (empty-iff-accepted) error list. *)
-let acceptance ~replay ~cert proto =
+   independent micro-checker).  Returns the (empty-iff-accepted) error
+   list and the certificate, when it could be built. *)
+let accept proto ~replay ~cert =
   let errs = ref [] in
-  (match replay with
-  | Ok () -> ()
-  | Error m -> errs := ("replay: " ^ m) :: !errs);
-  (match cert () with
-  | exception Invalid_argument m ->
-      errs := ("certificate build: " ^ m) :: !errs
-  | c -> (
-      (match Cert.validate proto c with
-      | Ok () -> ()
-      | Error m -> errs := ("certificate replay: " ^ m) :: !errs);
-      match Cert.microcheck c with
-      | Ok () -> ()
-      | Error m -> errs := ("microcheck: " ^ m) :: !errs));
-  List.rev !errs
+  let add e = errs := e :: !errs in
+  (match replay with Ok () -> () | Error m -> add ("replay: " ^ m));
+  let built =
+    match cert () with
+    | exception Invalid_argument m ->
+        add ("certificate build: " ^ m);
+        None
+    | c ->
+        (match Cert.validate proto c with
+        | Ok () -> ()
+        | Error m -> add ("certificate replay: " ^ m));
+        (match Cert.microcheck c with
+        | Ok () -> ()
+        | Error m -> add ("microcheck: " ^ m));
+        Some c
+  in
+  (List.rev !errs, built)
 
-let run_lemmas proto ~deadline =
-  let budget = Budget.create ~deadline () in
-  match Theorem.theorem1_escalate ~budget proto ~initial_horizon:8 with
-  | Theorem.Complete c, _ ->
-      let errs =
-        acceptance proto ~replay:(Theorem.verify c proto)
-          ~cert:(fun () -> Cert.of_theorem proto c)
-      in
-      Completed (Outcome.of_theorem c, errs)
-  | Theorem.Partial (stop, _), _ ->
-      Stopped (Format.asprintf "%a" Theorem.pp_stop stop)
+(* Each engine runs under its witness policy, and a complete run is
+   accepted or rejected; the time covers both. *)
+let lemmas_side ~budget ?horizon proto =
+  let t0 = Unix.gettimeofday () in
+  let outcome, used = Theorem.witness ~budget ?horizon proto in
+  let stopped stop = Format.asprintf "%a" Theorem.pp_stop stop in
+  let result, cert =
+    match outcome with
+    | Theorem.Complete c ->
+        let errs, cert =
+          accept proto ~replay:(Theorem.verify c proto) ~cert:(fun () ->
+              Cert.of_theorem proto c)
+        in
+        (Completed (Outcome.of_theorem c, errs), cert)
+    | Theorem.Partial ((Theorem.Horizon_wall _ as stop), _) ->
+        (Walled (stopped stop), None)
+    | Theorem.Partial ((Theorem.Out_of_budget _ as stop), _) ->
+        (Tripped (stopped stop), None)
+  in
+  { outcome; used; result; cert; ns = ns_since t0 }
 
-let run_revisionist proto ~deadline =
-  let budget = Budget.create ~deadline () in
-  match Revisionist.escalate ~budget proto ~initial_solo:32 with
-  | Revisionist.Complete c, _ ->
-      let errs =
-        acceptance proto ~replay:(Revisionist.verify c proto)
-          ~cert:(fun () -> Cert.of_revisionist proto c)
-      in
-      Completed (Revisionist.summary c, errs)
-  | Revisionist.Partial (stop, _), _ ->
-      Stopped (Format.asprintf "%a" Revisionist.pp_stop stop)
+let revisionist_side ~budget ?max_solo proto =
+  let t0 = Unix.gettimeofday () in
+  let outcome, used = Revisionist.witness ~budget ?max_solo proto in
+  let stopped stop = Format.asprintf "%a" Revisionist.pp_stop stop in
+  let result, cert =
+    match outcome with
+    | Revisionist.Complete c ->
+        let errs, cert =
+          accept proto ~replay:(Revisionist.verify c proto) ~cert:(fun () ->
+              Cert.of_revisionist proto c)
+        in
+        (Completed (Revisionist.summary c, errs), cert)
+    | Revisionist.Partial ((Revisionist.Search_wall _ as stop), _) ->
+        (Walled (stopped stop), None)
+    | Revisionist.Partial ((Revisionist.Out_of_budget _ as stop), _) ->
+        (Tripped (stopped stop), None)
+  in
+  { outcome; used; result; cert; ns = ns_since t0 }
 
-let verdict_of lemmas revisionist =
+let verdict lemmas revisionist =
   match (lemmas, revisionist) with
-  | None, _ | _, None ->
-      Unavailable "static lint errors — stepping this protocol is unsafe"
-  | Some (Completed (a, [])), Some (Completed (b, [])) -> (
+  | Completed (_, e :: _), Completed _ ->
+      Diverged ("lemmas witness rejected: " ^ e)
+  | Completed _, Completed (_, e :: _) ->
+      Diverged ("revisionist witness rejected: " ^ e)
+  | Completed (a, []), Completed (b, []) -> (
       match Outcome.agree a b with
       | Ok bound -> Agreed bound
       | Error m -> Diverged m)
-  | Some (Completed (_, e :: _)), _ ->
-      Diverged ("lemmas witness rejected: " ^ e)
-  | _, Some (Completed (_, e :: _)) ->
-      Diverged ("revisionist witness rejected: " ^ e)
-  | Some (Completed _), Some (Stopped m) ->
+  | Completed _, Walled m ->
       Diverged ("only lemmas completed; revisionist stopped: " ^ m)
-  | Some (Stopped m), Some (Completed _) ->
+  | Walled m, Completed _ ->
       Diverged ("only revisionist completed; lemmas stopped: " ^ m)
-  | Some (Stopped a), Some (Stopped b) ->
+  | Tripped m, Completed _ -> Unavailable ("lemmas ran out of budget: " ^ m)
+  | Completed _, Tripped m ->
+      Unavailable ("revisionist ran out of budget: " ^ m)
+  | (Walled a | Tripped a), (Walled b | Tripped b) ->
       Unavailable
         (Printf.sprintf "neither engine completed (lemmas: %s; revisionist: %s)"
            a b)
 
+let compare_engines ?(budget = fun () -> Budget.unlimited) ?horizon proto =
+  let sp = Obs.enter ~cat:"crosscheck" "crosscheck.protocol" in
+  Obs.set_str sp "protocol" proto.Protocol.name;
+  Fun.protect ~finally:(fun () -> Obs.close sp) @@ fun () ->
+  let lemmas = lemmas_side ~budget:(budget ()) ?horizon proto in
+  let revisionist = revisionist_side ~budget:(budget ()) ?max_solo:horizon proto in
+  let verdict = verdict lemmas.result revisionist.result in
+  Obs.Metrics.incr "crosscheck.compared";
+  (match verdict with
+  | Agreed b ->
+      Obs.Metrics.incr "crosscheck.agreed";
+      Obs.set_int sp "bound" b
+  | Diverged _ ->
+      Obs.Metrics.incr "crosscheck.diverged";
+      Obs.set_bool sp "diverged" true
+  | Unavailable _ ->
+      Obs.Metrics.incr "crosscheck.unavailable";
+      Obs.set_bool sp "unavailable" true);
+  { lemmas; revisionist; verdict }
+
+(* --- the registry gate ------------------------------------------------- *)
+
+type row = {
+  name : string;
+  expect : Registry.xcheck;
+  comparison : comparison option;
+  verdict : verdict;
+}
+
+type report = { rows : row list; ok : bool }
+
 let run_entry ?(deadline = 15.0) (e : Registry.entry) : row =
   let (Protocol.Packed proto) = e.Registry.protocol in
-  let sp = Obs.enter ~cat:"crosscheck" "crosscheck.protocol" in
-  Obs.set_str sp "protocol" e.Registry.cli_name;
-  Fun.protect ~finally:(fun () -> Obs.close sp) @@ fun () ->
   (* the lint controls cannot be stepped; mirror the analyzer's skip *)
   let lint_findings, _ =
     Lint.run e.Registry.claims proto ~inputs_list:e.Registry.inputs_list
       ~max_configs:e.Registry.max_configs ~max_depth:e.Registry.max_depth
   in
-  let row =
+  let comparison, verdict =
     if Finding.errors lint_findings <> [] then
-      {
-        name = e.Registry.cli_name;
-        expect = e.Registry.xcheck;
-        lemmas = None;
-        revisionist = None;
-        verdict = Unavailable "static lint errors — stepping this protocol is unsafe";
-        lemmas_ns = 0L;
-        revisionist_ns = 0L;
-      }
+      (None, Unavailable "static lint errors — stepping this protocol is unsafe")
     else
-      let lemmas, lemmas_ns = timed (fun () -> run_lemmas proto ~deadline) in
-      let revisionist, revisionist_ns =
-        timed (fun () -> run_revisionist proto ~deadline)
+      let c =
+        compare_engines ~budget:(fun () -> Budget.create ~deadline ()) proto
       in
-      let lemmas = Some lemmas and revisionist = Some revisionist in
-      {
-        name = e.Registry.cli_name;
-        expect = e.Registry.xcheck;
-        lemmas;
-        revisionist;
-        verdict = verdict_of lemmas revisionist;
-        lemmas_ns;
-        revisionist_ns;
-      }
+      (Some c, c.verdict)
   in
-  Obs.Metrics.incr "crosscheck.compared";
-  (match row.verdict with
-  | Agreed _ -> Obs.Metrics.incr "crosscheck.agreed"
-  | Diverged _ -> Obs.Metrics.incr "crosscheck.diverged"
-  | Unavailable _ -> Obs.Metrics.incr "crosscheck.unavailable");
-  (match row.verdict with
-  | Agreed b -> Obs.set_int sp "bound" b
-  | Diverged _ -> Obs.set_bool sp "diverged" true
-  | Unavailable _ -> Obs.set_bool sp "unavailable" true);
-  row
+  { name = e.Registry.cli_name; expect = e.Registry.xcheck; comparison; verdict }
 
 let row_ok (r : row) =
   match (r.expect, r.verdict) with
@@ -194,7 +214,7 @@ let engine_result_to_json = function
           ("summary", summary_to_json s);
           ("witness_errors", Json.List (List.map (fun e -> Json.Str e) errs));
         ]
-  | Stopped reason ->
+  | Walled reason | Tripped reason ->
       Json.Obj [ ("status", Json.Str "partial"); ("reason", Json.Str reason) ]
 
 let verdict_to_json = function
@@ -207,22 +227,26 @@ let verdict_to_json = function
         [ ("status", Json.Str "unavailable"); ("reason", Json.Str reason) ]
 
 let row_to_json (r : row) =
+  let ns x = Json.Int (Int64.to_int x) in
+  let lemmas, lemmas_ns, revisionist, revisionist_ns =
+    match r.comparison with
+    | None -> (Json.Null, Json.Int 0, Json.Null, Json.Int 0)
+    | Some c ->
+        ( engine_result_to_json c.lemmas.result,
+          ns c.lemmas.ns,
+          engine_result_to_json c.revisionist.result,
+          ns c.revisionist.ns )
+  in
   Json.Obj
     [
       ("protocol", Json.Str r.name);
       ("expect", Json.Str (expect_name r.expect));
       ("verdict", verdict_to_json r.verdict);
       ("ok", Json.Bool (row_ok r));
-      ("lemmas",
-       match r.lemmas with
-       | None -> Json.Null
-       | Some e -> engine_result_to_json e);
-      ("revisionist",
-       match r.revisionist with
-       | None -> Json.Null
-       | Some e -> engine_result_to_json e);
-      ("lemmas_ns", Json.Int (Int64.to_int r.lemmas_ns));
-      ("revisionist_ns", Json.Int (Int64.to_int r.revisionist_ns));
+      ("lemmas", lemmas);
+      ("revisionist", revisionist);
+      ("lemmas_ns", lemmas_ns);
+      ("revisionist_ns", revisionist_ns);
     ]
 
 let report_to_json (r : report) =

@@ -1,60 +1,100 @@
-(** The two-engine cross-validation gate.
+(** The one comparison of the two lower-bound engines.
 
-    Runs both lower-bound engines — the Lemma 1–4 construction
+    {!compare_engines} runs the Lemma 1–4 construction
     ({!Ts_core.Theorem}) and the revisionist-simulation engine
-    ([Ts_revisionist.Revisionist]) — over every {!Registry} entry and
-    diffs their answers.  For each protocol the gate demands exactly what
-    the entry's {!Registry.xcheck} expectation declares:
+    ([Ts_revisionist.Revisionist]) on one protocol and diffs their
+    answers.  It is the only code that compares the engines: the
+    [tightspace crosscheck] gate below, [witness --engine both], the E26
+    table and the [analyze --certify] pass all call it.
 
-    - [Expect_agree]: both engines complete, claim the identical
-      register-count bound, and each witness is {e accepted} — it replays
-      on the shared execution substrate ({!Ts_core.Theorem.verify} /
-      [Revisionist.verify]) and its ["space_bound"] certificate passes
-      both the engine replay ({!Ts_cert.Cert.validate}) and the
-      independent micro-checker;
-    - [Expect_diverge]: the engines must disagree — the planted
-      [broken-scribbler] fixture, on which the revisionist adversary
-      happily claims a bound while the Lemmas engine correctly finds no
-      bivalent initial configuration.  A gate that cannot catch a planted
-      divergence would never catch a real one;
-    - [Informational]: the row is computed and reported but not gated
-      (negative controls, and clean protocols where one construction is
-      out of reach at gate budgets).
+    Each engine runs under its shared witness policy
+    ({!Ts_core.Theorem.witness}, [Revisionist.witness]): an explicit
+    horizon (for the revisionist engine, its private-run allowance) is a
+    promise, and otherwise the engine escalates from [10 * n].  A
+    complete run's witness is {e accepted} only if it replays on the
+    shared execution substrate ({!Ts_core.Theorem.verify} /
+    [Revisionist.verify]) and its ["space_bound"] certificate passes both
+    the engine replay ({!Ts_cert.Cert.validate}) and the independent
+    micro-checker.  One rule ({!val-verdict}) then decides:
 
-    Each engine runs under its own per-entry {!Ts_core.Budget} deadline,
-    so a stuck construction degrades to a recorded partial rather than
-    hanging the gate.  Rows can be fanned out over domains with
-    {!Ts_model.Par}.
+    - both engines complete: {!Agreed} when both witnesses are accepted
+      and {!Ts_core.Outcome.agree} holds, {!Diverged} otherwise;
+    - one completes and the other stops at its own horizon or search
+      wall: {!Diverged} — the planted [broken-scribbler] case, where the
+      revisionist adversary claims a bound and the Lemmas engine finds
+      Proposition 2 false;
+    - any budget trip, or neither engine completing: {!Unavailable}.
+
+    The registry gate ({!run}, {!run_entry}) demands of each entry what
+    its {!Registry.xcheck} declares: [Expect_agree] rows must agree,
+    [Expect_diverge] rows (the planted fixture) must diverge, and
+    [Informational] rows are reported but not gated.  A gate that cannot
+    catch a planted divergence would never catch a real one.
 
     Instrumentation: span [crosscheck.protocol] (cat [crosscheck]) per
-    row; counters [crosscheck.compared], [crosscheck.agreed],
+    comparison; counters [crosscheck.compared], [crosscheck.agreed],
     [crosscheck.diverged], [crosscheck.unavailable]
     (docs/OBSERVABILITY.md). *)
 
-(** One engine's result on one protocol. *)
+(** One engine's result, reduced for the verdict. *)
 type engine_result =
   | Completed of Ts_core.Outcome.summary * string list
       (** construction complete; the list holds witness-acceptance
           errors (replay / certificate validation / micro-checker) and
           is empty iff the witness is accepted *)
-  | Stopped of string  (** structured partial, with the stop reason *)
+  | Walled of string
+      (** stopped at the engine's own horizon (Lemmas) or search wall
+          (revisionist), with the stop reason *)
+  | Tripped of string  (** stopped by the caller's budget, with the breach *)
+
+(** One engine's side of a comparison. *)
+type 'o side = {
+  outcome : 'o;  (** the engine's own outcome *)
+  used : int;
+      (** the horizon (Lemmas) or private-run allowance (revisionist)
+          the outcome came from *)
+  result : engine_result;
+  cert : Ts_cert.Cert.t option;
+      (** the ["space_bound"] certificate of a complete run, when it
+          could be built *)
+  ns : int64;  (** wall clock of the run and its acceptance *)
+}
 
 (** What the diff of the two answers came to. *)
 type verdict =
   | Agreed of int  (** both complete and accepted, equal bound *)
-  | Diverged of string  (** any disagreement, with the reason *)
+  | Diverged of string  (** a disagreement, with the reason *)
   | Unavailable of string
-      (** nothing to compare: static lint errors, or neither engine
-          completes at gate budgets *)
+      (** nothing to compare: a budget trip, neither engine complete,
+          or (registry rows) static lint errors *)
+
+type comparison = {
+  lemmas : Ts_core.Theorem.outcome side;
+  revisionist : Ts_revisionist.Revisionist.outcome side;
+  verdict : verdict;
+}
+
+(** [verdict lemmas revisionist] is the one verdict rule above. *)
+val verdict : engine_result -> engine_result -> verdict
+
+(** [compare_engines ?budget ?horizon proto] runs both engines on [proto]
+    and returns both sides and the verdict.  [budget ()] is called once
+    per engine, just before it runs (default: unlimited); return one
+    guard twice to share it between the engines.  [horizon] is the
+    Lemmas oracle horizon and the revisionist private-run allowance; by
+    default both escalate from [10 * n].  A protocol whose step function
+    raises makes this raise too. *)
+val compare_engines :
+  ?budget:(unit -> Ts_core.Budget.t) ->
+  ?horizon:int ->
+  's Ts_model.Protocol.t ->
+  comparison
 
 type row = {
   name : string;
   expect : Registry.xcheck;
-  lemmas : engine_result option;  (** [None] when lint-skipped *)
-  revisionist : engine_result option;
+  comparison : comparison option;  (** [None] when lint-skipped *)
   verdict : verdict;
-  lemmas_ns : int64;
-  revisionist_ns : int64;
 }
 
 type report = {
@@ -64,18 +104,20 @@ type report = {
           diverged, and at least one agreement exists *)
 }
 
-(** [run_entry ?deadline e] cross-checks a single registry entry.
-    [deadline] (default 15 s) caps {e each} engine separately. *)
+(** [run_entry ?deadline e] compares the engines on one registry entry,
+    unless lint flags it.  Each engine gets its own budget of [deadline]
+    seconds (default 15). *)
 val run_entry : ?deadline:float -> Registry.entry -> row
 
-(** [run ?domains ?deadline ()] cross-checks the whole registry,
-    fanning rows out over [domains] (default 1) with {!Ts_model.Par}. *)
+(** [run ?domains ?deadline ()] runs {!run_entry} over the whole
+    registry, fanning rows out over [domains] (default 1) with
+    {!Ts_model.Par}. *)
 val run : ?domains:int -> ?deadline:float -> unit -> report
 
-(** Whether a single row meets its own expectation (the single-protocol
-    gate behind [tightspace crosscheck --protocol NAME]). *)
+(** Whether a single row meets its own expectation. *)
 val row_ok : row -> bool
 
+val verdict_to_json : verdict -> Json.t
 val report_to_json : report -> Json.t
 val row_to_json : row -> Json.t
 val pp_row : Format.formatter -> row -> unit

@@ -52,7 +52,6 @@ type result = {
   verdict : (unit, violation) Stdlib.result;
   stats : stats;
   stopped : Budget.breach option;
-  worker_errors : (int * string) list;
 }
 
 (* Mutable per-search counter block, folded into a [stats] at the end.
@@ -352,43 +351,32 @@ let check_from proto ~k ~inputs ~max_configs ~max_depth ~solo_budget ~check_solo
   let verdict, stopped =
     observed_bfs proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examine
   in
-  { verdict; stats = stats_of_counters counters; stopped; worker_errors = [] }
+  { verdict; stats = stats_of_counters counters; stopped }
 
 (* Fan one self-contained per-vector search out over the input vectors and
-   reassemble.  The fold walks results in input order up to and including
-   the first violation, so the parallel path (which computes results for
-   every vector) reports exactly what the serial early-exit reports.  With
-   [domains > 1] a crashed worker — a raising protocol callback, say —
-   surfaces as a per-vector entry in [worker_errors] while completed
-   sibling verdicts survive; serially the exception propagates as usual. *)
+   reassemble.  The fold walks the per-vector outcomes in input order and
+   returns at the first violation, re-raising the exception of the first
+   vector that raised before it.  Serially the outcomes are produced
+   lazily, so the search stops at that vector; in parallel every vector
+   runs, and the fold reports exactly what the serial run reports. *)
 let run_vectors ~domains run inputs_list =
-  let results =
-    if domains <= 1 then begin
-      (* serial: stop after the first violating input vector *)
-      let rec go acc = function
-        | [] -> List.rev acc
-        | inputs :: rest ->
-          let r = run inputs in
-          (match r.verdict with
-           | Error _ -> List.rev (Ok r :: acc)
-           | Ok () -> go (Ok r :: acc) rest)
-      in
-      go [] inputs_list
-    end
-    else Par.map_list_outcomes ~domains run inputs_list
+  let outcomes =
+    if domains <= 1 then
+      Seq.map (fun inputs -> Ok (run inputs)) (List.to_seq inputs_list)
+    else List.to_seq (Par.map_list_outcomes ~domains run inputs_list)
   in
-  let rec fold acc stopped errs idx = function
-    | [] -> { verdict = Ok (); stats = acc; stopped; worker_errors = List.rev errs }
-    | Error e :: rest ->
-      fold acc stopped ((idx, Printexc.to_string e) :: errs) (idx + 1) rest
-    | Ok r :: rest ->
+  let rec fold acc stopped outcomes =
+    match outcomes () with
+    | Seq.Nil -> { verdict = Ok (); stats = acc; stopped }
+    | Seq.Cons (Error e, _) -> raise e
+    | Seq.Cons (Ok r, rest) ->
       let acc = merge_stats acc r.stats in
       let stopped = if stopped = None then r.stopped else stopped in
       (match r.verdict with
-       | Error _ -> { r with stats = acc; stopped; worker_errors = List.rev errs }
-       | Ok () -> fold acc stopped errs (idx + 1) rest)
+       | Error _ -> { r with stats = acc; stopped }
+       | Ok () -> fold acc stopped rest)
   in
-  fold empty_stats None [] 0 results
+  fold empty_stats None outcomes
 
 let check_set_agreement ?(domains = 1) ?(budget = Budget.unlimited) ~k proto
     ~inputs_list ~max_configs ~max_depth ~solo_budget ~check_solo =
@@ -451,7 +439,7 @@ let check_resilient_from proto ~t ~inputs ~max_configs ~max_depth ~solo_budget ~
   let verdict, stopped =
     observed_bfs proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examine
   in
-  { verdict; stats = stats_of_counters counters; stopped; worker_errors = [] }
+  { verdict; stats = stats_of_counters counters; stopped }
 
 let check_t_resilient ?(domains = 1) ?(budget = Budget.unlimited) ~t proto ~inputs_list
     ~max_configs ~max_depth ~solo_budget =

@@ -30,11 +30,12 @@
     table, probe memo and budget), which is what makes the optional
     [?domains] fan-out sound: with [domains > 1] the vectors are checked in
     parallel on separate OCaml domains and the results reassembled in input
-    order, so verdict {e and} stats are identical to a serial run.  Worker
-    crashes are contained per input vector: a raising protocol callback
-    surfaces in [result.worker_errors] while sibling verdicts survive.  All
-    tables key by packed configuration keys ({!Ts_model.Ckey}) rather than
-    polymorphic hashing.
+    order, so verdict {e and} stats are identical to a serial run.  Failure
+    semantics are the same at every domain count: the result is that of
+    the first violating input vector, unless an earlier vector's search
+    raised (a protocol callback that raises, say), in which case that
+    exception propagates.  All tables key by packed configuration keys
+    ({!Ts_model.Ckey}) rather than polymorphic hashing.
 
     All entry points accept a {!Ts_core.Budget} guard.  A search that trips
     the guard stops cleanly: the verdict covers what was explored,
@@ -106,10 +107,6 @@ type result = {
   stopped : Budget.breach option;
       (** [Some b] if the {!Budget} guard stopped a search: the verdict is
           partial, covering only what was explored before the breach. *)
-  worker_errors : (int * string) list;
-      (** Input vectors (by index into [inputs_list]) whose parallel worker
-          raised, with the exception text.  Always [[]] on serial runs,
-          where the exception propagates instead. *)
 }
 
 (** [check_consensus proto ~inputs_list ~max_configs ~max_depth ~solo_budget

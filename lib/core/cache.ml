@@ -9,13 +9,6 @@
 open Ts_model
 module Obs = Ts_obs.Obs
 
-type 'v provenance =
-  | Fresh of 'v
-  | Cached of 'v
-
-let value = function Fresh v | Cached v -> v
-let is_cached = function Cached _ -> true | Fresh _ -> false
-
 type 'v entry = {
   mutable v : 'v;
   mutable stamp : int;  (* last-use tick of the owning shard *)
@@ -38,9 +31,6 @@ type 'v t = {
   shards : 'v shard array;
   name : string;
   capacity : int;
-  (* durability tap: called after each write-through insert, outside any
-     shard lock (the store serializes internally) *)
-  mutable write_through : (Ts_model.Ckey.t -> 'v -> unit) option;
 }
 
 (* Enough stripes that a handful of worker domains rarely meet on one
@@ -70,10 +60,7 @@ let create ?(name = "cache") ~capacity () =
           });
     name;
     capacity;
-    write_through = None;
   }
-
-let set_write_through t hook = t.write_through <- Some hook
 
 let shard_of t key = t.shards.(Ckey.hash key mod Array.length t.shards)
 
@@ -146,30 +133,9 @@ let find t key =
     metrics_miss t;
     None
 
-let put ?(write_through = true) t key v =
+let put t key v =
   let shard = shard_of t key in
   (locked shard Obs.Write @@ fun () -> insert_locked shard key v);
-  metrics_entries t;
-  (* outside the shard lock: a slow durable append must never block other
-     requests hashing to this shard *)
-  if write_through then
-    match t.write_through with None -> () | Some hook -> hook key v
-
-let find_or_compute t key f =
-  match find t key with
-  | Some v -> Cached v
-  | None ->
-    (* compute with no lock held; a concurrent miss on the same key also
-       computes, and [insert_locked] makes the overwrite benign *)
-    let v = f () in
-    put t key v;
-    Fresh v
-
-let clear t =
-  Array.iter
-    (fun shard ->
-      locked shard Obs.Write @@ fun () -> Ckey.Tbl.reset shard.tbl)
-    t.shards;
   metrics_entries t
 
 type stats = {

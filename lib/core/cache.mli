@@ -18,28 +18,18 @@
     capacity is divided evenly across shards (each shard holds at least
     one entry).
 
-    {b Concurrency contract.}  [find_or_compute] runs the computation
-    {e outside} the shard lock, so two domains missing on the same key may
-    both compute; the first insert wins and both callers get their own
-    (equal, for deterministic computations) result.  Duplicated work on a
-    cold key is the price of never blocking reads behind a slow compute.
+    {b Concurrency contract.}  A caller computes a missing value between
+    {!find} and {!put} with no lock held, so two domains missing on the
+    same key may both compute; the later {!put} overwrites the earlier
+    one with an equal value (for deterministic computations).  Duplicated
+    work on a cold key is the price of never blocking reads behind a slow
+    compute.
 
     {b Observability.}  Hits, misses, evictions and the entry gauge mirror
     into {!Ts_obs.Obs.Metrics} under [<name>.hits] etc. (no-ops while
     metrics are disarmed), and every shard logs its accesses to the race
     detector's feed ({!Ts_obs.Obs.access}) as synchronized accesses, so an
     instrumented hammer run can certify the striping sound. *)
-
-(** Where an answer came from: computed on this call, or served from the
-    cache.  The payload is the answer either way — provenance is for the
-    caller's reporting (the service's ["provenance"] response field, the
-    differential cached-equals-fresh tests). *)
-type 'v provenance =
-  | Fresh of 'v
-  | Cached of 'v
-
-val value : 'v provenance -> 'v
-val is_cached : 'v provenance -> bool
 
 type 'v t
 
@@ -49,30 +39,12 @@ type 'v t
     @raise Invalid_argument if [capacity < 1]. *)
 val create : ?name:string -> capacity:int -> unit -> 'v t
 
-(** [find_or_compute t key f] is [Cached v] when [key] is present, else
-    [Fresh (f ())] after inserting the computed value.  [f] runs without
-    any lock held; see the concurrency contract above. *)
-val find_or_compute : 'v t -> Ts_model.Ckey.t -> (unit -> 'v) -> 'v provenance
-
-(** [find t key] peeks without computing (still refreshes recency). *)
+(** [find t key] looks [key] up, refreshing its recency on a hit. *)
 val find : 'v t -> Ts_model.Ckey.t -> 'v option
 
-(** [put t key v] inserts or overwrites unconditionally, then (by
-    default) feeds the entry to the write-through hook.  Pass
-    [~write_through:false] when the value is being {e loaded from} the
-    durable layer — re-persisting what was just read would loop. *)
-val put : ?write_through:bool -> 'v t -> Ts_model.Ckey.t -> 'v -> unit
-
-(** [set_write_through t hook] taps every (write-through) insert:
-    [hook key v] runs after the in-memory insert, outside any shard
-    lock.  The service dispatcher points this at the persistent witness
-    store, making the LRU a write-through cache over the append-only
-    log.  The hook must be thread-safe — inserts come from any worker
-    domain. *)
-val set_write_through : 'v t -> (Ts_model.Ckey.t -> 'v -> unit) -> unit
-
-(** Drop every entry (stats survive). *)
-val clear : 'v t -> unit
+(** [put t key v] inserts or overwrites unconditionally, evicting the
+    shard's least recently used entry when it is full. *)
+val put : 'v t -> Ts_model.Ckey.t -> 'v -> unit
 
 (** Point-in-time counters, summed over shards. *)
 type stats = {

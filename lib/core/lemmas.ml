@@ -16,7 +16,8 @@ let negate v = Value.int (1 - Value.to_int v)
 
 let lemma1 t c p =
   if Pset.cardinal p < 3 then invalid_arg "Lemmas.lemma1: |P| must be >= 3";
-  Engine_log.Log.debug (fun m -> m "lemma1: P=%a" Pset.pp p);
+  if Obs.tracing () then
+    Obs.instant ~cat:"log.debug" (Format.asprintf "lemma1: P=%a" Pset.pp p);
   Obs.with_span ~cat:"lemma" "lemma1" @@ fun sp ->
   Obs.set_int sp "participants" (Pset.cardinal p);
   (* A candidate z works at configuration [cfg] if P - {z} is bivalent. *)
@@ -92,14 +93,6 @@ let split_at_uncovered_write t c _z ~covered ~zeta =
   in
   go c [] zeta
 
-let lemma2_holds t c ~r ~z =
-  let proto = Valency.protocol t in
-  let covered = Covering.covered_set proto c r in
-  let zeta = solo_deciding t c z in
-  match split_at_uncovered_write t c z ~covered ~zeta with
-  | _ -> true
-  | exception Valency.Horizon_exceeded _ -> false
-
 type lemma3_result = {
   phi3 : Execution.event list;
   q : int;
@@ -107,7 +100,9 @@ type lemma3_result = {
 }
 
 let lemma3 t c ~p ~r =
-  Engine_log.Log.debug (fun m -> m "lemma3: P=%a R=%a" Pset.pp p Pset.pp r);
+  if Obs.tracing () then
+    Obs.instant ~cat:"log.debug"
+      (Format.asprintf "lemma3: P=%a R=%a" Pset.pp p Pset.pp r);
   let proto = Valency.protocol t in
   if Pset.is_empty r then invalid_arg "Lemmas.lemma3: R must be non-empty";
   Obs.with_span ~cat:"lemma" "lemma3" @@ fun sp ->

@@ -41,13 +41,6 @@ val split_at_uncovered_write :
   zeta:Execution.event list ->
   Execution.event list * 's Config.t * Action.reg
 
-(** [lemma2_holds t c ~p ~r ~z] checks Lemma 2's conclusion on the solo
-    deciding execution the oracle finds for [z] from [c]: it must contain a
-    write to a register not covered by [r] in [c].  (For a deterministic
-    protocol the solo execution is unique, so this checks the universally
-    quantified statement.) *)
-val lemma2_holds : 's Valency.t -> 's Config.t -> r:Pset.t -> z:int -> bool
-
 (** Result of {!lemma3}: a Q-only execution [phi] and a process [q] in [Q]
     such that [R ∪ {q}] is bivalent from [C·phi·β], where [β] is the block
     write by [R]. *)

@@ -8,11 +8,6 @@ let engine_name = function
   | Lemmas -> "lemmas"
   | Revisionist -> "revisionist"
 
-let engine_of_name = function
-  | "lemmas" -> Some Lemmas
-  | "revisionist" -> Some Revisionist
-  | _ -> None
-
 type summary = {
   engine : engine;
   protocol_name : string;

@@ -7,8 +7,9 @@
     which machinery produced them.  A {!summary} is the common currency:
     the claimed register-count bound, the witness shape, and how much
     search the engine spent.  Each engine provides a converter into this
-    type; {!agree} is the comparison both the CLI's [--engine both] mode
-    and the crosscheck gate rely on. *)
+    type; {!agree} is the claim comparison inside
+    [Ts_analysis.Crosscheck.compare_engines], the one place the two
+    engines are compared. *)
 
 open Ts_model
 
@@ -18,9 +19,6 @@ type engine =
   | Revisionist  (** the revisionist-simulation engine, [Ts_revisionist] *)
 
 val engine_name : engine -> string
-
-(** [engine_of_name s] inverts {!engine_name} ("lemmas"/"revisionist"). *)
-val engine_of_name : string -> engine option
 
 (** What an engine established, reduced to the comparable facts. *)
 type summary = {

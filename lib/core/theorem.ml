@@ -31,7 +31,8 @@ let rec lemma4 t c p =
   let proto = Valency.protocol t in
   let card = Pset.cardinal p in
   if card < 2 then invalid_arg "Theorem.lemma4: |P| must be >= 2";
-  Engine_log.Log.debug (fun m -> m "lemma4: P=%a" Pset.pp p);
+  if Obs.tracing () then
+    Obs.instant ~cat:"log.debug" (Format.asprintf "lemma4: P=%a" Pset.pp p);
   if not (Valency.is_bivalent t c p) then
     fail "lemma4: P=%a not bivalent from C within horizon" Pset.pp p;
   if card = 2 then { alpha = []; cfg = c; q_pair = p; cover = Pset.empty }
@@ -66,9 +67,10 @@ let rec lemma4 t c p =
         in
         match repeat with
         | Some i0 ->
-          Engine_log.Log.debug (fun m ->
-              m "lemma4: pigeonhole at rounds %d/%d over {%a}" i0 round
-                Fmt.(list ~sep:comma (fmt "R%d")) v_i);
+          if Obs.tracing () then
+            Obs.instant ~cat:"log.debug"
+              (Format.asprintf "lemma4: pigeonhole at rounds %d/%d over {%a}" i0
+                 round Fmt.(list ~sep:comma (fmt "R%d")) v_i);
           Obs.set_bool sp "pigeonhole" true;
           `Finish (r_i, v_i, i0)
         | None ->
@@ -169,8 +171,10 @@ let theorem1 t =
   (* Proposition 2: p0 input 0, p1 input 1 makes {p0,p1} bivalent. *)
   let inputs = Array.init n (fun p -> if p = 1 then Value.int 1 else Value.int 0) in
   let i0 = Config.initial proto ~inputs in
-  Engine_log.Log.info (fun m ->
-      m "theorem1: %s, n=%d, horizon=%d" proto.Protocol.name n (Valency.horizon t));
+  if Obs.tracing () then
+    Obs.instant ~cat:"log.info"
+      (Printf.sprintf "theorem1: %s, n=%d, horizon=%d" proto.Protocol.name n
+         (Valency.horizon t));
   Obs.with_span ~cat:"theorem" "theorem1" @@ fun t1_sp ->
   Obs.set_int t1_sp "n" n;
   Obs.set_str t1_sp "protocol" proto.Protocol.name;
@@ -258,13 +262,16 @@ let theorem1_outcome t =
   match theorem1 t with
   | cert -> Complete cert
   | exception Budget.Exhausted b ->
-    Engine_log.Log.info (fun m ->
-        m "theorem1: partial after %d searches — %a" (Valency.searches t)
-          Budget.pp_breach b);
+    if Obs.tracing () then
+      Obs.instant ~cat:"log.info"
+        (Format.asprintf "theorem1: partial after %d searches — %a"
+           (Valency.searches t) Budget.pp_breach b);
     Partial (Out_of_budget b, progress_of t)
   | exception Valency.Horizon_exceeded msg ->
-    Engine_log.Log.info (fun m ->
-        m "theorem1: horizon %d insufficient (%s)" (Valency.horizon t) msg);
+    if Obs.tracing () then
+      Obs.instant ~cat:"log.info"
+        (Printf.sprintf "theorem1: horizon %d insufficient (%s)"
+           (Valency.horizon t) msg);
     Partial (Horizon_wall msg, progress_of t)
 
 (* Adaptive horizon escalation: geometric backoff on an exhausted horizon,
@@ -278,12 +285,24 @@ let theorem1_escalate ?(budget = Budget.unlimited) ?(retries = 4) proto ~initial
     let t = Valency.create ~budget proto ~horizon in
     match theorem1_outcome t with
     | Partial (Horizon_wall msg, _) when attempt < retries ->
-      Engine_log.Log.info (fun m ->
-          m "horizon %d insufficient (%s); deepening to %d" horizon msg (2 * horizon));
+      if Obs.tracing () then
+        Obs.instant ~cat:"log.info"
+          (Printf.sprintf "horizon %d insufficient (%s); deepening to %d" horizon
+             msg (2 * horizon));
       go (2 * horizon) (attempt + 1)
     | outcome -> outcome, horizon
   in
   go initial_horizon 0
+
+(* The witness policy every caller shares: an explicit horizon is a
+   promise (one oracle, no escalation); without one the horizon escalates
+   from 10·n. *)
+let witness ?budget ?horizon proto =
+  match horizon with
+  | Some h -> (theorem1_outcome (Valency.create ?budget proto ~horizon:h), h)
+  | None ->
+    theorem1_escalate ?budget proto
+      ~initial_horizon:(10 * proto.Protocol.num_processes)
 
 let verify cert (proto : 's Protocol.t) =
   if proto.Protocol.num_processes <> cert.n then Error "process count mismatch"

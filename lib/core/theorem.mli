@@ -66,8 +66,9 @@ type outcome =
   | Partial of stop * progress
 
 (** [theorem1_outcome t] is {!theorem1} with structured degradation: a
-    tripped {!Budget} or an exhausted horizon yields [Partial] (logged via
-    [Engine_log]) instead of an exception.  [Invalid_argument] (caller
+    tripped {!Budget} or an exhausted horizon yields [Partial] instead of
+    an exception (and, while tracing is armed, a ["log.info"]
+    {!Ts_obs.Obs.instant} naming the stop).  [Invalid_argument] (caller
     errors) still raises. *)
 val theorem1_outcome : 's Valency.t -> outcome
 
@@ -83,6 +84,15 @@ val theorem1_escalate :
   's Protocol.t ->
   initial_horizon:int ->
   outcome * int
+
+(** [witness ?budget ?horizon proto] is the witness policy every caller
+    shares (the CLI's [witness] and [trace], the daemon's [witness] op,
+    the two-engine comparison): an explicit [horizon] is a promise — one
+    oracle at exactly that horizon, no escalation — and without one the
+    construction escalates from [10 * n] ({!theorem1_escalate} with its
+    default retries).  [budget] (default unlimited) spans every attempt.
+    Returns the outcome and the horizon it came from. *)
+val witness : ?budget:Budget.t -> ?horizon:int -> 's Protocol.t -> outcome * int
 
 val pp_stop : Format.formatter -> stop -> unit
 val pp_progress : Format.formatter -> progress -> unit

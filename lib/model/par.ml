@@ -13,8 +13,6 @@
 
 module Obs = Ts_obs.Obs
 
-let available_domains () = Domain.recommended_domain_count ()
-
 type 'a outcome =
   | Done of 'a
   | Raised of exn * Printexc.raw_backtrace
@@ -103,27 +101,6 @@ let map_list_outcomes ~domains f xs =
   outcomes_array ~domains f (Array.of_list xs)
   |> Array.to_list
   |> List.map (function Done v -> Ok v | Raised (e, _) -> Error e)
-
-(* Run two independent thunks, one on a fresh domain.  Always joins before
-   re-raising so no domain is leaked. *)
-let both f g =
-  let token = Obs.fork () in
-  let d =
-    Domain.spawn (fun () ->
-        Obs.begin_task token;
-        let sp = Obs.enter ~cat:"par" "par.both" in
-        let r = catch g () in
-        Obs.close sp;
-        Obs.end_task token;
-        r)
-  in
-  let a = catch f () in
-  let b = Domain.join d in
-  Obs.join token;
-  match a, b with
-  | Done a, Done b -> a, b
-  | Raised (e, bt), _ -> Printexc.raise_with_backtrace e bt
-  | _, Raised (e, bt) -> Printexc.raise_with_backtrace e bt
 
 module Internal = struct
   let strip_slot = strip_slot

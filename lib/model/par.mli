@@ -7,9 +7,6 @@
     catch everything and every spawned domain is joined before control
     returns, so a raising item never leaks a domain. *)
 
-(** The runtime's recommended domain count for this machine. *)
-val available_domains : unit -> int
-
 (** [map_list ~domains f xs] is [List.map f xs], strided over a pool of
     [domains] domains (the calling domain is one of them).  If several
     applications raise, the exception of the earliest item is re-raised —
@@ -22,11 +19,6 @@ val map_list : domains:int -> ('a -> 'b) -> 'a list -> 'b list
     this is what lets a search fan-out degrade per-item instead of
     wholesale. *)
 val map_list_outcomes : domains:int -> ('a -> 'b) -> 'a list -> ('b, exn) result list
-
-(** [both f g] runs the two thunks concurrently (one on a fresh domain) and
-    returns both results; always joins before re-raising (preferring [f]'s
-    exception when both raise). *)
-val both : (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 
 (** Testing-only access to internal invariant guards. *)
 module Internal : sig

@@ -212,6 +212,15 @@ let escalate ?budget ?(retries = 4) ?faults proto ~initial_solo =
   in
   go 0 (max initial_solo 1)
 
+(* The witness policy every caller shares, the sibling of
+   [Theorem.witness]: an explicit allowance is a promise, otherwise the
+   allowance escalates from 10·n. *)
+let witness ?budget ?max_solo proto =
+  match max_solo with
+  | Some m -> (construct ?budget ~max_solo:m proto, m)
+  | None ->
+    escalate ?budget proto ~initial_solo:(10 * proto.Protocol.num_processes)
+
 let verify (cert : certificate) (proto : 's Protocol.t) : (unit, string) result
     =
   let fail fmt = Format.kasprintf (fun m -> Error m) fmt in

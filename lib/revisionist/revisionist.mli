@@ -107,6 +107,15 @@ val escalate :
   initial_solo:int ->
   outcome * int
 
+(** [witness ?budget ?max_solo proto] is the witness policy every caller
+    shares, the sibling of {!Ts_core.Theorem.witness}: an explicit
+    [max_solo] is a promise (one {!construct} at exactly that private-run
+    allowance), and without one the allowance escalates from [10 * n]
+    ({!escalate} with its default retries).  Returns the outcome and the
+    allowance it came from. *)
+val witness :
+  ?budget:Ts_core.Budget.t -> ?max_solo:int -> 's Protocol.t -> outcome * int
+
 (** [verify cert proto] independently replays the certificate's schedule
     on a fresh initial configuration and re-checks every claim: the
     recorded register set, the bound arithmetic, that no excluded process

@@ -21,11 +21,6 @@ type t = {
 let create ?(cache_capacity = 4096) ?default_deadline ?default_max_nodes
     ?(extra_stats = fun () -> []) ?store () =
   let cache = Cache.create ~name:"service.cache" ~capacity:cache_capacity () in
-  (match store with
-   | None -> ()
-   | Some st ->
-     Cache.set_write_through cache (fun key value ->
-         ignore (Store.append st ~key ~value)));
   { cache; store; default_deadline; default_max_nodes; extra_stats }
 
 (* The canonical key packing: varints and length-prefixed strings, the
@@ -131,15 +126,8 @@ let compute t (r : Request.t) : Json.t * bool =
       false )
   | Request.Witness ->
     let (Protocol.Packed proto) = protocol_of r in
-    let budget = budget_of t r in
     let outcome, horizon_used =
-      match r.Request.horizon with
-      | Some h ->
-        let v = Valency.create ~budget proto ~horizon:h in
-        (Theorem.theorem1_outcome v, h)
-      | None ->
-        Theorem.theorem1_escalate ~budget proto
-          ~initial_horizon:(10 * r.Request.n)
+      Theorem.witness ~budget:(budget_of t r) ?horizon:r.Request.horizon proto
     in
     (match outcome with
      | Theorem.Complete cert ->
@@ -168,7 +156,7 @@ let compute t (r : Request.t) : Json.t * bool =
       | _ -> None
     in
     ( with_certificate emitted (Response.explore_to_json result),
-      result.Explore.stopped = None && result.Explore.worker_errors = [] )
+      result.Explore.stopped = None )
   | Request.Resilient ->
     bound_explore_n r;
     let (Protocol.Packed proto) = protocol_of r in
@@ -190,7 +178,7 @@ let compute t (r : Request.t) : Json.t * bool =
       | _ -> None
     in
     ( with_certificate emitted (Response.explore_to_json ?replay result),
-      result.Explore.stopped = None && result.Explore.worker_errors = [] )
+      result.Explore.stopped = None )
   | Request.Valency ->
     let (Protocol.Packed proto) = protocol_of r in
     let horizon =
@@ -281,9 +269,8 @@ let route t (r : Request.t) =
         match t.store with None -> None | Some st -> Store.find st key
       with
       | Some body ->
-        (* warm the memory tier from the log — without re-appending what
-           was just read *)
-        Cache.put ~write_through:false t.cache key body;
+        (* warm the memory tier from the log *)
+        Cache.put t.cache key body;
         Answered (in_span r (fun () -> hit "recovered" body started))
       | None ->
         Deferred
@@ -292,7 +279,14 @@ let route t (r : Request.t) =
                 let started = Unix.gettimeofday () in
                 let result, complete = compute t r in
                 let body = Json.to_string result in
-                if complete then Cache.put t.cache key body;
+                if complete then begin
+                  Cache.put t.cache key body;
+                  (* write through to the log; a key already stored
+                     appends nothing *)
+                  Option.iter
+                    (fun st -> ignore (Store.append st ~key ~value:body))
+                    t.store
+                end;
                 hit "fresh" body started)))
   end
 
@@ -309,4 +303,3 @@ let handle t r =
 
 let cache_stats t = Cache.stats t.cache
 let store_stats t = Option.map Store.stats t.store
-let clear_cache t = Cache.clear t.cache

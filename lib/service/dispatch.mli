@@ -3,8 +3,8 @@
 
     One dispatcher owns one sharded result cache ({!Ts_core.Cache}) and,
     optionally, the persistent witness store ({!Ts_store.Store}) behind
-    it.  Transport-free by design — the TCP server, the CLI's [--json]
-    one-shots and the tests all call {!handle} (or the raw forms below)
+    it.  Transport-free by design — the TCP server routes through
+    {!route}, and the tests call {!handle} (or the raw forms below)
     directly, so wire handling and engine semantics are testable apart.
 
     {b Serving tiers.}  The cache stores the {e serialized} result body
@@ -12,15 +12,15 @@
     the response envelope without re-rendering, which is both the
     zero-copy hot path and the differential guarantee — cached, fresh and
     recovered answers are byte-identical because they are literally the
-    same bytes.  With a store attached, every complete answer admitted to
-    the cache is written through to the append-only log, and a miss
-    consults the log before computing: a restarted daemon answers
+    same bytes.  With a store attached, every complete answer computed
+    here is appended to the log right after it enters the cache (a
+    recovered answer is not re-appended), and a miss consults the log
+    before computing: a restarted daemon answers
     previously-seen queries from disk (["provenance": "recovered"]).
 
     {b Cache policy.}  An answer is cached iff it is {e complete}: a
-    verified Theorem-1 certificate, an exploration that neither tripped
-    its budget nor lost a worker, a valency classification, an analyzer
-    report.  Partial results and errors are recomputed every time — a
+    verified Theorem-1 certificate, an exploration that did not trip its
+    budget, a valency classification, an analyzer report.  Partial results and errors are recomputed every time — a
     partial answer is an artifact of the requester's budget, not a fact
     about the protocol, and must never be served to a later caller with a
     bigger budget.
@@ -94,8 +94,7 @@ val route : t -> Request.t -> outcome
     bytes.  Never raises. *)
 val handle_raw : t -> Request.t -> string
 
-(** {!handle_raw} parsed back to a tree — the CLI's [--json] one-shots
-    and older tests.  Never raises. *)
+(** {!handle_raw} parsed back to a tree, for tests.  Never raises. *)
 val handle : t -> Request.t -> Json.t
 
 (** Counters of the underlying result cache. *)
@@ -104,7 +103,3 @@ val cache_stats : t -> Ts_core.Cache.stats
 (** Counters of the attached store, when one is. *)
 val store_stats : t -> Ts_store.Store.stats option
 
-(** Drop every cached result (tests; the [--no-cache] serve flag).  The
-    durable store is untouched — dropped entries are re-recovered from
-    disk on their next miss. *)
-val clear_cache : t -> unit

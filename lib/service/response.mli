@@ -58,7 +58,9 @@ val revisionist_partial_to_json :
 
 (** A checker result: verdict, optional violation (kind via
     {!Ts_checker.Explore.violation_kind}, inputs, schedule length and the
-    kind-specific payload), full stats, optional breach, worker errors.
+    kind-specific payload), full stats, optional breach, and a
+    ["worker_errors"] list that is always empty (kept for the wire
+    format).
     [replay] (for [resilient]) reports the independent witness replay. *)
 val explore_to_json :
   ?replay:(unit, string) result -> Ts_checker.Explore.result -> Json.t

@@ -105,10 +105,17 @@ let test_split_at_uncovered_write () =
   Alcotest.(check (list int)) "prefix contains no writes" []
     (Execution.written_registers trace)
 
+(* Lemma 2's conclusion with nothing covered: the deciding solo
+   execution must contain a write outside the (empty) covered set. *)
 let test_lemma2_holds_on_initial () =
   let t = racing2 () in
-  Alcotest.(check bool) "deciding solo execution must write fresh" true
-    (Lemmas.lemma2_holds t (initial t) ~r:Pset.empty ~z:0)
+  let i0 = initial t in
+  let covered = Covering.covered_set (Valency.protocol t) i0 Pset.empty in
+  let zeta = Lemmas.solo_deciding t i0 0 in
+  match Lemmas.split_at_uncovered_write t i0 0 ~covered ~zeta with
+  | _ -> ()
+  | exception Valency.Horizon_exceeded m ->
+    Alcotest.failf "deciding solo execution must write fresh: %s" m
 
 let test_lemma3_via_nice_configuration () =
   let t = racing3 () in

@@ -1,6 +1,6 @@
 (* The observability subsystem: span nesting and ordering, the
    allocation-free disabled path, exporter well-formedness, the
-   Engine_log/access-log unification, and — the load-bearing guarantee — a
+   engine log instants, and — the load-bearing guarantee — a
    differential proof that arming the profiler changes nothing about what
    the engine computes. *)
 
@@ -344,45 +344,37 @@ let metrics_registry () =
   Alcotest.(check (list (pair string int))) "stop cleared the registry" []
     s2.Obs.Metrics.counters
 
-(* --- Engine_log / access-log unification ------------------------------- *)
+(* --- engine log lines on the span timeline ----------------------------- *)
 
-let engine_log_unified () =
-  let saw : string list ref = ref [] in
-  let reporter =
-    { Logs.report =
-        (fun _src _level ~over k msgf ->
-          msgf (fun ?header:_ ?tags:_ fmt ->
-              let buf = Buffer.create 64 in
-              let ppf = Format.formatter_of_buffer buf in
-              Format.kfprintf
-                (fun ppf ->
-                  Format.pp_print_flush ppf ();
-                  saw := Buffer.contents buf :: !saw;
-                  over ();
-                  k ())
-                ppf fmt)) }
+(* The constructions' log lines are Obs instants, recorded only while
+   tracing is armed: a traced Theorem 1 at n = 3 (where Lemmas 1, 3 and 4
+   all run) leaves one per phase on the timeline, and an untraced run
+   leaves none. *)
+let engine_instants_recorded () =
+  let run () =
+    let t = Valency.create (Ts_protocols.Racing.make ~n:3) ~horizon:60 in
+    ignore (Theorem.theorem1 t)
   in
-  let old_level = Logs.Src.level Engine_log.src in
-  Logs.set_reporter reporter;
-  Logs.Src.set_level Engine_log.src (Some Logs.Debug);
-  Fun.protect
-    ~finally:(fun () ->
-      Logs.set_reporter Logs.nop_reporter;
-      Logs.Src.set_level Engine_log.src old_level)
-  @@ fun () ->
-  Engine_log.Log.info (fun m -> m "hello %d" 42);
-  Alcotest.(check (list string)) "reporter sees the message untraced" [ "hello 42" ] !saw;
+  run ();
+  Alcotest.(check int) "an untraced run buffers nothing" 0
+    (List.length (Obs.stop_tracing ()));
   Obs.start_tracing ();
-  Engine_log.Log.debug (fun m -> m "probe %s" "x");
-  let evs = Obs.stop_tracing () in
-  Alcotest.(check bool) "reporter still sees every message when traced" true
-    (List.mem "probe x" !saw);
-  Alcotest.(check bool) "and the message lands on the span timeline" true
-    (List.exists
-       (function
-         | Obs.Instant { name = "probe x"; cat = "log.debug"; _ } -> true
-         | _ -> false)
-       evs)
+  run ();
+  let instants =
+    List.filter_map
+      (function Obs.Instant { name; cat; _ } -> Some (cat, name) | _ -> None)
+      (Obs.stop_tracing ())
+  in
+  let has cat prefix =
+    List.exists (fun (c, name) -> c = cat && String.starts_with ~prefix name) instants
+  in
+  Alcotest.(check bool) "theorem1 start (log.info)" true
+    (has "log.info" "theorem1: racing");
+  List.iter
+    (fun phase ->
+      Alcotest.(check bool) (phase ^ " entry (log.debug)") true
+        (has "log.debug" (phase ^ ": P=")))
+    [ "lemma1"; "lemma3"; "lemma4" ]
 
 let trace_interests_independent () =
   (* arming the race-detector interest must not disturb buffered spans,
@@ -413,7 +405,8 @@ let suite =
       Alcotest.test_case "export: chrome trace well-formed" `Slow chrome_trace_wellformed;
       Alcotest.test_case "export: phase aggregation" `Quick phases_aggregate;
       Alcotest.test_case "metrics: registry semantics" `Quick metrics_registry;
-      Alcotest.test_case "engine_log: consumers see every event" `Quick engine_log_unified;
+      Alcotest.test_case "engine instants: traced runs record them" `Quick
+        engine_instants_recorded;
       Alcotest.test_case "trace: interests drain independently" `Quick
         trace_interests_independent;
       Alcotest.test_case "span: a raising search closes and counts" `Quick

@@ -169,9 +169,7 @@ let test_no_domain_leak_on_raise () =
     ignore (Par.map_list_outcomes ~domains:4 (boom_at_multiples_of 2) [ 1; 2; 3; 4 ])
   done;
   Alcotest.(check (list int)) "engine still healthy" [ 10; 30 ]
-    (Par.map_list ~domains:4 (fun x -> x * 10) [ 1; 3 ]);
-  let a, b = Par.both (fun () -> 1) (fun () -> 2) in
-  Alcotest.(check (pair int int)) "both still healthy" (1, 2) (a, b)
+    (Par.map_list ~domains:4 (fun x -> x * 10) [ 1; 3 ])
 
 let prop_outcomes_match_serial =
   QCheck.Test.make ~name:"par: map_list_outcomes = serial try/with" ~count:40
@@ -197,9 +195,13 @@ let test_cache_hammer () =
         List.init 120 (fun j ->
             let i = (d * 31) + j in
             let got =
-              Ts_core.Cache.value
-                (Ts_core.Cache.find_or_compute cache (cache_key i) (fun () ->
-                     cache_value i))
+              match Ts_core.Cache.find cache (cache_key i) with
+              | Some v -> v
+              | None ->
+                (* a miss computes with no lock held, then inserts *)
+                let v = cache_value i in
+                Ts_core.Cache.put cache (cache_key i) v;
+                v
             in
             got = cache_value i))
       [ 0; 1; 2; 3 ]
@@ -224,6 +226,24 @@ let test_cache_hammer () =
     (report.Ts_analysis.Race.accesses > 0);
   Alcotest.(check bool) "cache hammer race-free" true
     (Ts_analysis.Race.race_free report)
+
+(* A protocol whose step raises fails the check the same way at every
+   domain count: the exception of the first raising input vector
+   propagates (the serial run never reaches the later vectors). *)
+let test_raise_same_at_every_domain_count () =
+  let proto = Broken.rogue_writer ~n:2 in
+  let observe domains =
+    match
+      Explore.check_consensus ~domains proto ~inputs_list:(Explore.binary_inputs 2)
+        ~max_configs:4_000 ~max_depth:25 ~solo_budget:300 ~check_solo:true
+    with
+    | _ -> None
+    | exception e -> Some (Printexc.to_string e)
+  in
+  let serial = observe 1 in
+  Alcotest.(check bool) "the serial check raises" true (serial <> None);
+  Alcotest.(check (option string)) "domains:4 raises the same exception" serial
+    (observe 4)
 
 (* --- the service path under the race detector ------------------------- *)
 
@@ -367,5 +387,7 @@ let suite =
       Alcotest.test_case "store-backed service: race-free, instrumented" `Quick
         test_service_store_race_free;
       Alcotest.test_case "joint valency work counts" `Quick test_joint_valency_counts;
+      Alcotest.test_case "a raising protocol fails alike at any domain count" `Quick
+        test_raise_same_at_every_domain_count;
     ]
     @ qcheck_cases )

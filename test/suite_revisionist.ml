@@ -213,6 +213,41 @@ let test_crosscheck_report () =
   | Crosscheck.Agreed 1 -> ()
   | _ -> Alcotest.fail "racing should agree on bound 1"
 
+(* The one verdict rule, end to end.  On the planted fixture the
+   revisionist engine completes while the Lemmas engine stops at its own
+   horizon (Proposition 2 fails): a divergence, whatever the budget. *)
+let test_comparison_scribbler_diverges () =
+  let c = Crosscheck.compare_engines (Broken.scribbler ~n:2) in
+  (match (c.Crosscheck.lemmas.Crosscheck.result, c.Crosscheck.revisionist.Crosscheck.result) with
+   | Crosscheck.Walled _, Crosscheck.Completed (_, []) -> ()
+   | _ -> Alcotest.fail "expected a walled Lemmas run and an accepted revisionist one");
+  match c.Crosscheck.verdict with
+  | Crosscheck.Diverged _ -> ()
+  | _ -> Alcotest.fail "broken-scribbler must diverge"
+
+(* A budget trip is never a divergence: it says nothing about the
+   protocol.  Ten nodes stop the Lemmas walk on racing-2 while the
+   revisionist engine completes in five private steps. *)
+let test_comparison_budget_trip_unavailable () =
+  let c =
+    Crosscheck.compare_engines
+      ~budget:(fun () -> Budget.create ~max_nodes:10 ())
+      (Racing.make ~n:2)
+  in
+  (match (c.Crosscheck.lemmas.Crosscheck.result, c.Crosscheck.revisionist.Crosscheck.result) with
+   | Crosscheck.Tripped _, Crosscheck.Completed (_, []) -> ()
+   | _ -> Alcotest.fail "expected a tripped Lemmas run and an accepted revisionist one");
+  (match c.Crosscheck.verdict with
+   | Crosscheck.Unavailable _ -> ()
+   | _ -> Alcotest.fail "a Lemmas budget trip must leave nothing to compare");
+  (* the mirror case through the rule itself *)
+  match
+    Crosscheck.verdict c.Crosscheck.revisionist.Crosscheck.result
+      (Crosscheck.Tripped "out of budget")
+  with
+  | Crosscheck.Unavailable _ -> ()
+  | _ -> Alcotest.fail "a revisionist budget trip must leave nothing to compare"
+
 (* Random straight-line protocols: process p performs a few reads of
    shared registers, writes its own private register (index p, disjoint
    from the read pool by construction: reads target n..n+2), then
@@ -306,4 +341,8 @@ let suite =
         test_crosscheck_report;
       QCheck_alcotest.to_alcotest prop_straightline_completes;
       QCheck_alcotest.to_alcotest prop_complete_implies_verified;
+      Alcotest.test_case "comparison: broken-scribbler diverges" `Quick
+        test_comparison_scribbler_diverges;
+      Alcotest.test_case "comparison: a budget trip is unavailable" `Quick
+        test_comparison_budget_trip_unavailable;
     ] )

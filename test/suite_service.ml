@@ -783,6 +783,33 @@ let test_negative_counts_refused () =
   Alcotest.(check (option string)) "and bivalent" (Some "bivalent")
     (member_str "class" (result_of resp))
 
+(* The dispatcher writes each complete fresh answer through to the store,
+   and warms its cache from a recovered one without appending it again. *)
+let test_store_appends_fresh_only () =
+  let module Store = Ts_store.Store in
+  let path = Filename.temp_file "tightspace-dispatch" ".log" in
+  Sys.remove path;
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let st =
+    match Store.open_ ~fsync:Store.Never path with
+    | Ok st -> st
+    | Error m -> Alcotest.failf "open: %s" m
+  in
+  Fun.protect ~finally:(fun () -> Store.close st) @@ fun () ->
+  let appends () = (Store.stats st).Store.appends in
+  let ask d = member_str "provenance" (Dispatch.handle d witness_req) in
+  let d = Dispatch.create ~store:st () in
+  Alcotest.(check (option string)) "computed" (Some "fresh") (ask d);
+  Alcotest.(check int) "a fresh answer appends one record" 1 (appends ());
+  Alcotest.(check (option string)) "then cached" (Some "cached") (ask d);
+  (* a second dispatcher on the same log: its cache is cold *)
+  let d' = Dispatch.create ~store:st () in
+  Alcotest.(check (option string)) "recovered from the log" (Some "recovered")
+    (ask d');
+  Alcotest.(check (option string)) "then cached" (Some "cached") (ask d');
+  Alcotest.(check int) "hits append nothing" 1 (appends ())
+
 (* Regression: swap-chain exists only for n >= 3, and its constructor
    raised at n = 2, so the daemon answered "invalid-argument" where swap
    at n = 3 answers "unknown-protocol".  Both are the catalog refusing. *)
@@ -893,4 +920,6 @@ let suite =
         test_decoders_never_raise;
       Alcotest.test_case "an unsupported n is an unknown protocol" `Quick
         test_unsupported_n_refused;
+      Alcotest.test_case "the store gets fresh answers, not recovered ones" `Quick
+        test_store_appends_fresh_only;
     ] )

@@ -169,26 +169,6 @@ let test_foreign_and_future_files_refused () =
        has_sub msg "version 99")
   | Ok _ -> Alcotest.fail "opened a future-versioned file"
 
-(* the cache glue: write-through persists, warm-load does not re-persist *)
-let test_write_through_cache () =
-  with_log @@ fun path ->
-  let t = open_ok path in
-  let cache = Cache.create ~capacity:16 () in
-  Cache.set_write_through cache (fun key value ->
-      ignore (Store.append t ~key ~value));
-  Cache.put cache (key_of "k") "persisted";
-  Alcotest.(check (option string)) "write-through reached the log"
-    (Some "persisted")
-    (Store.find t (key_of "k"));
-  let appends_before = (Store.stats t).Store.appends in
-  Cache.put ~write_through:false cache (key_of "k2") "memory-only";
-  Alcotest.(check int) "warm-load insert skipped the log" appends_before
-    (Store.stats t).Store.appends;
-  Alcotest.(check (option string)) "but is served from memory"
-    (Some "memory-only")
-    (Cache.find cache (key_of "k2"));
-  Store.close t
-
 (* ---- crash-point injection and torture --------------------------------- *)
 
 module Torture = Ts_store.Torture
@@ -452,8 +432,8 @@ let suite =
         test_crc_damage_drops_tail;
       Alcotest.test_case "foreign and future files refused" `Quick
         test_foreign_and_future_files_refused;
-      Alcotest.test_case "write-through cache glue" `Quick
-        test_write_through_cache;
+      Alcotest.test_case "fsync policy drives the sync counter" `Quick
+        test_fsync_policy_counters;
       Alcotest.test_case "crash-point: torn mid-record" `Quick
         test_crash_after_bytes;
       Alcotest.test_case "crash-point: torn mid-header" `Quick
@@ -464,8 +444,6 @@ let suite =
         test_crash_disarm;
       Alcotest.test_case "torture: 300 seeded crash/reopen cycles" `Quick
         test_torture_300;
-      Alcotest.test_case "fsync policy drives the sync counter" `Quick
-        test_fsync_policy_counters;
       QCheck_alcotest.to_alcotest prop_torture_any_seed;
       QCheck_alcotest.to_alcotest prop_interval_presync_survives;
       QCheck_alcotest.to_alcotest prop_replay_recovers;
