@@ -438,7 +438,7 @@ let e17 () =
    claimed bound, incomparable machinery: the Lemmas engine pays for
    valency-oracle searches, the revisionist engine for simulated private
    steps and revisions.  Each row is one run of the two-engine comparison
-   the crosscheck gate runs, so both witnesses are accepted (replay,
+   the registry gate runs, so both witnesses are accepted (replay,
    certificate replay, micro-checker) before the row reports a bound. *)
 let e26 () =
   header "E26" "Two engines, one bound: Lemmas 1-4 vs revisionist simulations";
@@ -472,7 +472,7 @@ let e26 () =
     ];
   Format.printf
     "  Same bound from disjoint proofs: the oracle-driven Lemma walk and the@.  \
-     \  parking adversary agree register-for-register (tightspace crosscheck@.  \
+     \  parking adversary agree register-for-register (tightspace analyze --all@.  \
      \  gates CI on exactly this comparison).@."
 
 let all ?max_n () =

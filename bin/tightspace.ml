@@ -132,9 +132,9 @@ let engine_arg =
            ~doc:"Lower-bound engine: $(b,lemmas) (the Lemma 1-4 \
                  construction), $(b,revisionist) (revisionist \
                  simulations), or $(b,both) (compare the two, as \
-                 $(b,tightspace crosscheck) does: exit 0 when they agree \
-                 on the bound, 1 when they diverge, 2 when there is \
-                 nothing to compare).")
+                 $(b,tightspace analyze) does for every registry entry: \
+                 exit 0 when they agree on the bound, 1 when they \
+                 diverge, 2 when there is nothing to compare).")
 
 let witness_revisionist ~json ~certificate ~budget ~horizon proto =
   match Rev.witness ~budget ?max_solo:horizon proto with
@@ -178,9 +178,8 @@ let witness_revisionist ~json ~certificate ~budget ~horizon proto =
       Format.eprintf "no certificate: the construction was partial.@.";
     2
 
-(* The two-engine comparison's exit code, shared by [witness --engine
-   both] and [crosscheck --protocol]: 0 agreed, 1 diverged, 2 nothing to
-   compare. *)
+(* The two-engine comparison's exit code for [witness --engine both]:
+   0 agreed, 1 diverged, 2 nothing to compare. *)
 let verdict_exit = function
   | Ts_analysis.Crosscheck.Agreed _ -> 0
   | Ts_analysis.Crosscheck.Diverged _ -> 1
@@ -733,80 +732,56 @@ let trace_cmd =
     Term.(const trace_run $ n_arg $ horizon_arg $ protocol_pos $ out
           $ metrics_arg $ deadline_arg $ max_nodes_arg)
 
-(* analyze *)
-let analyze all protocol json domains certify =
+(* analyze: the registry gate.  [--all] gates on the whole report;
+   [--protocol NAME] gates on the protocol itself: flagged means defective,
+   whatever the registry expected, and so does a failing gate. *)
+let analyze all protocol json domains =
   let module A = Ts_analysis.Analyze in
-  let pr_json j =
-    print_endline (Ts_analysis.Json.to_string_pretty j)
-  in
-  let base =
-    if all then begin
-      let o = A.analyze_all ~domains () in
-      if json then pr_json (A.overall_to_json o)
-      else Format.printf "%a@." A.pp_overall o;
-      if o.A.ok then 0 else 1
-    end
-    else
-      match protocol with
-      | None ->
-        if certify then 0
-        else begin
-          prerr_endline "analyze: pass --all, --protocol NAME or --certify";
-          2
-        end
-      | Some name ->
-        (match Ts_analysis.Registry.find name with
-         | None ->
-           Printf.eprintf "analyze: unknown protocol %s (known: %s)\n" name
-             (String.concat ", " (Ts_analysis.Registry.names ()));
-           2
-         | Some entry ->
-           let r = A.analyze ~domains entry in
-           if json then pr_json (A.report_to_json r)
-           else Format.printf "%a@." A.pp_report r;
-           (* single-protocol mode gates on the protocol itself: flagged means
-              defective, whatever the registry expected *)
-           if r.A.flagged then 1 else 0)
-  in
-  let certified =
-    if not certify then 0
-    else begin
-      let module C = Ts_analysis.Certify in
-      let r = C.run ~domains () in
-      if json then pr_json (C.report_to_json r)
-      else Format.printf "%a@." C.pp_report r;
-      if r.C.ok then 0 else 1
-    end
-  in
-  (* with both passes requested, either one failing fails the gate *)
-  max base certified
+  let pr_json j = print_endline (Ts_analysis.Json.to_string_pretty j) in
+  if all then begin
+    let o = A.gate_all ~domains () in
+    if json then pr_json (A.overall_to_json o)
+    else Format.printf "%a@." A.pp_overall o;
+    if o.A.ok then 0 else 1
+  end
+  else
+    match protocol with
+    | None ->
+      prerr_endline "analyze: pass --all or --protocol NAME";
+      2
+    | Some name ->
+      (match Ts_analysis.Registry.find name with
+       | None ->
+         Printf.eprintf "analyze: unknown protocol %s (known: %s)\n" name
+           (String.concat ", " (Ts_analysis.Registry.names ()));
+         2
+       | Some entry ->
+         let r = A.gate ~domains entry in
+         if json then pr_json (A.report_to_json r)
+         else Format.printf "%a@." A.pp_report r;
+         if r.A.analysis.A.flagged || not r.A.ok then 1 else 0)
 
 let analyze_cmd =
   let all =
     Arg.(value & flag
          & info [ "all" ]
-             ~doc:"Analyze every registered protocol and certify the parallel \
-                   engine race-free (the CI gate).")
+             ~doc:"Gate every registered protocol, certify the parallel \
+                   engine race-free and check the registry against the \
+                   catalog (the CI gate).")
   in
   let protocol =
     Arg.(value & opt (some string) None
-         & info [ "protocol" ] ~docv:"NAME" ~doc:"Analyze a single registered protocol.")
+         & info [ "protocol" ] ~docv:"NAME" ~doc:"Gate a single registered protocol.")
   in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit machine-readable JSON.") in
-  let certify =
-    Arg.(value & flag
-         & info [ "certify" ]
-             ~doc:"Run the gating certificate pass: harvest every registry \
-                   entry's witnesses, demand the independent micro-checker \
-                   and the engine replay accept each one, and demand every \
-                   tampered variant is rejected.")
-  in
   Cmd.v
     (Cmd.info "analyze"
-       ~doc:"Run the static analyzers: footprint lint, determinism checker, \
-             bounded property pass, engine race detector, certificate gate \
-             (the two-engine cross-check is $(b,tightspace crosscheck))")
-    Term.(const analyze $ all $ protocol $ json $ domains_arg $ certify)
+       ~doc:"Run the registry gate: footprint lint and determinism checker, \
+             then (only for a protocol they pass) the bounded property \
+             search, the two-engine comparison and the certificate checks \
+             (micro-checker, engine replay, four tampers per witness); \
+             with --all also the engine race detector")
+    Term.(const analyze $ all $ protocol $ json $ domains_arg)
 
 let cover_cmd =
   let alg =
@@ -1122,58 +1097,6 @@ let certify_cmd =
              micro-checker (exit 3 if any certificate is rejected, 2 if a \
              file cannot be read)")
     Term.(const certify_files $ files $ json_arg)
-
-(* crosscheck: run both lower-bound engines over the registry and diff
-   their answers.  Full-run exit gates on the report (every expectation
-   met, at least one agreement); single-protocol exit gates on the
-   agreement itself: 0 agreed, 1 diverged, 2 nothing to compare. *)
-let crosscheck protocol json domains deadline metrics =
-  let module X = Ts_analysis.Crosscheck in
-  let pr_json j = print_endline (Ts_analysis.Json.to_string_pretty j) in
-  with_metrics metrics @@ fun () ->
-  match protocol with
-  | Some name -> (
-      match Ts_analysis.Registry.find name with
-      | None ->
-          Printf.eprintf "crosscheck: unknown protocol %S\n" name;
-          2
-      | Some e ->
-          let row = X.run_entry ?deadline e in
-          if json then pr_json (X.row_to_json row)
-          else Format.printf "%a@." X.pp_row row;
-          verdict_exit row.X.verdict)
-  | None ->
-      let r = X.run ~domains ?deadline () in
-      if json then pr_json (X.report_to_json r)
-      else Format.printf "%a@." X.pp_report r;
-      if r.X.ok then 0 else 1
-
-let crosscheck_cmd =
-  let protocol =
-    Arg.(value & opt (some string) None
-         & info [ "protocol" ] ~docv:"NAME"
-             ~doc:"Cross-check a single registry protocol instead of the \
-                   whole registry.  Exit gates on the diff itself: 0 when \
-                   the engines agree, 1 when they diverge, 2 when there is \
-                   nothing to compare.")
-  in
-  let deadline =
-    Arg.(value & opt (some float) None
-         & info [ "deadline" ] ~docv:"SECONDS"
-             ~doc:"Per-engine wall-clock budget for each protocol \
-                   (default 15 s); a stuck construction degrades to a \
-                   recorded partial rather than hanging the gate.")
-  in
-  Cmd.v
-    (Cmd.info "crosscheck"
-       ~doc:"Run both lower-bound engines — the Lemma 1-4 construction and \
-             the revisionist-simulation engine — over every registry \
-             protocol and diff their answers: identical space bounds, both \
-             witnesses replayed and certified.  Exits 0 only when every \
-             expected agreement holds and the planted divergence fixture \
-             is caught.")
-    Term.(const crosscheck $ protocol $ json_arg $ domains_arg $ deadline
-          $ metrics_arg)
 
 (* store: offline inspection of a witness log *)
 
@@ -1506,7 +1429,7 @@ let () =
            [
              witness_cmd; check_cmd; resilient_cmd; jtt_cmd; mutex_cmd;
              encode_cmd; elect_cmd; multicore_cmd; kset_cmd; multi_cmd;
-             dot_cmd; cover_cmd; analyze_cmd; certify_cmd; crosscheck_cmd;
+             dot_cmd; cover_cmd; analyze_cmd; certify_cmd;
              trace_cmd; serve_cmd; query_cmd; store_cmd; chaos_cmd;
            ])
     with

@@ -81,22 +81,6 @@ else
   echo "odoc not installed; skipping doc build"
 fi
 
-echo "== static analysis gate (5 min cap) =="
-# the full gate: every legitimate protocol clean, every Broken.* control
-# flagged, the parallel engine certified race-free, the planted race caught
-timeout 300 dune exec bin/tightspace.exe -- analyze --all --json \
-  > /tmp/analyze-all.json
-grep -q '"ok": true' /tmp/analyze-all.json
-grep -q '"planted_race_caught": true' /tmp/analyze-all.json
-# single-protocol mode gates on the protocol itself: a broken control must
-# exit non-zero even though the registry expects it to be flagged
-if timeout 300 dune exec bin/tightspace.exe -- analyze --protocol broken-lww \
-     > /dev/null 2>&1; then
-  echo "ci: analyze did not flag broken-lww" >&2
-  exit 1
-fi
-timeout 300 dune exec bin/tightspace.exe -- analyze --protocol racing > /dev/null
-
 echo "== serve smoke (daemon + mixed batch + cache hit + drain; 5 min cap) =="
 # the daemon must start on an ephemeral port, answer a mixed batch
 # (including one deliberately malformed frame), serve the repeated query
@@ -222,18 +206,37 @@ timeout 600 "$TS" chaos torture --iterations 300 --seed 2026 \
 grep -q '"iterations":300' /tmp/torture.json
 rm -f "$TORTURE_LOG"
 
-echo "== certificate gate (witness corpus + micro-checker + tamper rejection; 10 min cap) =="
+echo "== registry gate (analyzers, engine comparison, certificates; 10 min cap) =="
+# the one gate, each entry's checks run once: every legitimate protocol
+# clean and every Broken.* control flagged, every expected engine
+# agreement held and the planted broken-scribbler divergence caught, every
+# registry witness certified (micro-checker AND engine replay) with every
+# tampered variant rejected, the parallel engine certified race-free and
+# the planted race caught
+timeout 600 dune exec bin/tightspace.exe -- analyze --all --json \
+  > /tmp/analyze-all.json
+grep -q '^  "ok": true' /tmp/analyze-all.json
+grep -q '"planted_race_caught": true' /tmp/analyze-all.json
+# the gate proves it can catch a divergence: the first verdict after the
+# broken-scribbler entry opens is its comparison's
+sed -n '/^      "protocol": "broken-scribbler"/,/"status"/p' /tmp/analyze-all.json \
+  | grep -q '"status": "diverged"' || {
+  echo "ci: analyze --all did not catch the planted broken-scribbler divergence" >&2
+  exit 1; }
+# single-protocol mode gates on the protocol itself: a broken control must
+# exit non-zero even though the registry expects it to be flagged
+if timeout 300 dune exec bin/tightspace.exe -- analyze --protocol broken-lww \
+     > /dev/null 2>&1; then
+  echo "ci: analyze did not flag broken-lww" >&2
+  exit 1
+fi
+timeout 300 dune exec bin/tightspace.exe -- analyze --protocol racing > /dev/null
 # the trust base must stay minimal: the micro-checker's dune stanza may
 # never grow a (libraries ...) field — stdlib only, enforced here
 if grep -q "(libraries" lib/cert/microcheck/dune; then
   echo "ci: lib/cert/microcheck must not depend on any library" >&2
   exit 1
 fi
-# the gating pass: every registry witness certifies (micro-checker AND
-# engine replay), every tampered variant is rejected
-timeout 600 dune exec bin/tightspace.exe -- analyze --certify --json \
-  > /tmp/certify-gate.json
-grep -q '"ok": true' /tmp/certify-gate.json
 # a small on-disk corpus through the standalone checker
 CERTDIR=/tmp/ci-certs-$$
 mkdir -p "$CERTDIR"
@@ -286,26 +289,8 @@ wait "$SERVE_PID" || true
 timeout 60 "$TS" store "$AUDIT_STORE" --audit > /tmp/store-audit.out
 grep -q "certificate pass" /tmp/store-audit.out
 rm -rf "$CERTDIR" "$AUDIT_STORE"
-
-echo "== crosscheck gate (two lower-bound engines, full registry; 10 min cap) =="
-# both engines over every registry protocol: identical bounds and accepted
-# witnesses wherever agreement is expected, and at least one agreement
-timeout 600 dune exec bin/tightspace.exe -- crosscheck --json \
-  > /tmp/crosscheck-gate.json
-grep -q '"ok": true' /tmp/crosscheck-gate.json
-# the gate must prove it can catch a divergence: the planted
-# broken-scribbler fixture (revisionist claims a bound, Lemmas refuses)
-# exits non-zero in single-protocol mode
-if timeout 300 dune exec bin/tightspace.exe -- crosscheck \
-     --protocol broken-scribbler > /dev/null 2>&1; then
-  echo "ci: crosscheck did not catch the planted broken-scribbler divergence" >&2
-  exit 1
-fi
-# ...and a genuine agreement exits zero
-timeout 300 dune exec bin/tightspace.exe -- crosscheck --protocol racing \
-  > /dev/null
-# the two-engine witness path runs the same comparison: it agrees end to
-# end on the CLI too, and calls the planted fixture a divergence (exit 1)
+# the two-engine witness path runs the gate's comparison: it agrees end
+# to end on the CLI too, and calls the planted fixture a divergence (exit 1)
 timeout 300 "$TS" witness --protocol racing -n 2 --engine both \
   > /tmp/witness-both.out
 grep -q "engines agree: space bound 1" /tmp/witness-both.out

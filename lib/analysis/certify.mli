@@ -1,41 +1,28 @@
-(** The gating certificate pass behind [tightspace analyze --certify].
+(** The certificate checks behind the registry gate ([Analyze.gate]).
 
-    Harvests the engine's witnesses for every registry entry — both
-    engines' space-bound certificates for the [Expect_agree] entries,
-    taken from the two-engine comparison ({!Crosscheck.run_entry}, so CI
-    certifies the witnesses [tightspace witness] and the daemon produce),
-    property violations for the negative controls, a resilience violation
-    for the crash control, a 1-agreement violation for the k-set
-    protocol — and
-    demands that every emitted certificate passes {e both} independent
-    checks ({!Ts_microcheck.Microcheck} and the engine-side
-    {!Ts_cert.Cert.validate}) while every mutated variant (byte flip,
-    schedule truncation with a forged digest, verdict rewrite with a
-    forged digest, digest zeroing) is rejected.
+    The gate hands over the witnesses it found on one entry — property
+    violations from its searches, both engines' space-bound certificates
+    from its two-engine comparison — and {!check} demands that every one
+    passes {e both} independent checks ({!Ts_microcheck.Microcheck} and
+    the engine-side {!Ts_cert.Cert.validate}) while every mutated variant
+    is rejected by the micro-checker.  The four mutants are a single
+    flipped byte, the schedule's first step reattributed to another
+    process (a phantom step when the schedule is empty) with a forged
+    digest, the claim rewritten wholesale with a forged digest, and a
+    zeroed digest. *)
 
-    Entries with no executable witness (the lint controls, or a clean
-    protocol the two-engine gate does not expect to agree, such as
-    multivalued) are recorded as skipped with a reason.  [report.ok] — every
-    witness validated, every mutant rejected, at least one witness
-    overall — is the CI gate. *)
-
-type protocol_report = {
-  name : string;
-  witnesses : int;  (** certificates emitted for this protocol *)
+type report = {
+  witnesses : int;  (** certificates checked *)
   validated : int;  (** accepted by micro-checker + engine replay *)
   tampers : int;  (** mutants generated *)
   tampers_rejected : int;
-  skipped : string option;  (** reason when no witness was attempted *)
   errors : string list;
   checker_ns : int64;  (** total micro-checker time, wall clock *)
-  engine_ns : int64;  (** total witness-producing engine time *)
 }
 
-type report = { protocols : protocol_report list; ok : bool }
+(** [check proto certs] checks each [(what, certificate)] pair of
+    [proto]'s witnesses; [what] names the witness in error messages. *)
+val check : 's Ts_model.Protocol.t -> (string * Ts_cert.Cert.t) list -> report
 
-(** Run the pass over the whole registry.  [?domains] (default 1) fans
-    the property searches out. *)
-val run : ?domains:int -> unit -> report
-
-val report_to_json : report -> Json.t
-val pp_report : Format.formatter -> report -> unit
+(** Every witness validated and every mutant rejected. *)
+val ok : report -> bool

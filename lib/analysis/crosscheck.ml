@@ -138,85 +138,6 @@ let compare_engines ?(budget = fun () -> Budget.unlimited) ?horizon proto =
       Obs.set_bool sp "unavailable" true);
   { lemmas; revisionist; verdict }
 
-(* --- the registry gate ------------------------------------------------- *)
-
-type row = {
-  name : string;
-  expect : Registry.xcheck;
-  comparison : comparison option;
-  verdict : verdict;
-}
-
-type report = { rows : row list; ok : bool }
-
-let run_entry ?(deadline = 15.0) (e : Registry.entry) : row =
-  let (Protocol.Packed proto) = e.Registry.protocol in
-  (* the lint controls cannot be stepped; mirror the analyzer's skip *)
-  let lint_findings, _ =
-    Lint.run e.Registry.claims proto ~inputs_list:e.Registry.inputs_list
-      ~max_configs:e.Registry.max_configs ~max_depth:e.Registry.max_depth
-  in
-  let comparison, verdict =
-    if Finding.errors lint_findings <> [] then
-      (None, Unavailable "static lint errors — stepping this protocol is unsafe")
-    else
-      let c =
-        compare_engines ~budget:(fun () -> Budget.create ~deadline ()) proto
-      in
-      (Some c, c.verdict)
-  in
-  { name = e.Registry.cli_name; expect = e.Registry.xcheck; comparison; verdict }
-
-let row_ok (r : row) =
-  match (r.expect, r.verdict) with
-  | Registry.Expect_agree, Agreed _ -> true
-  | Registry.Expect_agree, _ -> false
-  | Registry.Expect_diverge, Diverged _ -> true
-  | Registry.Expect_diverge, _ -> false
-  | Registry.Informational, _ -> true
-
-let run ?(domains = 1) ?deadline () : report =
-  let entries = Registry.all () in
-  let rows =
-    if domains <= 1 then List.map (run_entry ?deadline) entries
-    else Par.map_list ~domains (run_entry ?deadline) entries
-  in
-  let ok =
-    List.for_all row_ok rows
-    && List.exists (fun r -> match r.verdict with Agreed _ -> true | _ -> false) rows
-  in
-  { rows; ok }
-
-(* --- rendering --------------------------------------------------------- *)
-
-let expect_name = function
-  | Registry.Expect_agree -> "agree"
-  | Registry.Expect_diverge -> "diverge"
-  | Registry.Informational -> "informational"
-
-let summary_to_json (s : Outcome.summary) =
-  Json.Obj
-    [
-      ("engine", Json.Str (Outcome.engine_name s.Outcome.engine));
-      ("n", Json.Int s.Outcome.n);
-      ("bound", Json.Int s.Outcome.bound);
-      ("registers_written",
-       Json.List (List.map (fun r -> Json.Int r) s.Outcome.registers_written));
-      ("schedule_length", Json.Int s.Outcome.schedule_length);
-      ("search_effort", Json.Int s.Outcome.search_effort);
-    ]
-
-let engine_result_to_json = function
-  | Completed (s, errs) ->
-      Json.Obj
-        [
-          ("status", Json.Str "complete");
-          ("summary", summary_to_json s);
-          ("witness_errors", Json.List (List.map (fun e -> Json.Str e) errs));
-        ]
-  | Walled reason | Tripped reason ->
-      Json.Obj [ ("status", Json.Str "partial"); ("reason", Json.Str reason) ]
-
 let verdict_to_json = function
   | Agreed bound ->
       Json.Obj [ ("status", Json.Str "agreed"); ("bound", Json.Int bound) ]
@@ -226,58 +147,7 @@ let verdict_to_json = function
       Json.Obj
         [ ("status", Json.Str "unavailable"); ("reason", Json.Str reason) ]
 
-let row_to_json (r : row) =
-  let ns x = Json.Int (Int64.to_int x) in
-  let lemmas, lemmas_ns, revisionist, revisionist_ns =
-    match r.comparison with
-    | None -> (Json.Null, Json.Int 0, Json.Null, Json.Int 0)
-    | Some c ->
-        ( engine_result_to_json c.lemmas.result,
-          ns c.lemmas.ns,
-          engine_result_to_json c.revisionist.result,
-          ns c.revisionist.ns )
-  in
-  Json.Obj
-    [
-      ("protocol", Json.Str r.name);
-      ("expect", Json.Str (expect_name r.expect));
-      ("verdict", verdict_to_json r.verdict);
-      ("ok", Json.Bool (row_ok r));
-      ("lemmas", lemmas);
-      ("revisionist", revisionist);
-      ("lemmas_ns", lemmas_ns);
-      ("revisionist_ns", revisionist_ns);
-    ]
-
-let report_to_json (r : report) =
-  let count p = List.length (List.filter p r.rows) in
-  Json.Obj
-    [
-      ("ok", Json.Bool r.ok);
-      ("agreed",
-       Json.Int (count (fun x -> match x.verdict with Agreed _ -> true | _ -> false)));
-      ("diverged",
-       Json.Int
-         (count (fun x -> match x.verdict with Diverged _ -> true | _ -> false)));
-      ("unavailable",
-       Json.Int
-         (count (fun x ->
-              match x.verdict with Unavailable _ -> true | _ -> false)));
-      ("rows", Json.List (List.map row_to_json r.rows));
-    ]
-
 let pp_verdict ppf = function
   | Agreed bound -> Fmt.pf ppf "AGREE (bound %d)" bound
   | Diverged reason -> Fmt.pf ppf "DIVERGE: %s" reason
   | Unavailable reason -> Fmt.pf ppf "unavailable: %s" reason
-
-let pp_row ppf (r : row) =
-  Fmt.pf ppf "%-16s [expect %-13s] %a%s" r.name (expect_name r.expect)
-    pp_verdict r.verdict
-    (if row_ok r then "" else "  <-- gate failure")
-
-let pp_report ppf (r : report) =
-  Fmt.pf ppf "@[<v>%a@,crosscheck: %s@]"
-    (Fmt.list ~sep:Fmt.cut pp_row)
-    r.rows
-    (if r.ok then "PASS" else "FAIL")

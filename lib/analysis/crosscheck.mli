@@ -3,9 +3,9 @@
     {!compare_engines} runs the Lemma 1–4 construction
     ({!Ts_core.Theorem}) and the revisionist-simulation engine
     ([Ts_revisionist.Revisionist]) on one protocol and diffs their
-    answers.  It is the only code that compares the engines: the
-    [tightspace crosscheck] gate below, [witness --engine both], the E26
-    table and the [analyze --certify] pass all call it.
+    answers.  It is the only code that compares the engines: the registry
+    gate ([Analyze.gate], once per steppable entry), [witness --engine
+    both] and the E26 table all call it.
 
     Each engine runs under its shared witness policy
     ({!Ts_core.Theorem.witness}, [Revisionist.witness]): an explicit
@@ -24,12 +24,6 @@
       revisionist adversary claims a bound and the Lemmas engine finds
       Proposition 2 false;
     - any budget trip, or neither engine completing: {!Unavailable}.
-
-    The registry gate ({!run}, {!run_entry}) demands of each entry what
-    its {!Registry.xcheck} declares: [Expect_agree] rows must agree,
-    [Expect_diverge] rows (the planted fixture) must diverge, and
-    [Informational] rows are reported but not gated.  A gate that cannot
-    catch a planted divergence would never catch a real one.
 
     Instrumentation: span [crosscheck.protocol] (cat [crosscheck]) per
     comparison; counters [crosscheck.compared], [crosscheck.agreed],
@@ -66,7 +60,8 @@ type verdict =
   | Diverged of string  (** a disagreement, with the reason *)
   | Unavailable of string
       (** nothing to compare: a budget trip, neither engine complete,
-          or (registry rows) static lint errors *)
+          or (the registry gate) static errors that kept the protocol
+          from being stepped *)
 
 type comparison = {
   lemmas : Ts_core.Theorem.outcome side;
@@ -90,35 +85,5 @@ val compare_engines :
   's Ts_model.Protocol.t ->
   comparison
 
-type row = {
-  name : string;
-  expect : Registry.xcheck;
-  comparison : comparison option;  (** [None] when lint-skipped *)
-  verdict : verdict;
-}
-
-type report = {
-  rows : row list;
-  ok : bool;
-      (** every [Expect_agree] row agreed, every [Expect_diverge] row
-          diverged, and at least one agreement exists *)
-}
-
-(** [run_entry ?deadline e] compares the engines on one registry entry,
-    unless lint flags it.  Each engine gets its own budget of [deadline]
-    seconds (default 15). *)
-val run_entry : ?deadline:float -> Registry.entry -> row
-
-(** [run ?domains ?deadline ()] runs {!run_entry} over the whole
-    registry, fanning rows out over [domains] (default 1) with
-    {!Ts_model.Par}. *)
-val run : ?domains:int -> ?deadline:float -> unit -> report
-
-(** Whether a single row meets its own expectation. *)
-val row_ok : row -> bool
-
 val verdict_to_json : verdict -> Json.t
-val report_to_json : report -> Json.t
-val row_to_json : row -> Json.t
-val pp_row : Format.formatter -> row -> unit
-val pp_report : Format.formatter -> report -> unit
+val pp_verdict : Format.formatter -> verdict -> unit

@@ -14,6 +14,7 @@ type entry = {
   max_configs : int;
   max_depth : int;
   solo_budget : int;
+  resilience : int option;
   expect_clean : bool;
   xcheck : xcheck;
 }
@@ -32,59 +33,48 @@ let range_inputs n ~lo ~hi =
   in
   List.map Array.of_list (go 0)
 
-let entry ?(claims = rw_det) ?(k = 1) ?(max_configs = 4_000) ?(max_depth = 25)
-    ?(solo_budget = 300) ?(inputs_list : Value.t array list option)
-    ?(expect_clean = true) ?(xcheck = Informational) cli_name
-    (Protocol.Packed p as protocol) =
+(* The instance comes from the catalog, the one name -> instance
+   authority, so a registered name is always a cataloged one. *)
+let entry ?(n = 2) ?(claims = rw_det) ?(k = 1) ?(max_configs = 4_000)
+    ?(max_depth = 25) ?(solo_budget = 300) ?inputs_list ?resilience
+    ?(expect_clean = true) ?(xcheck = Informational) cli_name =
+  let protocol =
+    match Ts_protocols.Catalog.find cli_name ~n with
+    | Ok p -> p
+    | Error m -> invalid_arg ("Registry: " ^ m)
+  in
   let inputs_list =
     match inputs_list with
     | Some l -> l
-    | None -> Ts_checker.Explore.binary_inputs p.Protocol.num_processes
+    | None -> Ts_checker.Explore.binary_inputs n
   in
   { cli_name; protocol; claims; inputs_list; k; max_configs; max_depth;
-    solo_budget; expect_clean; xcheck }
+    solo_budget; resilience; expect_clean; xcheck }
 
 let all () =
-  let open Ts_protocols in
   [
-    entry "racing" (Protocol.Packed (Racing.make ~n:2)) ~xcheck:Expect_agree;
-    entry "racing-rand"
-      (Protocol.Packed (Racing.make_randomized ~n:2))
-      ~claims:{ rw_det with may_flip = true }
+    entry "racing" ~xcheck:Expect_agree;
+    entry "racing-rand" ~claims:{ rw_det with may_flip = true }
       ~xcheck:Expect_agree;
-    entry "swap"
-      (Protocol.Packed (Swap_consensus.two_process ()))
-      ~claims:{ rw_det with may_swap = true }
-      ~xcheck:Expect_agree;
-    entry "kset" (Protocol.Packed (Kset.make ~n:3 ~k:2)) ~k:2
-      ~max_configs:12_000 ~solo_budget:150;
+    entry "swap" ~claims:{ rw_det with may_swap = true } ~xcheck:Expect_agree;
+    entry "kset" ~n:3 ~k:2 ~max_configs:12_000 ~solo_budget:150;
     entry "multivalued"
-      (Protocol.Packed (Multivalued.make ~n:2 ~bits:2))
       ~claims:{ rw_det with binary_decides = false }
       ~inputs_list:(range_inputs 2 ~lo:0 ~hi:3)
       ~max_configs:12_000 ~solo_budget:400;
     (* negative controls: the gate requires each to be flagged *)
-    entry "swap-chain"
-      (Protocol.Packed (Swap_consensus.naive_chain ~n:3))
-      ~claims:{ rw_det with may_swap = true }
+    entry "swap-chain" ~n:3 ~claims:{ rw_det with may_swap = true }
       ~expect_clean:false;
-    entry "broken-lww" (Protocol.Packed (Broken.last_write_wins ~n:2))
-      ~expect_clean:false;
-    entry "broken-max" (Protocol.Packed (Broken.naive_max ~n:2))
-      ~max_configs:50_000 ~max_depth:30 ~expect_clean:false;
-    entry "broken-const" (Protocol.Packed (Broken.oblivious_seven ~n:2))
-      ~expect_clean:false;
-    entry "broken-spin" (Protocol.Packed (Broken.insomniac ~n:2))
-      ~expect_clean:false;
-    entry "broken-wait" (Protocol.Packed (Broken.wait_for_all ~n:2))
-      ~expect_clean:false;
-    entry "broken-rogue" (Protocol.Packed (Broken.rogue_writer ~n:2))
-      ~expect_clean:false;
-    (* the crosscheck layer's planted divergence: the revisionist engine
-       claims a bound here, the Lemmas engine refuses — the gate must
-       catch the disagreement *)
-    entry "broken-scribbler" (Protocol.Packed (Broken.scribbler ~n:2))
-      ~expect_clean:false ~xcheck:Expect_diverge;
+    entry "broken-lww" ~expect_clean:false;
+    entry "broken-max" ~max_configs:50_000 ~max_depth:30 ~expect_clean:false;
+    entry "broken-const" ~expect_clean:false;
+    entry "broken-spin" ~expect_clean:false;
+    (* the crash control: it also violates 1-resilience *)
+    entry "broken-wait" ~resilience:1 ~expect_clean:false;
+    entry "broken-rogue" ~expect_clean:false;
+    (* the planted divergence: the revisionist engine claims a bound here,
+       the Lemmas engine refuses — the gate must catch the disagreement *)
+    entry "broken-scribbler" ~expect_clean:false ~xcheck:Expect_diverge;
   ]
 
 let find name = List.find_opt (fun e -> String.equal e.cli_name name) (all ())

@@ -202,7 +202,7 @@ let rogue_writer ~n =
    not a consensus protocol at all: a solo run of p decides 1 - input,
    so the Lemmas engine correctly refuses at Proposition 2 (p cannot
    decide its own input solo) and the two engines must disagree.
-   [tightspace crosscheck] is required to catch exactly this. *)
+   [tightspace analyze] is required to catch exactly this. *)
 let scribbler ~n =
   base ~name:(Printf.sprintf "broken-scribbler-%d" n)
     ~description:"announce input, decide its complement" ~n ~regs:n

@@ -44,9 +44,8 @@ val insomniac : n:int -> state Ts_model.Protocol.t
     revisionist engine still parks every process on its own announcing
     write and claims the [n - 1] bound, while the Lemmas engine
     correctly refuses at Proposition 2 ([p] cannot decide its own input
-    solo); the crosscheck gate must flag exactly this disagreement
-    ([Ts_analysis.Crosscheck], [tightspace crosscheck --protocol
-    broken-scribbler]). *)
+    solo); the registry gate's two-engine comparison must flag exactly
+    this disagreement ([Ts_analysis.Crosscheck], [tightspace analyze]). *)
 val scribbler : n:int -> state Ts_model.Protocol.t
 
 (** Declares a single register but is poised to write register 1 — outside

@@ -199,8 +199,9 @@ let compute t (r : Request.t) : Json.t * bool =
                r.Request.protocol
                (String.concat ", " (Ts_analysis.Registry.names ())) ))
     | Some entry ->
-      let report = Ts_analysis.Analyze.analyze entry in
-      (Ts_analysis.Analyze.report_to_json report, true))
+      (* the registry gate's first stage: findings and lint summary *)
+      let analysis = Ts_analysis.Analyze.analyze entry in
+      (Ts_analysis.Analyze.analysis_to_json analysis, true))
 
 let cacheable_op (r : Request.t) =
   match r.Request.op with

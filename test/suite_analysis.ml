@@ -12,6 +12,11 @@ let has_error ~code fs =
   List.exists (fun f -> f.Finding.severity = Finding.Error && f.Finding.code = code) fs
 let binary2 = Ts_checker.Explore.binary_inputs 2
 
+let contains ~needle haystack =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  go 0
+
 (* lint *)
 
 let lint_racing_clean () =
@@ -225,33 +230,122 @@ let trace_disarmed_is_free () =
   let log = Obs.stop_accesses () in
   Alcotest.(check int) "no events leak from disarmed periods" 0 (List.length log)
 
-(* driver *)
+(* the registry gate *)
 
-let analyze_flags_every_broken () =
-  let o = Analyze.analyze_all () in
+(* Run [f] with metrics armed and return its value with the counters. *)
+let with_counters f =
+  Obs.Metrics.start ();
+  let snap = ref None in
+  let x = Fun.protect ~finally:(fun () -> snap := Some (Obs.Metrics.stop ())) f in
+  let counters = (Option.get !snap).Obs.Metrics.counters in
+  (x, fun name -> Option.value ~default:0 (List.assoc_opt name counters))
+
+let verdict_class = function
+  | Crosscheck.Agreed b -> Printf.sprintf "agreed %d" b
+  | Crosscheck.Diverged _ -> "diverged"
+  | Crosscheck.Unavailable _ -> "unavailable"
+
+(* One gate run pins every entry's answer and the work behind it: each
+   entry's checks run once, so the property searches, the extra searches
+   and the race check cost 51 Explore vectors, and the comparison runs on
+   the 10 entries that may be stepped. *)
+let gate_matches_every_expectation () =
+  let o, counter = with_counters (fun () -> Analyze.gate_all ()) in
+  let row (r : Analyze.report) =
+    let c = r.Analyze.certificates in
+    Printf.sprintf "%s %s %s %d/%d %d/%d%s" r.Analyze.analysis.Analyze.entry.Registry.cli_name
+      (if r.Analyze.analysis.Analyze.flagged then "flagged" else "clean")
+      (verdict_class r.Analyze.verdict) c.Certify.validated c.Certify.witnesses
+      c.Certify.tampers_rejected c.Certify.tampers
+      (match r.Analyze.skipped with None -> "" | Some _ -> " skipped")
+  in
+  Alcotest.(check (list string)) "per-entry results"
+    [
+      "racing clean agreed 1 2/2 8/8";
+      "racing-rand clean agreed 1 2/2 8/8";
+      "swap clean agreed 1 2/2 8/8";
+      "kset clean diverged 1/1 4/4";
+      "multivalued clean agreed 1 0/0 0/0 skipped";
+      "swap-chain flagged unavailable 1/1 4/4";
+      "broken-lww flagged agreed 1 1/1 4/4";
+      "broken-max flagged agreed 1 1/1 4/4";
+      "broken-const flagged unavailable 0/0 0/0 skipped";
+      "broken-spin flagged unavailable 0/0 0/0 skipped";
+      "broken-wait flagged diverged 2/2 8/8";
+      "broken-rogue flagged unavailable 0/0 0/0 skipped";
+      "broken-scribbler flagged diverged 1/1 4/4";
+    ]
+    (List.map row o.Analyze.reports);
   List.iter
-    (fun (r : Analyze.protocol_report) ->
-      let name = r.Analyze.entry.Registry.cli_name in
-      Alcotest.(check bool) (name ^ " meets expectation") true r.Analyze.ok;
-      if not r.Analyze.entry.Registry.expect_clean then
-        Alcotest.(check bool) (name ^ " flagged") true r.Analyze.flagged)
+    (fun (r : Analyze.report) ->
+      Alcotest.(check bool)
+        (r.Analyze.analysis.Analyze.entry.Registry.cli_name ^ " meets expectation")
+        true r.Analyze.ok)
     o.Analyze.reports;
+  Alcotest.(check (list (pair string int))) "each entry's work runs once"
+    [ ("crosscheck.compared", 10); ("explore.vectors", 51);
+      ("explore.configs_explored", 52_991) ]
+    (List.map (fun k -> (k, counter k))
+       [ "crosscheck.compared"; "explore.vectors"; "explore.configs_explored" ]);
   Alcotest.(check bool) "engine certified" true (Race.race_free o.Analyze.engine);
   Alcotest.(check bool) "planted caught" false (Race.race_free o.Analyze.planted);
-  Alcotest.(check bool) "overall gate passes" true o.Analyze.ok
+  Alcotest.(check (list string)) "no unregistered protocols" [] o.Analyze.unregistered;
+  Alcotest.(check bool) "overall gate passes" true o.Analyze.ok;
+  (* the daemon serves the first stage; the gate's entry document carries
+     that document unchanged *)
+  List.iter
+    (fun (r : Analyze.report) ->
+      let served =
+        Analyze.analysis_to_json (Analyze.analyze r.Analyze.analysis.Analyze.entry)
+      in
+      Alcotest.(check (option string))
+        (r.Analyze.analysis.Analyze.entry.Registry.cli_name ^ " first stage")
+        (Some (Json.to_string served))
+        (Option.map Json.to_string (Json.member "analysis" (Analyze.report_to_json r))))
+    o.Analyze.reports
 
 (* Registry <-> catalog lockstep: every consensus protocol the CLI can
-   name is analyzed by the gate, and every gate entry is reachable from
-   the CLI.  A protocol added to lib/protocols without a registry entry
-   must fail analyze --all loudly, not slip through unanalyzed. *)
+   name is gated (entries are built from the catalog, so the converse
+   holds by construction).  A protocol added to lib/protocols without a
+   registry entry must fail analyze --all loudly, not slip through
+   unanalyzed; the gate test above pins its drift list empty. *)
 let registry_catalog_lockstep () =
   let sorted l = List.sort compare l in
   Alcotest.(check (list string)) "registry = catalog"
     (sorted (Ts_protocols.Catalog.names ()))
-    (sorted (Ts_analysis.Registry.names ()));
-  let o = Analyze.analyze_all ~domains:1 () in
-  Alcotest.(check (list string)) "no uncataloged entries" [] o.Analyze.uncataloged;
-  Alcotest.(check (list string)) "no unregistered protocols" [] o.Analyze.unregistered
+    (sorted (Registry.names ()))
+
+(* One rule for when a protocol may be stepped: determinism errors stop
+   the gate as surely as lint errors.  The hidden-ref fixture passes lint,
+   so a gate that consulted lint alone would run both engines on it and
+   report a spurious divergence (its replays disagree with its own
+   certificates). *)
+let gate_never_steps_unsafe () =
+  let racing = Option.get (Registry.find "racing") in
+  let entry =
+    { racing with
+      Registry.cli_name = "fixture-hidden-ref";
+      protocol = Protocol.Packed (hidden_ref_protocol ()) }
+  in
+  let r, counter = with_counters (fun () -> Analyze.gate entry) in
+  let codes =
+    List.sort_uniq compare
+      (List.map (fun f -> f.Finding.code) (Finding.errors r.Analyze.analysis.Analyze.findings))
+  in
+  Alcotest.(check bool) "static errors found" true (codes <> []);
+  Alcotest.(check bool) "no property search" true
+    (Option.is_none r.Analyze.analysis.Analyze.property);
+  Alcotest.(check int) "no Explore vector" 0 (counter "explore.vectors");
+  Alcotest.(check int) "no comparison" 0 (counter "crosscheck.compared");
+  Alcotest.(check int) "no certificate" 0 r.Analyze.certificates.Certify.witnesses;
+  (match r.Analyze.verdict with
+   | Crosscheck.Unavailable reason ->
+     List.iter
+       (fun code ->
+         Alcotest.(check bool) ("reason names " ^ code) true (contains ~needle:code reason))
+       codes
+   | v -> Alcotest.failf "verdict should be unavailable, got %s" (verdict_class v));
+  Alcotest.(check bool) "the gate fails the entry" false r.Analyze.ok
 
 let json_escaping () =
   Alcotest.(check string) "escapes" {|{"k":"a\"b\\c\n\u0007"}|}
@@ -296,7 +390,9 @@ let suite =
       Alcotest.test_case "analyze: registry/catalog lockstep" `Slow
         registry_catalog_lockstep;
       Alcotest.test_case "analyze: gate matches every expectation" `Slow
-        analyze_flags_every_broken;
+        gate_matches_every_expectation;
       Alcotest.test_case "json: string escaping" `Quick json_escaping;
       Alcotest.test_case "par: strip_slot guard" `Quick par_strip_slot;
+      Alcotest.test_case "analyze: static errors keep a protocol unstepped" `Quick
+        gate_never_steps_unsafe;
     ] )

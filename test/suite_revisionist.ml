@@ -1,4 +1,4 @@
-(* The second lower-bound engine and the two-engine crosscheck gate.
+(* The second lower-bound engine and the two-engine comparison.
 
    The heart of this suite is differential: both engines run over the
    registry and must claim the same bound with witnesses that replay —
@@ -43,7 +43,7 @@ let test_verify_catches_tamper () =
 
 (* The registry differential: on every entry the gate expects agreement
    on, both engines must complete with the same bound and each witness
-   must replay — the same invariant [tightspace crosscheck] gates CI on,
+   must replay — the same invariant [tightspace analyze --all] gates CI on,
    asserted here engine-to-engine without the CLI in between. *)
 let both_engines proto ~budget_l ~budget_r =
   let lemmas =
@@ -192,24 +192,43 @@ let test_certificate_refuses_faulted () =
      | exception Invalid_argument _ -> true
      | _ -> false)
 
-(* The gate itself: the full-registry report is ok (agreements where
-   expected) and the planted broken-scribbler fixture is caught as a
-   divergence — the property CI's [tightspace crosscheck] runs depend
-   on. *)
+(* The gate's comparison over the registry: every entry it gates on
+   ([Expect_agree], [Expect_diverge]) meets its expectation at the gate's
+   15 s budget, the planted broken-scribbler fixture is caught as a
+   divergence and racing agrees on bound 1 — the property the comparison
+   stage of [tightspace analyze --all] depends on. *)
 let test_crosscheck_report () =
-  let r = Crosscheck.run () in
-  Alcotest.(check bool) "crosscheck gate passes on the registry" true
-    r.Crosscheck.ok;
-  let row name =
-    List.find (fun (row : Crosscheck.row) -> row.Crosscheck.name = name)
-      r.Crosscheck.rows
+  let verdicts =
+    List.filter_map
+      (fun e ->
+        match e.Registry.xcheck with
+        | Registry.Informational -> None
+        | (Registry.Expect_agree | Registry.Expect_diverge) as expect ->
+          let (Protocol.Packed proto) = e.Registry.protocol in
+          let c =
+            Crosscheck.compare_engines
+              ~budget:(fun () -> Budget.create ~deadline:15.0 ())
+              proto
+          in
+          Some (e.Registry.cli_name, expect, c.Crosscheck.verdict))
+      (Registry.all ())
   in
-  (match (row "broken-scribbler").Crosscheck.verdict with
+  List.iter
+    (fun (name, expect, v) ->
+      match (expect, v) with
+      | Registry.Expect_agree, Crosscheck.Agreed _
+      | Registry.Expect_diverge, Crosscheck.Diverged _ -> ()
+      | _ -> Alcotest.failf "%s: unexpected verdict %a" name Crosscheck.pp_verdict v)
+    verdicts;
+  let verdict name =
+    match List.find_opt (fun (n, _, _) -> n = name) verdicts with
+    | Some (_, _, v) -> v
+    | None -> Alcotest.failf "%s is not gated by the comparison" name
+  in
+  (match verdict "broken-scribbler" with
    | Crosscheck.Diverged _ -> ()
-   | v ->
-     Alcotest.failf "planted fixture not caught: %a" Crosscheck.pp_row
-       { (row "broken-scribbler") with Crosscheck.verdict = v });
-  match (row "racing").Crosscheck.verdict with
+   | v -> Alcotest.failf "planted fixture not caught: %a" Crosscheck.pp_verdict v);
+  match verdict "racing" with
   | Crosscheck.Agreed 1 -> ()
   | _ -> Alcotest.fail "racing should agree on bound 1"
 
