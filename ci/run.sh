@@ -335,6 +335,22 @@ if [ "$RC" -ne 2 ]; then
   echo "ci: witness at n = 1 exited $RC, want 2" >&2
   exit 1
 fi
+# check and resilient refuse an n above the checker's limit before they
+# build its 2^n input vectors: exit 2 at once, naming the limit 16
+refuses_large_n() {
+  set +e
+  timeout 20 "$TS" "$@" > /dev/null 2> /tmp/ci-large-n.err
+  RC=$?
+  set -e
+  if [ "$RC" -ne 2 ]; then
+    echo "ci: $* exited $RC, want 2" >&2
+    exit 1
+  fi
+  grep -q "limit of 16" /tmp/ci-large-n.err || {
+    echo "ci: $* did not name the limit 16" >&2; cat /tmp/ci-large-n.err >&2; exit 1; }
+}
+refuses_large_n check --protocol racing -n 24
+refuses_large_n resilient --protocol racing -n 24 -t 1
 
 echo "== ledger smoke (every benchmark workload, 1 s each; 5 min cap) =="
 # every served answer the benchmark ledger draws is checked (witnesses,

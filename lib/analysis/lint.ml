@@ -121,7 +121,6 @@ let run ?(max_configs = 4_000) ?(max_depth = 25) claims proto ~inputs_list =
         | Some act ->
           let safe = examine_action p act in
           if safe then begin
-            let coins = match act with Action.Flip -> [ Some true; Some false ] | _ -> [ None ] in
             List.iter
               (fun coin ->
                 match Config.step proto cfg p ~coin with
@@ -135,7 +134,7 @@ let run ?(max_configs = 4_000) ?(max_depth = 25) claims proto ~inputs_list =
                   report snk ~code:"transition-raised" Finding.Error
                     (Printf.sprintf "p%d's transition raised on a reachable state: %s" p
                        (Printexc.to_string e)))
-              coins
+              (Execution.coins act)
           end
         | exception e ->
           report snk ~code:"transition-raised" Finding.Error

@@ -176,16 +176,8 @@ let probe_group proto pk cfg ps ~budget ~guard ~memo ~counters =
           counters.memo_hits <- counters.memo_hits + 1;
           search ()
         | _ ->
-          let push cfg' = push cfg' (n.depth + 1) (Some n) in
-          Pset.iter
-            (fun p ->
-              match Config.poised proto n.cfg p with
-              | None -> ()
-              | Some Action.Flip ->
-                push (fst (Config.step proto n.cfg p ~coin:(Some true)));
-                push (fst (Config.step proto n.cfg p ~coin:(Some false)))
-              | Some _ -> push (fst (Config.step proto n.cfg p ~coin:None)))
-            ps;
+          let depth = n.depth + 1 and parent = Some n in
+          Execution.iter_successors proto n.cfg ps (fun _ cfg' -> push cfg' depth parent);
           search ()
     end
   in
@@ -262,6 +254,7 @@ let bfs_reachable proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examin
      lets the race detector prove no cross-domain sharing ever happens *)
   let visited_loc = Obs.fresh_loc "explore.visited" in
   let cfg0 = Config.initial proto ~inputs in
+  let everyone = Pset.all proto.Protocol.num_processes in
   (* queue holds (config, reversed schedule, depth) *)
   let q = Queue.create () in
   Queue.add (cfg0, [], 0) q;
@@ -279,26 +272,16 @@ let bfs_reachable proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examin
       if depth >= max_depth || counters.explored >= max_configs then
         counters.trunc <- true
       else begin
-        (* inline successor expansion: no intermediate list *)
-        let push e cfg' =
-          let key = Ckey.pack pk cfg' in
-          Obs.access ~loc:visited_loc Obs.Read ~atomic:false;
-          if Ckey.Tbl.mem visited key then counters.hits <- counters.hits + 1
-          else begin
-            counters.misses <- counters.misses + 1;
-            Obs.access ~loc:visited_loc Obs.Write ~atomic:false;
-            Ckey.Tbl.replace visited key ();
-            Queue.add (cfg', e :: rev_sched, depth + 1) q
-          end
-        in
-        for p = 0 to proto.Protocol.num_processes - 1 do
-          match Config.poised proto cfg p with
-          | None -> ()
-          | Some Action.Flip ->
-            push (Execution.flip p true) (fst (Config.step proto cfg p ~coin:(Some true)));
-            push (Execution.flip p false) (fst (Config.step proto cfg p ~coin:(Some false)))
-          | Some _ -> push (Execution.ev p) (fst (Config.step proto cfg p ~coin:None))
-        done;
+        Execution.iter_successors proto cfg everyone (fun e cfg' ->
+            let key = Ckey.pack pk cfg' in
+            Obs.access ~loc:visited_loc Obs.Read ~atomic:false;
+            if Ckey.Tbl.mem visited key then counters.hits <- counters.hits + 1
+            else begin
+              counters.misses <- counters.misses + 1;
+              Obs.access ~loc:visited_loc Obs.Write ~atomic:false;
+              Ckey.Tbl.replace visited key ();
+              Queue.add (cfg', e :: rev_sched, depth + 1) q
+            end);
         let frontier = Queue.length q in
         if frontier > counters.peak then counters.peak <- frontier
       end
@@ -389,6 +372,14 @@ let check_set_agreement ?(domains = 1) ?(budget = Budget.unlimited) ~k proto
 let check_consensus ?domains ?budget proto =
   check_set_agreement ?domains ?budget ~k:1 proto
 
+(* --- instance size ----------------------------------------------------- *)
+
+let max_n = 16
+
+let refuse_large_n n =
+  if n > max_n then
+    invalid_arg (Printf.sprintf "n = %d is above the check/resilient limit of %d" n max_n)
+
 (* --- crash-fault resilience ------------------------------------------- *)
 
 (* All process subsets of size [t], as Pset masks in increasing mask
@@ -443,6 +434,7 @@ let check_resilient_from proto ~t ~inputs ~max_configs ~max_depth ~solo_budget ~
 
 let check_t_resilient ?(domains = 1) ?(budget = Budget.unlimited) ~t proto ~inputs_list
     ~max_configs ~max_depth ~solo_budget =
+  refuse_large_n proto.Protocol.num_processes;
   run_vectors ~domains
     (fun inputs ->
       check_resilient_from proto ~t ~inputs ~max_configs ~max_depth ~solo_budget
@@ -491,6 +483,7 @@ let replay ~solo_budget proto violation =
     stuck_group inputs schedule (Pset.of_list survivors) "survivor group"
 
 let binary_inputs n =
+  refuse_large_n n;
   let rec go k =
     if k = 0 then [ [] ]
     else

@@ -44,6 +44,14 @@
     is charged once per configuration the outer search dequeues and once
     per node a solo/group probe dequeues.
 
+    {b One step relation.}  Both kinds of search expand a node through
+    {!Ts_model.Execution.iter_successors}, the relation the valency oracle
+    walks too: the outer search with every process a member, in pid order
+    and a flip heads before tails, which fixes the violation schedules and
+    [stats]; a probe with the group's members only.  They keep their own
+    keys (the outer search the whole packed configuration, a probe the
+    group projection below), tables and counters.
+
     {b Probe memo.}  Every solo/group-termination probe is a BFS over the
     configurations reachable by steps of the group's members alone.  The
     probes of one input vector's search share a memo of distance bounds,
@@ -148,7 +156,7 @@ val check_set_agreement :
     is a {!Crash_stuck} witness; {!replay} re-validates it independently.
     [t = 0] degenerates to joint termination of the full group;
     [t = n - 1] is wait-freedom of every solo survivor.
-    @raise Invalid_argument unless [0 <= t <= n-1]. *)
+    @raise Invalid_argument unless [0 <= t <= n-1], or if [n > max_n]. *)
 val check_t_resilient :
   ?domains:int ->
   ?budget:Budget.t ->
@@ -188,8 +196,19 @@ val group_can_decide : 's probes -> 's Config.t -> Pset.t -> budget:int -> bool
 val replay :
   solo_budget:int -> 's Protocol.t -> violation -> (unit, string) Stdlib.result
 
-(** All 2^n binary input vectors for [n] processes. *)
+(** All 2^n binary input vectors for [n] processes.
+    @raise Invalid_argument if [n > max_n]. *)
 val binary_inputs : int -> Value.t array list
+
+(** The largest [n] (16) that {!binary_inputs} and {!check_t_resilient}
+    accept.  Both build all 2^n input vectors or crash masks before any
+    budget is first charged, so a larger [n] would exhaust memory before a
+    deadline could stop it. *)
+val max_n : int
+
+(** [refuse_large_n n] raises [Invalid_argument], with a message that
+    names {!max_n}, if [n > max_n]. *)
+val refuse_large_n : int -> unit
 
 (** Stable machine-readable tag of a violation's kind — ["agreement"],
     ["validity"], ["solo-termination"] or ["resilience"].  Part of the

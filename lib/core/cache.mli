@@ -1,13 +1,13 @@
 (** A sharded, mutex-striped LRU result cache for the search engine.
 
     The adversary constructions are expensive and perfectly cacheable:
-    PR 1's packed configuration keys ({!Ts_model.Ckey}) make every query
-    the engine answers identifiable by a canonical digest, and the service
+    the packed configuration keys ({!Ts_model.Ckey}) make every query the
+    engine answers identifiable by a canonical digest, and the service
     layer's whole point is answering repeat queries without re-running the
     valency searches that dominate wall-clock.  This module is the storage
-    half of that design, kept in core so any cache-aware entry-point
-    wrapper — the service dispatcher today, a memoized oracle tomorrow —
-    shares one implementation.
+    half of that design.  Its one user is the service dispatcher
+    ([Ts_service.Dispatch]); it needs only {!Ts_model.Ckey} digests and
+    {!Ts_obs}, and the engines themselves never consult it.
 
     {b Sharding.}  The key's full-width FNV hash picks one of 8
     independent LRU shards, each guarded by its own [Mutex]: concurrent

@@ -121,23 +121,12 @@ let search t cfg ps vs =
        done;
        if !missing = 0 then raise Exit;
        if depth < t.horizon then begin
-         Pset.iter
-           (fun p ->
-             let push coin =
-               let cfg', _ = Config.step t.proto cfg p ~coin in
-               let key = Ckey.pack pk cfg' in
-               if not (Ckey.Tbl.mem visited key) then begin
-                 Ckey.Tbl.replace visited key ();
-                 Queue.add (cfg', { Execution.pid = p; coin } :: rev_sched, depth + 1) q
-               end
-             in
-             match Config.poised t.proto cfg p with
-             | None -> ()
-             | Some Action.Flip ->
-               push (Some true);
-               push (Some false)
-             | Some _ -> push None)
-           ps;
+         Execution.iter_successors t.proto cfg ps (fun e cfg' ->
+             let key = Ckey.pack pk cfg' in
+             if not (Ckey.Tbl.mem visited key) then begin
+               Ckey.Tbl.replace visited key ();
+               Queue.add (cfg', e :: rev_sched, depth + 1) q
+             end);
          let frontier = Queue.length q in
          if frontier > !peak then peak := frontier
        end
@@ -261,25 +250,12 @@ let univalent_value t cfg ps =
 
 (* --- successor enumeration ---------------------------------------------- *)
 
-(* [search]'s expansion order as a list, for the ledger's per-node micro
-   row (ledger/micro.ml), which times one node's successors in isolation,
-   and for the checker's reference BFS (test/suite_checker.ml), which walks
-   the graph through it with every process a member. *)
+(* [search]'s expansion as a list, for the ledger's per-node micro row
+   (ledger/micro.ml) and the checker's reference BFS
+   (test/suite_checker.ml). *)
 let successors_within proto cfg ps =
   let acc = ref [] in
-  Pset.iter
-    (fun p ->
-      let push coin =
-        let cfg', _ = Config.step proto cfg p ~coin in
-        acc := ({ Execution.pid = p; coin }, cfg') :: !acc
-      in
-      match Config.poised proto cfg p with
-      | None -> ()
-      | Some Action.Flip ->
-        push (Some true);
-        push (Some false)
-      | Some _ -> push None)
-    ps;
+  Execution.iter_successors proto cfg ps (fun e cfg' -> acc := (e, cfg') :: !acc);
   List.rev !acc
 
 let pp_stats ppf (s : stats) =

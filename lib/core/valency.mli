@@ -106,15 +106,14 @@ type stats = {
 val stats : 's t -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
-(** [successors_within proto cfg ps] enumerates the P-only successor
-    configurations in exactly {!search}'s expansion order: members of
-    [ps] ascending, a coin flip resolved heads before tails.  The
-    benchmark ledger's [micro.valency_successors_ns] row
-    ([ledger/micro.ml]) calls it to time one search node's expansion on
-    its own.  With [ps] every process it is also the checker's serial BFS
-    insertion order: the reference BFS in [test/suite_checker.ml] walks
-    the graph through it and must agree with [Ts_checker.Explore] on
-    every violation schedule and [stats] field. *)
+(** [successors_within proto cfg ps] lists the P-only successors
+    {!Ts_model.Execution.iter_successors} enumerates, in its order:
+    members of [ps] ascending, a coin flip resolved heads before tails.
+    Every search of this oracle expands a node through that one relation.
+    The benchmark ledger's [micro.valency_successors_ns] row
+    ([ledger/micro.ml]) calls this to time one node's expansion on its
+    own, and the reference BFS in [test/suite_checker.ml] walks the graph
+    through it with every process a member. *)
 val successors_within :
   's Protocol.t -> 's Config.t -> Pset.t -> (Execution.event * 's Config.t) list
 

@@ -9,9 +9,18 @@ type stats = {
   blocked : int;
 }
 
+(* DOT edge labels: [p3] for a step of p3, [p3+] / [p3-] for its flip to
+   heads / tails *)
+let edge_label (e : Execution.event) =
+  match e.coin with
+  | None -> Printf.sprintf "p%d" e.pid
+  | Some true -> Printf.sprintf "p%d+" e.pid
+  | Some false -> Printf.sprintf "p%d-" e.pid
+
 let dot t ~inputs ~pset ~depth ~max_nodes =
   Ts_obs.Obs.with_span ~cat:"valency" "valgraph.dot" @@ fun sp ->
   let proto = Valency.protocol t in
+  let everyone = Pset.all proto.Protocol.num_processes in
   let cfg0 = Config.initial proto ~inputs in
   let pk = Ckey.packer proto in
   let ids = Ckey.Tbl.create 256 in
@@ -62,9 +71,7 @@ let dot t ~inputs ~pset ~depth ~max_nodes =
      while not (Queue.is_empty q) do
        let cfg, i, d = Queue.pop q in
        if d < depth then
-         for p = 0 to proto.Protocol.num_processes - 1 do
-           let push coin label =
-             let cfg', _ = Config.step proto cfg p ~coin in
+         Execution.iter_successors proto cfg everyone (fun e cfg' ->
              let j, fresh = id_of cfg' in
              if fresh then begin
                if !nodes >= max_nodes then raise Exit;
@@ -72,15 +79,8 @@ let dot t ~inputs ~pset ~depth ~max_nodes =
                Queue.add (cfg', j, d + 1) q
              end;
              incr edges;
-             Buffer.add_string buf (Printf.sprintf "  c%d -> c%d [label=\"%s\"];\n" i j label)
-           in
-           match Config.poised proto cfg p with
-           | None -> ()
-           | Some Action.Flip ->
-             push (Some true) (Printf.sprintf "p%d+" p);
-             push (Some false) (Printf.sprintf "p%d-" p)
-           | Some _ -> push None (Printf.sprintf "p%d" p)
-         done
+             Buffer.add_string buf
+               (Printf.sprintf "  c%d -> c%d [label=\"%s\"];\n" i j (edge_label e)))
      done
    with Exit -> ());
   Buffer.add_string buf "}\n";

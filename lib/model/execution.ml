@@ -42,6 +42,27 @@ let accessed_registers tr =
 let participants tr =
   List.fold_left (fun s r -> Pset.add r.actor s) Pset.empty tr
 
+let coins = function Action.Flip -> [ Some true; Some false ] | _ -> [ None ]
+
+(* Top-level loops over the raw member mask, with no closure allocated:
+   every search calls [iter_successors] once per node. *)
+let rec each_coin proto cfg p f = function
+  | [] -> ()
+  | coin :: rest ->
+    f { pid = p; coin } (fst (Config.step proto cfg p ~coin));
+    each_coin proto cfg p f rest
+
+let rec each_member proto cfg f mask p =
+  if mask <> 0 then begin
+    (if mask land 1 <> 0 then
+       match Config.poised proto cfg p with
+       | None -> ()
+       | Some act -> each_coin proto cfg p f (coins act));
+    each_member proto cfg f (mask lsr 1) (p + 1)
+  end
+
+let iter_successors proto cfg ps f = each_member proto cfg f (Pset.to_mask ps) 0
+
 let solo proto cfg p ~flips ~budget =
   let rec go cfg acc nflip fuel =
     match Config.has_decided cfg p with

@@ -47,6 +47,26 @@ val participants : trace -> Pset.t
 (** [schedule_of_trace tr] recovers the schedule that produced [tr]. *)
 val schedule_of_trace : trace -> event list
 
+(** {2 The step relation}
+
+    Every configuration search (the valency oracle, the checker, the
+    valency graph, the static analyzers) enumerates successors through
+    {!iter_successors}, so they all walk one transition relation. *)
+
+(** [coins act] is the coin outcomes of a step poised at [act], in
+    enumeration order: [[Some true; Some false]] for a flip, [[None]]
+    otherwise. *)
+val coins : Action.t -> bool option list
+
+(** [iter_successors proto cfg ps f] calls [f e cfg'] once for every step
+    [e] a member of [ps] can take from [cfg], with [cfg'] its result.
+    Members step in increasing pid order, each over {!coins} of its
+    poised action (a flip yields coin [true], then [false]); a decided
+    member yields nothing.  Exceptions from the protocol or from [f]
+    propagate. *)
+val iter_successors :
+  's Protocol.t -> 's Config.t -> Pset.t -> (event -> 's Config.t -> unit) -> unit
+
 (** [solo proto cfg p ~flips ~budget] runs [p] alone until it decides or the
     step budget is exhausted, resolving the [i]-th coin flip with
     [flips i].  Returns the final configuration, the trace, and the decision

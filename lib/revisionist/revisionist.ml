@@ -1,6 +1,5 @@
 open Ts_model
 module Budget = Ts_core.Budget
-module Outcome = Ts_core.Outcome
 module Covering = Ts_core.Covering
 module Obs = Ts_obs.Obs
 
@@ -263,18 +262,6 @@ let verify (cert : certificate) (proto : 's Protocol.t) : (unit, string) result
         | Some (p, r) ->
           fail "parked process %d never writes register %d in the replay" p r
         | None -> Ok ())
-
-let summary (c : certificate) : Outcome.summary =
-  {
-    Outcome.engine = Outcome.Revisionist;
-    protocol_name = c.protocol_name;
-    n = c.n;
-    excluded = c.excluded;
-    bound = c.bound;
-    registers_written = c.registers_written;
-    schedule_length = List.length c.schedule;
-    search_effort = c.revisions;
-  }
 
 let pp_certificate ppf (c : certificate) =
   Fmt.pf ppf

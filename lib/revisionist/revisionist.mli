@@ -123,9 +123,6 @@ val witness :
     lands.  Returns an error message on any mismatch. *)
 val verify : certificate -> 's Protocol.t -> (unit, string) result
 
-(** Reduce a certificate to the engine-independent comparison currency. *)
-val summary : certificate -> Ts_core.Outcome.summary
-
 val pp_certificate : Format.formatter -> certificate -> unit
 val pp_stop : Format.formatter -> stop -> unit
 val pp_progress : Format.formatter -> progress -> unit

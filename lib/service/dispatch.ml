@@ -69,16 +69,7 @@ let canonical_inputs n = Array.init n (fun p -> Value.int (if p = 1 then 1 else 
 
 exception Reject of string * string  (* code, message *)
 
-let max_explore_n = 16
-
-(* A check or resilience search builds all 2^n input vectors (and scans
-   2^n crash masks) before its budget is first charged, so an unbounded
-   [n] would exhaust memory or pin a worker past any deadline. *)
-let bound_explore_n (r : Request.t) =
-  if r.Request.n > max_explore_n then
-    invalid_arg
-      (Printf.sprintf "n = %d is above the check/resilient limit of %d" r.Request.n
-         max_explore_n)
+let max_explore_n = Explore.max_n
 
 (* Splice an emitted certificate into a result document.  The certificate
    is built in its own canonical JSON and re-parsed here: the digest binds
@@ -108,9 +99,9 @@ let compute t (r : Request.t) : Json.t * bool =
   match r.Request.op with
   | Request.Ping -> (Json.Obj [ ("pong", Json.Bool true) ], false)
   | Request.Health ->
-    (* liveness + a load snapshot cheap enough for the loop: the resilient
-       client (and an eventual load balancer) reads this to decide whether
-       to route, back off or fail over *)
+    (* liveness + a load snapshot cheap enough for the loop; no client
+       reads it, only readiness probes such as the benchmark ledger's
+       daemon start-up check *)
     ( Json.Obj
         ([ ("status", Json.Str "ok"); ("store", Json.Bool (t.store <> None)) ]
         @ t.extra_stats ()),
@@ -142,7 +133,8 @@ let compute t (r : Request.t) : Json.t * bool =
      | Theorem.Partial (stop, progress) ->
        (Response.witness_partial_to_json ~horizon_used stop progress, false))
   | Request.Check ->
-    bound_explore_n r;
+    (* before the protocol lookup: a large [n] is refused, not built *)
+    Explore.refuse_large_n r.Request.n;
     let (Protocol.Packed proto) = protocol_of r in
     let result =
       Explore.check_consensus proto ~budget:(budget_of t r)
@@ -158,7 +150,7 @@ let compute t (r : Request.t) : Json.t * bool =
     ( with_certificate emitted (Response.explore_to_json result),
       result.Explore.stopped = None )
   | Request.Resilient ->
-    bound_explore_n r;
+    Explore.refuse_large_n r.Request.n;
     let (Protocol.Packed proto) = protocol_of r in
     let result =
       Explore.check_t_resilient proto ~t:r.Request.t_faults

@@ -44,10 +44,10 @@ module Json := Ts_analysis.Json
     forgotten. *)
 val cache_version : int
 
-(** The largest [n] a [check] or [resilient] request may ask for (16).
-    Those searches enumerate all 2^n input vectors before their budget is
-    first charged, so a larger [n] is refused with an [invalid-argument]
-    error that names this limit. *)
+(** The largest [n] a [check] or [resilient] request may ask for:
+    [Ts_checker.Explore.max_n] (16).  A larger [n] is refused by
+    [Explore]'s own guard, before the protocol lookup, with an
+    [invalid-argument] error that names this limit. *)
 val max_explore_n : int
 
 type t

@@ -14,7 +14,7 @@ type op =
   | Analyze  (** static-analysis passes of a registry entry *)
   | Ping  (** liveness probe; never cached *)
   | Stats  (** daemon/cache counters; never cached *)
-  | Health  (** readiness + load snapshot for retry decisions; never cached *)
+  | Health  (** readiness + load snapshot for start-up probes; never cached *)
 
 val op_to_string : op -> string
 val op_of_string : string -> op option

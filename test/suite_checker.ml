@@ -431,6 +431,25 @@ let qcheck_cases =
       prop_memo_probe_matches_plain "kset-3-2" (Kset.make ~n:3 ~k:2);
     ]
 
+(* The input vectors and crash masks are built whole before any budget
+   is charged, so both entry points refuse an [n] above the limit at
+   once, with a message that names it. *)
+let test_large_n_refused () =
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: n = 17 was accepted" what
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (what ^ " names the limit: " ^ msg) true
+        (List.mem (string_of_int Explore.max_n) (String.split_on_char ' ' msg))
+  in
+  Alcotest.(check int) "the limit" 16 Explore.max_n;
+  refused "binary_inputs" (fun () -> ignore (Explore.binary_inputs 17));
+  refused "check_t_resilient" (fun () ->
+      ignore
+        (Explore.check_t_resilient ~t:1 (Racing.make ~n:17)
+           ~inputs_list:[ Array.make 17 (Value.int 0) ]
+           ~max_configs:10 ~max_depth:2 ~solo_budget:5))
+
 let suite =
   ( "checker",
     [
@@ -450,4 +469,5 @@ let suite =
         test_memo_probes_differential;
       Alcotest.test_case "probe node counts (racing-3 check)" `Quick test_probe_node_counts;
     ]
-    @ qcheck_cases )
+    @ qcheck_cases
+    @ [ Alcotest.test_case "check/resilient refuse n above the limit" `Quick test_large_n_refused ] )

@@ -139,6 +139,106 @@ let prop_rng_bounds =
       let v = Rng.int r bound in
       v >= 0 && v < bound)
 
+(* The step relation against a test-local expansion: on every catalog
+   protocol at n = 2 and 3, for every non-empty member set,
+   [Execution.iter_successors] yields the same events in the same order
+   (pid ascending, coin true before false) and the same successors.  The
+   configurations are those reachable within 6 steps of each binary input
+   vector, plus those of one round-robin run from each: racing-rand first
+   poises a flip after a counter tie, deeper than 6 steps, and the test
+   insists some compared configuration has a flip poised. *)
+let local_successors proto cfg ps =
+  List.concat_map
+    (fun p ->
+      match Config.poised proto cfg p with
+      | None -> []
+      | Some Action.Flip ->
+        List.map
+          (fun b -> (Execution.flip p b, fst (Config.step proto cfg p ~coin:(Some b))))
+          [ true; false ]
+      | Some _ -> [ (Execution.ev p, fst (Config.step proto cfg p ~coin:None)) ])
+    (Pset.to_list ps)
+
+let test_iter_successors_contract () =
+  let compared = ref 0 and flips = ref 0 in
+  let check_instance name (Protocol.Packed proto) =
+    let n = proto.Protocol.num_processes in
+    let pk = Ckey.packer proto in
+    let attempt f = match f () with l -> Ok l | exception e -> Error (Printexc.to_string e) in
+    let keyed = Result.map (List.map (fun (e, c) -> (e, Ckey.to_hex (Ckey.pack pk c)))) in
+    let iterated cfg ps () =
+      let acc = ref [] in
+      Execution.iter_successors proto cfg ps (fun e c -> acc := (e, c) :: !acc);
+      List.rev !acc
+    in
+    let sets =
+      List.init ((1 lsl n) - 1) (fun m ->
+          Pset.filter (fun p -> (m + 1) land (1 lsl p) <> 0) (Pset.all n))
+    in
+    let flipping cfg p =
+      match Config.poised proto cfg p with Some Action.Flip -> true | _ -> false
+    in
+    let compare_at cfg =
+      if List.exists (flipping cfg) (List.init n Fun.id) then incr flips;
+      List.iter
+        (fun ps ->
+          incr compared;
+          if keyed (attempt (fun () -> local_successors proto cfg ps))
+             <> keyed (attempt (iterated cfg ps))
+          then
+            Alcotest.failf "%s: iter_successors differs from the local expansion for %a" name
+              Pset.pp ps)
+        sets
+    in
+    let inputs_list =
+      List.init (1 lsl n) (fun m -> Array.init n (fun p -> Value.int ((m lsr p) land 1)))
+    in
+    let initial inputs = try Some (Config.initial proto ~inputs) with Invalid_argument _ -> None in
+    let visited = Ckey.Tbl.create 256 in
+    let q = Queue.create () in
+    let add cfg depth =
+      let k = Ckey.pack pk cfg in
+      if not (Ckey.Tbl.mem visited k) then begin
+        Ckey.Tbl.replace visited k ();
+        Queue.add (cfg, depth) q
+      end
+    in
+    List.iter (fun inputs -> Option.iter (fun c -> add c 0) (initial inputs)) inputs_list;
+    while not (Queue.is_empty q) do
+      let cfg, depth = Queue.pop q in
+      compare_at cfg;
+      if depth < 6 then
+        match local_successors proto cfg (Pset.all n) with
+        | succs -> List.iter (fun (_, c) -> add c (depth + 1)) succs
+        | exception _ -> ()
+    done;
+    (* one round-robin run per input vector, heads on every flip *)
+    let rec walk cfg steps p =
+      let next = (p + 1) mod n in
+      if steps > 0 then
+        if Config.has_decided cfg p <> None then walk cfg (steps - 1) next
+        else begin
+          compare_at cfg;
+          let coin = if flipping cfg p then Some true else None in
+          match Config.step proto cfg p ~coin with
+          | cfg', _ -> walk cfg' (steps - 1) next
+          | exception _ -> ()
+        end
+    in
+    List.iter (fun inputs -> Option.iter (fun c -> walk c 200 0) (initial inputs)) inputs_list
+  in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun n ->
+          match Ts_protocols.Catalog.find name ~n with
+          | Ok packed -> check_instance (Printf.sprintf "%s-%d" name n) packed
+          | Error _ -> ())
+        [ 2; 3 ])
+    (Ts_protocols.Catalog.names ());
+  Alcotest.(check bool) "configurations compared" true (!compared > 1000);
+  Alcotest.(check bool) "some compared configuration poises a flip" true (!flips > 0)
+
 let suite =
   ( "model",
     [
@@ -152,4 +252,6 @@ let suite =
       Alcotest.test_case "sim policies" `Quick test_sim_policies;
       Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
       QCheck_alcotest.to_alcotest prop_rng_bounds;
+      Alcotest.test_case "step relation: iter_successors contract (catalog, n = 2, 3)" `Quick
+        test_iter_successors_contract;
     ] )
