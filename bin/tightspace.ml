@@ -1,52 +1,57 @@
 (* tightspace: command-line front end to the reproduction.
 
-   Subcommands mirror the experiment families:
-     witness    run the Zhu Theorem-1 adversary against a protocol
-     check      bounded model-check a protocol's consensus properties
-     jtt        run the perturbable-object covering adversary
-     mutex      cost canonical mutual-exclusion executions
-     encode     Fan-Lynch encoder/decoder round trip
-     elect      run weak leader election under a random schedule
-     multicore  run a protocol on real domains over atomics
-     resilient  check t-resilient termination under crash-stop faults  *)
+   witness (Lemmas engine), check, resilient and trace are a thin front
+   door over the serve daemon's own handler: each builds a
+   [Ts_service.Request.t] from its flags (whose defaults are
+   [Request.defaults]), checks it with the decoder's rule
+   ([Request.validate]), answers it in-process with [Dispatch.run] and
+   only renders the answer: text, or under --json the served result
+   document.  A refusal carries the served error code
+   ([Dispatch.refusal]), and [refuse] maps each code to an exit code.
+   The one exception is witness --engine revisionist|both, which the
+   daemon does not serve: it calls its engines directly.  The other
+   subcommands (dot, analyze, certify, serve, query, store, chaos) are
+   listed with their purpose by [tightspace --help]. *)
 open Cmdliner
 open Ts_model
 open Ts_core
 open Ts_protocols
+module Request = Ts_service.Request
+module Dispatch = Ts_service.Dispatch
+module Explore = Ts_checker.Explore
+
+let defaults = Request.defaults
 
 let n_arg =
-  Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
+  Arg.(value & opt int defaults.Request.n
+       & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
 
 let seed_arg =
-  Arg.(value & opt int 2026 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
+  Arg.(value & opt int defaults.Request.seed
+       & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
 (* Name resolution is delegated to the catalog so the CLI, the analysis
    registry and the serve daemon agree on what every name means. *)
-let protocol_of_name name n =
-  match Catalog.find name ~n with
-  | Ok p -> Ok p
-  | Error m -> Error (`Msg m)
-
 let protocol_arg =
-  Arg.(value & opt string "racing"
+  Arg.(value & opt string defaults.Request.protocol
        & info [ "protocol" ] ~docv:"NAME"
            ~doc:("Protocol: " ^ Catalog.names_doc () ^ "."))
 
 (* Resource-guard flags shared by the search subcommands. *)
 let deadline_arg =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some float) defaults.Request.deadline
        & info [ "deadline" ] ~docv:"SECS"
            ~doc:"Wall-clock budget; a tripped budget yields a partial result.")
 
 let max_nodes_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some int) defaults.Request.max_nodes
        & info [ "max-nodes" ] ~docv:"N"
            ~doc:"Search-node budget across the whole invocation.")
 
-let budget_of ?deadline ?max_nodes () =
-  match deadline, max_nodes with
+let budget_of (r : Request.t) =
+  match (r.Request.deadline, r.Request.max_nodes) with
   | None, None -> Budget.unlimited
-  | _ -> Budget.create ?deadline ?max_nodes ()
+  | deadline, max_nodes -> Budget.create ?deadline ?max_nodes ()
 
 module Obs = Ts_obs.Obs
 module Obs_export = Ts_obs.Export
@@ -71,11 +76,46 @@ let with_metrics enabled f =
 let json_arg =
   Arg.(value & flag
        & info [ "json" ]
-           ~doc:"Emit the machine-readable JSON document (the same \
-                 serialization the serve daemon answers with) instead of \
-                 human-readable text.")
+           ~doc:"Emit machine-readable JSON instead of human-readable text. \
+                 For witness, check and resilient it is the serve daemon's \
+                 result document for the same query (certificate included), \
+                 or its error document for a refusal.")
 
 let pr_json doc = print_endline (Ts_analysis.Json.to_string_pretty doc)
+
+(* A refusal, by its served error code: under --json the served error
+   document on stdout, else a message on stderr.  This is the one map
+   from a code to an exit code: invalid-argument 2, out-of-budget 3,
+   internal 125 and every other code 1. *)
+let refuse ~json (code, msg) =
+  let exit, text =
+    match code with
+    | "invalid-argument" ->
+      ( 2,
+        "tightspace: invalid arguments: " ^ msg
+        ^ "\nhint: check -n, -t and the chosen --protocol fit together." )
+    | "out-of-budget" ->
+      ( 3,
+        "tightspace: resource budget tripped (" ^ msg
+        ^ ").\nhint: raise --deadline / --max-nodes and rerun." )
+    | "internal" -> (125, "tightspace: internal error, uncaught exception: " ^ msg)
+    | "construction-failed" -> (1, "construction failed: " ^ msg)
+    | _ -> (1, msg)
+  in
+  if json then pr_json (Ts_service.Response.error ~id:None ~code msg)
+  else prerr_endline text;
+  exit
+
+(* The daemon's handler, in-process: the request is checked with the
+   decoder's rule and answered by [Dispatch.run].  A refusal carries the
+   code and message the daemon would serve. *)
+let ask ?domains req =
+  match Request.validate req with
+  | Error msg -> Error ("invalid-argument", msg)
+  | Ok req -> (
+    match Dispatch.run ?domains ~budget:(budget_of req) req with
+    | answer -> Ok answer
+    | exception exn -> Error (Dispatch.refusal exn))
 
 (* Long-running subcommands install this so an interrupt still yields the
    partial observability output the run accumulated.  [Fun.protect]
@@ -114,8 +154,86 @@ let certificate_arg =
        & info [ "certificate" ] ~docv:"FILE"
            ~doc:"Write a self-contained witness certificate (canonical JSON, \
                  independently checkable with $(b,tightspace certify)) to \
-                 FILE.  Witness needs a complete construction; check and \
-                 resilient need a violation.")
+                 FILE; with $(b,--json) the document embeds it too.  Witness \
+                 needs a complete construction; check and resilient need a \
+                 violation.")
+
+(* The text form of an answer. *)
+let print_answer ~diagram = function
+  | Dispatch.Witness { horizon_used; cert; replay; _ } -> (
+    Format.printf "%a@.(oracle horizon: %d)@." Theorem.pp_certificate cert
+      horizon_used;
+    if diagram then
+      Format.printf "@.%s@."
+        (Diagram.render ~n:cert.Theorem.n cert.Theorem.trace);
+    match replay with
+    | Ok () -> Format.printf "independent replay: verified.@."
+    | Error e -> Format.printf "replay FAILED: %s@." e)
+  | Dispatch.Witness_partial { horizon_used; stop; progress } -> (
+    Format.printf "partial result: %a@.progress: %a@." Theorem.pp_stop stop
+      Theorem.pp_progress progress;
+    match stop with
+    | Theorem.Horizon_wall _ ->
+      Format.printf
+        "hint: raise --horizon beyond %d (or drop it to escalate automatically).@."
+        horizon_used
+    | Theorem.Out_of_budget _ ->
+      Format.printf "hint: raise --deadline / --max-nodes and rerun.@.")
+  | Dispatch.Explored { result = r; replay; _ } -> (
+    (match replay with
+     | Some (Ok ()) -> Format.printf "witness replayed independently: confirmed.@."
+     | Some (Error e) -> Format.printf "witness replay FAILED: %s@." e
+     | None -> ());
+    (match r.Explore.stopped with
+     | Some b ->
+       Format.printf
+         "budget tripped (%a): verdict below is partial; raise --deadline / --max-nodes.@."
+         Budget.pp_breach b
+     | None -> ());
+    match r.Explore.verdict with
+    | Ok () ->
+      let s = r.Explore.stats in
+      Format.printf "clean: %d configurations explored (truncated: %b, deepest: %d)@."
+        s.Explore.configs_explored s.Explore.truncated s.Explore.deepest
+    | Error v -> Format.printf "VIOLATION: %a@." Explore.pp_violation v)
+  | (Dispatch.Classified _ | Dispatch.Analyzed _) as a ->
+    pr_json (Dispatch.answer_to_json a)
+
+(* Exit codes (documented in the README table): 0 a verified witness or
+   a clean check, 1 a violation or a failed replay, 2 a partial result
+   (a budget or horizon stopped the search with no violation found: the
+   verdict is evidence, not a proof, so scripts must be able to tell). *)
+let answer_exit = function
+  | Dispatch.Witness { replay = Ok (); _ } -> 0
+  | Dispatch.Witness _ -> 1
+  | Dispatch.Witness_partial _ -> 2
+  | Dispatch.Explored { result = { Explore.verdict = Error _; _ }; _ } -> 1
+  | Dispatch.Explored { result = { Explore.stopped = Some _; _ }; _ } -> 2
+  | Dispatch.Explored _ | Dispatch.Classified _ | Dispatch.Analyzed _ -> 0
+
+let save_certificate ~file = function
+  | Dispatch.Witness { certificate = Some c; _ }
+  | Dispatch.Explored { certificate = Some c; _ } ->
+    write_certificate ~file c
+  | Dispatch.Witness_partial _ ->
+    Format.eprintf "no certificate: the construction was partial.@.";
+    true
+  | _ ->
+    Format.eprintf "no certificate: no violation was found.@.";
+    true
+
+(* witness (Lemmas engine), check and resilient: one request, answered by
+   the daemon's handler and rendered.  --certificate FILE asks for the
+   certificate in the answer and writes it to FILE. *)
+let answer_request ?domains ?(diagram = false) ~json ~certificate req =
+  match ask ?domains { req with Request.certificate = certificate <> None } with
+  | Error refusal -> refuse ~json refusal
+  | Ok a ->
+    if json then pr_json (Dispatch.answer_to_json a) else print_answer ~diagram a;
+    let cert_ok =
+      match certificate with None -> true | Some file -> save_certificate ~file a
+    in
+    if cert_ok then answer_exit a else 1
 
 (* The two lower-bound engines, selectable on [witness].  [lemmas] is the
    Lemma 1-4 / Theorem-1 construction, [revisionist] the
@@ -257,71 +375,34 @@ let print_comparison ~json ~budget ~horizon proto =
 
 (* witness *)
 let witness n horizon protocol diagram deadline max_nodes metrics json certificate engine =
-  match protocol_of_name protocol n with
-  | Error (`Msg m) -> prerr_endline m; 1
-  | Ok (Protocol.Packed proto) ->
-    with_metrics metrics @@ fun () ->
-    let budget = budget_of ?deadline ?max_nodes () in
-    match engine with
-    | `Revisionist ->
-      witness_revisionist ~json ~certificate ~budget ~horizon proto
-    | `Both ->
-      if certificate <> None then begin
-        prerr_endline
-          "witness: --certificate needs a single engine; pick --engine lemmas or revisionist.";
-        1
-      end
-      else print_comparison ~json ~budget ~horizon proto
-    | `Lemmas ->
-    let outcome, used = Theorem.witness ~budget ?horizon proto in
-    (match outcome with
-     | Theorem.Complete cert ->
-       let verified = Theorem.verify cert proto in
-       if json then
-         pr_json
-           (Ts_service.Response.witness_to_json ~horizon_used:used ~verified
-              cert)
-       else begin
-         Format.printf "%a@.(oracle horizon: %d)@." Theorem.pp_certificate cert used;
-         if diagram then
-           Format.printf "@.%s@." (Diagram.render ~n cert.Theorem.trace);
-         match verified with
-         | Ok () -> Format.printf "independent replay: verified.@."
-         | Error e -> Format.printf "replay FAILED: %s@." e
-       end;
-       let cert_ok =
-         match certificate with
-         | None -> true
-         | Some file ->
-           write_certificate ~file (Ts_cert.Cert.of_theorem proto cert)
-       in
-       (match verified with Ok () when cert_ok -> 0 | _ -> 1)
-     | Theorem.Partial (stop, progress) ->
-       if json then
-         pr_json
-           (Ts_service.Response.witness_partial_to_json ~horizon_used:used stop
-              progress)
-       else begin
-         Format.printf "partial result: %a@.progress: %a@." Theorem.pp_stop stop
-           Theorem.pp_progress progress;
-         match stop with
-         | Theorem.Horizon_wall _ ->
-           Format.printf "hint: raise --horizon beyond %d (or drop it to escalate automatically).@." used
-         | Theorem.Out_of_budget _ ->
-           Format.printf "hint: raise --deadline / --max-nodes and rerun.@."
-       end;
-       if certificate <> None then
-         Format.eprintf "no certificate: the construction was partial.@.";
-       2
-     | exception Failure msg ->
-       if json then
-         pr_json
-           (Ts_service.Response.error ~id:None ~code:"construction-failed" msg)
-       else Format.printf "construction failed: %s@." msg;
-       1)
+  let req =
+    { defaults with Request.op = Request.Witness; protocol; n; horizon; deadline; max_nodes }
+  in
+  with_metrics metrics @@ fun () ->
+  match engine with
+  | `Lemmas -> answer_request ~diagram ~json ~certificate req
+  | `Both when certificate <> None ->
+    prerr_endline
+      "witness: --certificate needs a single engine; pick --engine lemmas or revisionist.";
+    1
+  | (`Revisionist | `Both) as engine -> (
+    (* the daemon does not serve these engines: they are called here, on
+       the same request checks and refusal codes *)
+    match (Request.validate req, Catalog.find protocol ~n) with
+    | Error msg, _ -> refuse ~json ("invalid-argument", msg)
+    | Ok _, Error m -> refuse ~json ("unknown-protocol", m)
+    | Ok req, Ok (Protocol.Packed proto) -> (
+      let budget = budget_of req in
+      match
+        if engine = `Revisionist then
+          witness_revisionist ~json ~certificate ~budget ~horizon proto
+        else print_comparison ~json ~budget ~horizon proto
+      with
+      | code -> code
+      | exception exn -> refuse ~json (Dispatch.refusal exn)))
 
 let horizon_arg =
-  Arg.(value & opt (some int) None & info [ "horizon" ] ~docv:"H"
+  Arg.(value & opt (some int) defaults.Request.horizon & info [ "horizon" ] ~docv:"H"
          ~doc:"Valency oracle search depth (lemmas) or private-run step \
                allowance (revisionist); default: escalate from 10n.")
 
@@ -337,292 +418,56 @@ let witness_cmd =
           $ deadline_arg $ max_nodes_arg $ metrics_arg $ json_arg
           $ certificate_arg $ engine_arg)
 
-(* check: shared result reporting for the exploration subcommands.
-
-   Exit codes (documented in the README table): 0 clean, 1 violation, 2
-   partial (budget tripped with no violation found — the verdict is
-   evidence, not a proof, so scripts must be able to tell). *)
-let explore_exit r =
-  let open Ts_checker.Explore in
-  match r.verdict with
-  | Error _ -> 1
-  | Ok () -> if r.stopped <> None then 2 else 0
-
-let report_explore ?(json = false) ?replay r =
-  let replay_result = replay in
-  (* the open below shadows [replay] with Explore's replay function *)
-  let open Ts_checker.Explore in
-  if json then
-    pr_json (Ts_service.Response.explore_to_json ?replay:replay_result r)
-  else begin
-    (match r.stopped with
-     | Some b ->
-       Format.printf "budget tripped (%a): verdict below is partial; raise --deadline / --max-nodes.@."
-         Budget.pp_breach b
-     | None -> ());
-    match r.verdict with
-    | Ok () ->
-      let s = r.stats in
-      Format.printf "clean: %d configurations explored (truncated: %b, deepest: %d)@."
-        s.configs_explored s.truncated s.deepest
-    | Error v -> Format.printf "VIOLATION: %a@." pp_violation v
-  end;
-  explore_exit r
-
 let max_configs_arg =
-  Arg.(value & opt int 60_000 & info [ "max-configs" ] ~doc:"Exploration cap.")
+  Arg.(value & opt int defaults.Request.max_configs
+       & info [ "max-configs" ] ~doc:"Exploration cap.")
 
 let max_depth_arg =
-  Arg.(value & opt int 40 & info [ "max-depth" ] ~doc:"Depth cap.")
+  Arg.(value & opt int defaults.Request.max_depth
+       & info [ "max-depth" ] ~doc:"Depth cap.")
 
 let domains_arg =
   Arg.(value & opt int 1
        & info [ "domains" ] ~docv:"D" ~doc:"Check input vectors on D domains.")
 
 let solo_budget_arg =
-  Arg.(value & opt int Ts_service.Request.defaults.Ts_service.Request.solo_budget
+  Arg.(value & opt int defaults.Request.solo_budget
        & info [ "solo-budget" ] ~docv:"STEPS"
            ~doc:"Step cap for each solo (and survivor-group) termination \
                  probe.")
 
-(* A violation is the only checkable claim these subcommands produce; a
-   clean verdict is a bounded guarantee with no finite witness to
-   certify. *)
-let certify_violation ~certificate proto (r : Ts_checker.Explore.result) =
-  match certificate with
-  | None -> true
-  | Some file -> (
-    match r.Ts_checker.Explore.verdict with
-    | Error v ->
-      write_certificate ~file (Ts_cert.Cert.of_violation proto v)
-    | Ok () ->
-      Format.eprintf "no certificate: no violation was found.@.";
-      true)
+let t_faults_arg =
+  Arg.(value & opt int defaults.Request.t_faults
+       & info [ "t" ] ~docv:"T" ~doc:"Crash-fault tolerance to check (0 <= t <= n-1).")
 
-let check n protocol max_configs max_depth solo_budget domains deadline max_nodes metrics json certificate =
-  match protocol_of_name protocol n with
-  | Error (`Msg m) -> prerr_endline m; 1
-  | Ok (Protocol.Packed proto) ->
-    install_flush_handler ();
-    with_metrics metrics @@ fun () ->
-    let r =
-      Ts_checker.Explore.check_consensus proto ~domains
-        ~budget:(budget_of ?deadline ?max_nodes ())
-        ~inputs_list:(Ts_checker.Explore.binary_inputs n) ~max_configs ~max_depth
-        ~solo_budget ~check_solo:true
-    in
-    let cert_ok = certify_violation ~certificate proto r in
-    let code = report_explore ~json r in
-    if cert_ok then code else 1
+(* check and resilient: one bounded exploration each; check has no -t
+   flag and sends the default *)
+let explore op n t_faults protocol max_configs max_depth solo_budget domains
+    deadline max_nodes metrics json certificate =
+  install_flush_handler ();
+  with_metrics metrics @@ fun () ->
+  answer_request ~domains ~json ~certificate
+    { defaults with
+      Request.op; protocol; n; t_faults; max_configs; max_depth; solo_budget;
+      deadline; max_nodes }
 
-let check_cmd =
-  Cmd.v (Cmd.info "check" ~doc:"Bounded model-check a protocol")
-    Term.(const check $ n_arg $ protocol_arg $ max_configs_arg $ max_depth_arg
-          $ solo_budget_arg $ domains_arg $ deadline_arg $ max_nodes_arg
-          $ metrics_arg $ json_arg $ certificate_arg)
-
-(* resilient *)
-let resilient n t protocol max_configs max_depth solo_budget domains deadline max_nodes metrics json certificate =
-  match protocol_of_name protocol n with
-  | Error (`Msg m) -> prerr_endline m; 1
-  | Ok (Protocol.Packed proto) ->
-    install_flush_handler ();
-    with_metrics metrics @@ fun () ->
-    let r =
-      Ts_checker.Explore.check_t_resilient proto ~domains ~t
-        ~budget:(budget_of ?deadline ?max_nodes ())
-        ~inputs_list:(Ts_checker.Explore.binary_inputs n) ~max_configs ~max_depth
-        ~solo_budget
-    in
-    let replay =
-      match r.Ts_checker.Explore.verdict with
-      (* a resilience witness must survive an independent replay, at the
-         budget it was found under *)
-      | Error v -> Some (Ts_checker.Explore.replay ~solo_budget proto v)
-      | Ok () -> None
-    in
-    (match replay with
-     | Some (Ok ()) when not json ->
-       Format.printf "witness replayed independently: confirmed.@."
-     | Some (Error e) when not json ->
-       Format.printf "witness replay FAILED: %s@." e
-     | _ -> ());
-    let cert_ok = certify_violation ~certificate proto r in
-    let code = report_explore ~json ?replay r in
-    if cert_ok then code else 1
-
-let resilient_cmd =
-  let t =
-    Arg.(value & opt int 1
-         & info [ "t" ] ~docv:"T" ~doc:"Crash-fault tolerance to check (0 <= t <= n-1).")
-  in
-  Cmd.v
-    (Cmd.info "resilient"
-       ~doc:"Check t-resilient termination under crash-stop faults")
-    Term.(const resilient $ n_arg $ t $ protocol_arg $ max_configs_arg
+let explore_cmd info op t_faults =
+  Cmd.v info
+    Term.(const (explore op) $ n_arg $ t_faults $ protocol_arg $ max_configs_arg
           $ max_depth_arg $ solo_budget_arg $ domains_arg $ deadline_arg
           $ max_nodes_arg $ metrics_arg $ json_arg $ certificate_arg)
 
-(* jtt *)
-let jtt n obj =
-  let run =
-    match obj with
-    | "counter" -> Some Ts_perturb.Adversary.run_counter
-    | "maxreg" -> Some Ts_perturb.Adversary.run_maxreg
-    | "snapshot" -> Some Ts_perturb.Adversary.run_snapshot
-    | _ -> None
-  in
-  match run with
-  | None -> prerr_endline ("unknown object: " ^ obj); 1
-  | Some run ->
-    Format.printf "%a@." Ts_perturb.Adversary.pp_report (run ~n);
-    0
+let check_cmd =
+  explore_cmd
+    (Cmd.info "check" ~doc:"Bounded model-check a protocol")
+    Request.Check
+    (Term.const defaults.Request.t_faults)
 
-let jtt_cmd =
-  let obj =
-    Arg.(value & opt string "counter"
-         & info [ "object" ] ~docv:"OBJ" ~doc:"counter, maxreg or snapshot.")
-  in
-  Cmd.v (Cmd.info "jtt" ~doc:"Run the perturbable-object covering adversary")
-    Term.(const jtt $ n_arg $ obj)
-
-(* mutex *)
-let mutex n alg contended =
-  let packed =
-    match alg with
-    | "peterson" -> Some (Ts_mutex.Algorithm.Packed (Ts_mutex.Peterson.make ~n))
-    | "tournament" -> Some (Ts_mutex.Algorithm.Packed (Ts_mutex.Tournament.make ~n))
-    | "bakery" -> Some (Ts_mutex.Algorithm.Packed (Ts_mutex.Bakery.make ~n))
-    | "tas" -> Some (Ts_mutex.Algorithm.Packed (Ts_mutex.Tas_lock.make ~n))
-    | _ -> None
-  in
-  match packed with
-  | None -> prerr_endline ("unknown algorithm: " ^ alg); 1
-  | Some (Ts_mutex.Algorithm.Packed a) ->
-    let o =
-      if contended then Ts_mutex.Arena.contended a
-      else Ts_mutex.Arena.serial a ~order:(Array.init n Fun.id)
-    in
-    Format.printf "%s n=%d: cost=%d accesses=%d steps=%d (FL bound nlog2n = %.0f)@."
-      o.Ts_mutex.Arena.algorithm n o.Ts_mutex.Arena.cost o.Ts_mutex.Arena.accesses
-      o.Ts_mutex.Arena.steps (Bounds.fan_lynch_cost n);
-    Format.printf "CS order: %a@." Fmt.(Dump.list int) o.Ts_mutex.Arena.cs_order;
-    0
-
-let mutex_cmd =
-  let alg =
-    Arg.(value & opt string "tournament"
-         & info [ "alg" ] ~docv:"ALG" ~doc:"peterson, bakery, tournament or tas.")
-  in
-  let contended =
-    Arg.(value & flag & info [ "contended" ] ~doc:"Round-robin contention instead of serial.")
-  in
-  Cmd.v (Cmd.info "mutex" ~doc:"Cost a canonical mutual-exclusion execution")
-    Term.(const mutex $ n_arg $ alg $ contended)
-
-(* encode *)
-let encode n seed =
-  let alg = Ts_mutex.Tournament.make ~n in
-  let order = Rng.permutation (Rng.create seed) n in
-  let o = Ts_mutex.Arena.serial alg ~order in
-  match Ts_encoder.Codec.round_trip alg o with
-  | Ok enc ->
-    Format.printf "order %a -> %d bits (entropy floor log2(n!) = %.1f); decoded OK@."
-      Fmt.(Dump.list int) (Array.to_list order) (snd enc.Ts_encoder.Codec.bits)
-      (Bounds.log2_factorial n);
-    0
-  | Error e ->
-    Format.printf "round trip failed: %s@." e;
-    1
-
-let encode_cmd =
-  Cmd.v (Cmd.info "encode" ~doc:"Fan-Lynch encoder/decoder round trip")
-    Term.(const encode $ n_arg $ seed_arg)
-
-(* elect *)
-let elect n seed =
-  let rng = Rng.create seed in
-  let s = Ts_objects.Runner.create (Ts_leader.Election.make ~n) in
-  for p = 0 to n - 1 do
-    Ts_objects.Runner.invoke s p Ts_leader.Election.Elect
-  done;
-  let pending = ref (List.init n Fun.id) in
-  let leader = ref None in
-  while !pending <> [] do
-    let p = List.nth !pending (Rng.int rng (List.length !pending)) in
-    match Ts_objects.Runner.step s p with
-    | `Returned v ->
-      if Value.to_bool v then leader := Some p;
-      pending := List.filter (fun q -> q <> p) !pending
-    | `Continues -> ()
-  done;
-  (match !leader with
-   | Some p -> Format.printf "leader: p%d (everyone else learned they lost)@." p
-   | None -> Format.printf "BUG: no leader elected@.");
-  if !leader = None then 1 else 0
-
-let elect_cmd =
-  Cmd.v (Cmd.info "elect" ~doc:"Weak leader election under a random schedule")
-    Term.(const elect $ n_arg $ seed_arg)
-
-(* multicore *)
-let multicore n trials seed =
-  let s =
-    Ts_runtime.Atomic_run.run (Racing.make ~n) ~trials ~seed ~step_budget:1_000_000
-      ~mixed_inputs:true
-  in
-  Format.printf "%a@." Ts_runtime.Atomic_run.pp_stats s;
-  if s.Ts_runtime.Atomic_run.agreement_failures = 0 then 0 else 1
-
-let multicore_cmd =
-  let trials = Arg.(value & opt int 20 & info [ "trials" ] ~doc:"Number of trials.") in
-  Cmd.v (Cmd.info "multicore" ~doc:"Run racing consensus on real domains")
-    Term.(const multicore $ n_arg $ trials $ seed_arg)
-
-(* kset *)
-let kset n k seed =
-  let proto = Kset.make ~n ~k in
-  let rng = Rng.create seed in
-  let inputs = Array.init n (fun _ -> Value.int (Rng.int rng 2)) in
-  let o =
-    Sim.run proto ~inputs ~policy:(Sim.Random rng) ~flips:(fun () -> Rng.bool rng)
-      ~budget:2_000_000
-  in
-  let decided = List.sort_uniq Value.compare (List.map snd o.Sim.decisions) in
-  Format.printf "inputs [%a]: %d processes decided %d distinct value(s) {%a} (k = %d)@."
-    Fmt.(array ~sep:(any ";") Value.pp) inputs
-    (List.length o.Sim.decisions) (List.length decided)
-    Fmt.(list ~sep:comma Value.pp) decided k;
-  if List.length decided <= k then 0 else 1
-
-let kset_cmd =
-  let k = Arg.(value & opt int 2 & info [ "k" ] ~docv:"K" ~doc:"At most k distinct decisions.") in
-  Cmd.v (Cmd.info "kset" ~doc:"Run partitioned k-set agreement")
-    Term.(const kset $ n_arg $ k $ seed_arg)
-
-(* multi *)
-let multi n bits seed =
-  let proto = Multivalued.make ~n ~bits in
-  let rng = Rng.create seed in
-  let inputs = Array.init n (fun _ -> Value.int (Rng.int rng (1 lsl bits))) in
-  let o =
-    Sim.run proto ~inputs ~policy:(Sim.Random rng) ~flips:(fun () -> Rng.bool rng)
-      ~budget:3_000_000
-  in
-  (match Sim.agreement o with
-   | Ok v ->
-     Format.printf "inputs [%a] -> agreed on %a (%d-bit values, %d registers)@."
-       Fmt.(array ~sep:(any ";") Value.pp) inputs Value.pp v bits
-       proto.Protocol.num_registers;
-     0
-   | Error vs ->
-     Format.printf "DISAGREEMENT: %a@." Fmt.(Dump.list Value.pp) vs;
-     1)
-
-let multi_cmd =
-  let bits = Arg.(value & opt int 3 & info [ "bits" ] ~docv:"B" ~doc:"Input width in bits.") in
-  Cmd.v (Cmd.info "multi" ~doc:"Run multivalued consensus (bit-by-bit reduction)")
-    Term.(const multi $ n_arg $ bits $ seed_arg)
+let resilient_cmd =
+  explore_cmd
+    (Cmd.info "resilient"
+       ~doc:"Check t-resilient termination under crash-stop faults")
+    Request.Resilient t_faults_arg
 
 (* dot *)
 let dot_out n depth file =
@@ -649,54 +494,34 @@ let dot_cmd =
   Cmd.v (Cmd.info "dot" ~doc:"Export the valency-annotated configuration graph (Graphviz)")
     Term.(const dot_out $ n_arg $ depth $ file)
 
-(* cover *)
-let cover n alg budget =
-  let packed =
-    match alg with
-    | "peterson" -> Some (Ts_mutex.Algorithm.Packed (Ts_mutex.Peterson.make ~n))
-    | "tournament" -> Some (Ts_mutex.Algorithm.Packed (Ts_mutex.Tournament.make ~n))
-    | "bakery" -> Some (Ts_mutex.Algorithm.Packed (Ts_mutex.Bakery.make ~n))
-    | "tas" -> Some (Ts_mutex.Algorithm.Packed (Ts_mutex.Tas_lock.make ~n))
-    | _ -> None
-  in
-  match packed with
-  | None -> prerr_endline ("unknown algorithm: " ^ alg); 1
-  | Some (Ts_mutex.Algorithm.Packed a) ->
-    Format.printf "%a@." Ts_mutex.Covering_search.pp_report
-      (Ts_mutex.Covering_search.search a ~max_configs:budget);
-    0
-
 (* trace *)
 let trace_run n horizon protocol out metrics deadline max_nodes =
-  match protocol_of_name protocol n with
-  | Error (`Msg m) -> prerr_endline m; 1
-  | Ok (Protocol.Packed proto) ->
-    let budget = budget_of ?deadline ?max_nodes () in
-    Obs.start_tracing ();
-    if metrics then Obs.Metrics.start ();
-    (* an interrupted trace run still writes the spans gathered so far —
-       a partial trace of a stuck search is the most useful trace of all *)
-    install_flush_handler ()
-      ~flush:(fun () ->
-        if Obs.tracing () then begin
-          let events = Obs.stop_tracing () in
-          let oc = open_out out in
-          output_string oc (Obs_export.chrome_trace events);
-          close_out oc;
-          Format.eprintf "wrote partial trace to %s (%d events).@." out
-            (List.length events)
-        end);
-    (* Capture construction failures so a failed run still exports the
-       spans recorded up to the failure point. *)
-    let outcome =
-      match fst (Theorem.witness ~budget ?horizon proto) with
-      | o -> Ok o
-      | exception Failure msg -> Error msg
-    in
-    let events = Obs.stop_tracing () in
+  Obs.start_tracing ();
+  if metrics then Obs.Metrics.start ();
+  let export events =
     let oc = open_out out in
     output_string oc (Obs_export.chrome_trace events);
-    close_out oc;
+    close_out oc
+  in
+  (* an interrupted trace run still writes the spans gathered so far —
+     a partial trace of a stuck search is the most useful trace of all *)
+  install_flush_handler ()
+    ~flush:(fun () ->
+      if Obs.tracing () then begin
+        let events = Obs.stop_tracing () in
+        export events;
+        Format.eprintf "wrote partial trace to %s (%d events).@." out
+          (List.length events)
+      end);
+  let answer =
+    ask { defaults with Request.op = Request.Witness; protocol; n; horizon; deadline; max_nodes }
+  in
+  match (answer, Obs.stop_tracing ()) with
+  | Error refusal, [] -> refuse ~json:false refusal
+  | _, events -> (
+    (* a refusal after the first span still exports the spans recorded
+       up to the failure point *)
+    export events;
     print_string (Obs_export.phase_table events);
     Format.printf
       "@.wrote %s (%d events); load it in chrome://tracing or https://ui.perfetto.dev@."
@@ -704,15 +529,16 @@ let trace_run n horizon protocol out metrics deadline max_nodes =
     if metrics then
       Format.printf "@.engine metrics:@.%a@." Obs.Metrics.pp_snapshot
         (Obs.Metrics.stop ());
-    (match outcome with
-     | Ok (Theorem.Complete _) ->
-       Format.printf "@.theorem 1 construction complete.@."; 0
-     | Ok (Theorem.Partial (stop, _)) ->
-       Format.printf
-         "@.partial run traced (%a): the spans cover the work done before the budget tripped.@."
-         Theorem.pp_stop stop;
-       2
-     | Error msg -> Format.printf "@.construction failed: %s@." msg; 1)
+    match answer with
+    | Ok (Dispatch.Witness_partial { stop; _ }) ->
+      Format.printf
+        "@.partial run traced (%a): the spans cover the work done before the budget tripped.@."
+        Theorem.pp_stop stop;
+      2
+    | Ok a ->
+      Format.printf "@.theorem 1 construction complete.@.";
+      answer_exit a
+    | Error refusal -> refuse ~json:false refusal)
 
 let trace_cmd =
   let protocol_pos =
@@ -737,7 +563,6 @@ let trace_cmd =
    whatever the registry expected, and so does a failing gate. *)
 let analyze all protocol json domains =
   let module A = Ts_analysis.Analyze in
-  let pr_json j = print_endline (Ts_analysis.Json.to_string_pretty j) in
   if all then begin
     let o = A.gate_all ~domains () in
     if json then pr_json (A.overall_to_json o)
@@ -782,14 +607,6 @@ let analyze_cmd =
              (micro-checker, engine replay, four tampers per witness); \
              with --all also the engine race detector")
     Term.(const analyze $ all $ protocol $ json $ domains_arg)
-
-let cover_cmd =
-  let alg =
-    Arg.(value & opt string "peterson" & info [ "alg" ] ~docv:"ALG" ~doc:"peterson, bakery, tournament or tas.")
-  in
-  let budget = Arg.(value & opt int 100_000 & info [ "budget" ] ~doc:"Configuration cap.") in
-  Cmd.v (Cmd.info "cover" ~doc:"Search a lock's state space for covering configurations (BL93)")
-    Term.(const cover $ n_arg $ alg $ budget)
 
 (* serve *)
 module Server = Ts_service.Server
@@ -936,7 +753,7 @@ let query host port opname protocol n horizon seed max_configs max_depth
           | Ok doc -> pr_json doc; 0
           | Error msg -> Printf.eprintf "query: %s\n" msg; 1))
   | None -> (
-    match Ts_service.Request.op_of_string opname with
+    match Request.op_of_string opname with
     | None ->
       Printf.eprintf "query: unknown op %s (witness, check, resilient, valency, analyze, ping, stats, health)\n"
         opname;
@@ -944,8 +761,8 @@ let query host port opname protocol n horizon seed max_configs max_depth
     | Some op ->
       let req =
         {
-          Ts_service.Request.defaults with
-          id;
+          defaults with
+          Request.id;
           op;
           protocol;
           n;
@@ -967,7 +784,7 @@ let query host port opname protocol n horizon seed max_configs max_depth
       Fun.protect
         ~finally:(fun () -> C.shutdown client)
         (fun () ->
-          match C.call client (Ts_service.Request.to_json req) with
+          match C.call client (Request.to_json req) with
           | Error msg ->
             (* the retry budget (including retries=0, a single attempt) is
                spent: exit 4, distinct from a protocol-level refusal *)
@@ -993,12 +810,9 @@ let query_cmd =
              ~doc:"Operation: witness, check, resilient, valency, analyze, \
                    ping or stats.")
   in
-  let t_faults =
-    Arg.(value & opt int 1
-         & info [ "t" ] ~docv:"T" ~doc:"Crash-fault tolerance for resilient.")
-  in
   let id =
-    Arg.(value & opt int 0 & info [ "id" ] ~docv:"ID" ~doc:"Correlation id echoed by the daemon.")
+    Arg.(value & opt int defaults.Request.id
+         & info [ "id" ] ~docv:"ID" ~doc:"Correlation id echoed by the daemon.")
   in
   let raw =
     Arg.(value & opt (some string) None
@@ -1031,7 +845,7 @@ let query_cmd =
        ~doc:"Send one request to a running serve daemon and print the \
              response document")
     Term.(const query $ host $ port $ op $ protocol_arg $ n_arg $ horizon_arg
-          $ seed_arg $ max_configs_arg $ max_depth_arg $ solo_budget_arg $ t_faults
+          $ seed_arg $ max_configs_arg $ max_depth_arg $ solo_budget_arg $ t_faults_arg
           $ deadline_arg $ max_nodes_arg $ id $ raw $ retries $ timeout_ms
           $ certificate)
 
@@ -1421,38 +1235,15 @@ let () =
   (* Last-resort guard: engine exceptions that slip past a subcommand must
      surface as an actionable message and a nonzero exit, never as a raw
      backtrace.  [~catch:false] hands them to this handler instead of
-     cmdliner's own. *)
+     cmdliner's own, and it refuses them with the daemon's codes. *)
   let code =
     try
       Cmd.eval' ~catch:false
         (Cmd.group info
            [
-             witness_cmd; check_cmd; resilient_cmd; jtt_cmd; mutex_cmd;
-             encode_cmd; elect_cmd; multicore_cmd; kset_cmd; multi_cmd;
-             dot_cmd; cover_cmd; analyze_cmd; certify_cmd;
-             trace_cmd; serve_cmd; query_cmd; store_cmd; chaos_cmd;
+             witness_cmd; check_cmd; resilient_cmd; dot_cmd; analyze_cmd;
+             certify_cmd; trace_cmd; serve_cmd; query_cmd; store_cmd; chaos_cmd;
            ])
-    with
-    | Valency.Horizon_exceeded msg ->
-      Format.eprintf
-        "tightspace: oracle horizon too small: %s@.hint: raise --horizon (or drop it to let the engine escalate).@."
-        msg;
-      3
-    | Budget.Exhausted b ->
-      Format.eprintf
-        "tightspace: resource budget tripped (%a).@.hint: raise --deadline / --max-nodes and rerun.@."
-        Budget.pp_breach b;
-      3
-    | Invalid_argument msg ->
-      Format.eprintf
-        "tightspace: invalid arguments: %s@.hint: check -n, -t, -k and the chosen --protocol fit together.@."
-        msg;
-      2
-    | exn ->
-      (* OCaml's own uncaught-exception exit is 2, which means "partial"
-         here; an unexpected exception is an internal error *)
-      Format.eprintf "tightspace: internal error, uncaught exception: %s@."
-        (Printexc.to_string exn);
-      125
+    with exn -> refuse ~json:false (Dispatch.refusal exn)
   in
   exit code

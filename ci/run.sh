@@ -352,6 +352,86 @@ refuses_large_n() {
 refuses_large_n check --protocol racing -n 24
 refuses_large_n resilient --protocol racing -n 24 -t 1
 
+# a negative count is refused as the daemon's decoder refuses it: exit 2,
+# naming the field
+set +e
+timeout 60 "$TS" check --protocol racing -n 2 --solo-budget=-3 \
+  > /dev/null 2> /tmp/ci-negative.err
+RC=$?
+set -e
+if [ "$RC" -ne 2 ]; then
+  echo "ci: check with a negative --solo-budget exited $RC, want 2" >&2
+  exit 1
+fi
+grep -q "solo_budget" /tmp/ci-negative.err || {
+  echo "ci: the negative-count refusal did not name solo_budget" >&2; exit 1; }
+# a --json refusal prints the served error document, same exit code
+set +e
+timeout 60 "$TS" witness --protocol racing -n 1 --json > /tmp/ci-refusal.json
+RC=$?
+set -e
+if [ "$RC" -ne 2 ]; then
+  echo "ci: witness --json at n = 1 exited $RC, want 2" >&2
+  exit 1
+fi
+grep -q '"invalid-argument"' /tmp/ci-refusal.json
+
+echo "== CLI = daemon smoke (one call path per engine op; 5 min cap) =="
+# witness, check and resilient answer in-process through the daemon's own
+# handler, so each --json document must equal the result member of the
+# same query, certificate included
+"$TS" serve --port 0 --workers 2 > /tmp/serve-cli.out 2>&1 &
+SERVE_PID=$!
+PORT=$(await_port /tmp/serve-cli.out serve "$SERVE_PID")
+# cli_json OUT ARGS...: the CLI's --json document; exit 1 (a violation) is
+# what the check and resilient lines are sent to find
+cli_json() {
+  out=$1; shift
+  set +e
+  timeout 300 "$TS" "$@" --json > "$out"
+  RC=$?
+  set -e
+  if [ "$RC" -gt 1 ]; then
+    echo "ci: $* --json exited $RC" >&2
+    kill "$SERVE_PID" 2> /dev/null || true; exit 1
+  fi
+}
+cli_json /tmp/ci-cli-w3.json witness --protocol racing -n 3
+timeout 300 "$TS" query witness --port "$PORT" --protocol racing -n 3 \
+  > /tmp/ci-q-w3.json
+cli_json /tmp/ci-cli-w3c.json witness --protocol racing -n 3 \
+  --certificate /tmp/ci-cli-$$.cert
+timeout 300 "$TS" query witness --port "$PORT" --protocol racing -n 3 \
+  --certificate > /tmp/ci-q-w3c.json
+cli_json /tmp/ci-cli-lww.json check --protocol broken-lww -n 2 \
+  --max-configs 400 --max-depth 12
+timeout 300 "$TS" query check --port "$PORT" --protocol broken-lww -n 2 \
+  --max-configs 400 --max-depth 12 > /tmp/ci-q-lww.json
+cli_json /tmp/ci-cli-bw.json resilient --protocol broken-wait -n 2 -t 1
+timeout 300 "$TS" query resilient --port "$PORT" --protocol broken-wait -n 2 \
+  -t 1 > /tmp/ci-q-bw.json
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID" || true
+grep -q '"certificate"' /tmp/ci-cli-w3c.json
+rm -f /tmp/ci-cli-$$.cert
+if command -v python3 > /dev/null 2>&1; then
+  python3 - <<'EOF'
+import json
+for name in ("w3", "w3c", "lww", "bw"):
+    cli = json.dumps(json.load(open("/tmp/ci-cli-%s.json" % name)), sort_keys=True)
+    served = json.dumps(json.load(open("/tmp/ci-q-%s.json" % name))["result"],
+                        sort_keys=True)
+    assert cli == served, "CLI --json differs from the served result: " + name
+EOF
+fi
+
+echo "== dot smoke (valency graph export; 1 min cap) =="
+DOT=/tmp/ci-valency-$$.dot
+timeout 60 "$TS" dot -n 2 -o "$DOT" > /tmp/ci-dot.out
+head -n 1 "$DOT" | grep -q "^digraph valency"
+grep -q "75 configurations" /tmp/ci-dot.out
+rm -f "$DOT"
+
 echo "== ledger smoke (every benchmark workload, 1 s each; 5 min cap) =="
 # every served answer the benchmark ledger draws is checked (witnesses,
 # certificates, verdicts, byte-identical repeats); any failed check

@@ -71,6 +71,108 @@ exception Reject of string * string  (* code, message *)
 
 let max_explore_n = Explore.max_n
 
+type answer =
+  | Witness of {
+      horizon_used : int;
+      cert : Theorem.certificate;
+      replay : (unit, string) result;
+      certificate : Ts_cert.Cert.t option;
+    }
+  | Witness_partial of {
+      horizon_used : int;
+      stop : Theorem.stop;
+      progress : Theorem.progress;
+    }
+  | Explored of {
+      result : Explore.result;
+      replay : (unit, string) result option;
+      certificate : Ts_cert.Cert.t option;
+    }
+  | Classified of {
+      inputs : Value.t array;
+      horizon : int;
+      verdict : Valency.verdict;
+      stats : Valency.stats;
+    }
+  | Analyzed of Ts_analysis.Analyze.analysis
+
+let protocol_of (r : Request.t) =
+  match Ts_protocols.Catalog.find r.Request.protocol ~n:r.Request.n with
+  | Ok p -> p
+  | Error msg -> raise (Reject ("unknown-protocol", msg))
+
+let run ?domains ~budget (r : Request.t) =
+  match r.Request.op with
+  | Request.Witness -> (
+    let (Protocol.Packed proto) = protocol_of r in
+    match Theorem.witness ~budget ?horizon:r.Request.horizon proto with
+    | Theorem.Complete cert, horizon_used ->
+      let certificate =
+        if r.Request.certificate then Some (Ts_cert.Cert.of_theorem proto cert)
+        else None
+      in
+      Witness
+        { horizon_used; cert; replay = Theorem.verify cert proto; certificate }
+    | Theorem.Partial (stop, progress), horizon_used ->
+      Witness_partial { horizon_used; stop; progress })
+  | Request.Check | Request.Resilient ->
+    (* before the protocol lookup: a large [n] is refused, not built *)
+    Explore.refuse_large_n r.Request.n;
+    let (Protocol.Packed proto) = protocol_of r in
+    let inputs_list = Explore.binary_inputs r.Request.n in
+    let { Request.max_configs; max_depth; solo_budget; _ } = r in
+    let result, replay =
+      if r.Request.op = Request.Check then
+        ( Explore.check_consensus proto ?domains ~budget ~inputs_list
+            ~max_configs ~max_depth ~solo_budget
+            ~check_solo:r.Request.check_solo,
+          None )
+      else
+        let result =
+          Explore.check_t_resilient proto ?domains ~t:r.Request.t_faults ~budget
+            ~inputs_list ~max_configs ~max_depth ~solo_budget
+        in
+        (* a resilience witness must survive an independent replay, at
+           the budget it was found under *)
+        match result.Explore.verdict with
+        | Error v -> (result, Some (Explore.replay ~solo_budget proto v))
+        | Ok () -> (result, None)
+    in
+    (* a violation is the only checkable claim an exploration produces; a
+       clean verdict is a bounded guarantee with no finite witness *)
+    let certificate =
+      match (r.Request.certificate, result.Explore.verdict) with
+      | true, Error v -> Some (Ts_cert.Cert.of_violation proto v)
+      | _ -> None
+    in
+    Explored { result; replay; certificate }
+  | Request.Valency ->
+    let (Protocol.Packed proto) = protocol_of r in
+    let horizon =
+      match r.Request.horizon with Some h -> h | None -> 10 * r.Request.n
+    in
+    let v = Valency.create ~budget proto ~horizon in
+    let inputs = canonical_inputs r.Request.n in
+    let i0 = Config.initial proto ~inputs in
+    let verdict = Valency.classify v i0 (Pset.all r.Request.n) in
+    Classified { inputs; horizon; verdict; stats = Valency.stats v }
+  | Request.Analyze -> (
+    match Ts_analysis.Registry.find r.Request.protocol with
+    | None ->
+      raise
+        (Reject
+           ( "unknown-protocol",
+             Printf.sprintf "no registry entry %S (known: %s)"
+               r.Request.protocol
+               (String.concat ", " (Ts_analysis.Registry.names ())) ))
+    | Some entry ->
+      (* the registry gate's first stage: findings and lint summary *)
+      Analyzed (Ts_analysis.Analyze.analyze entry))
+  | Request.Ping | Request.Stats | Request.Health ->
+    invalid_arg
+      ("Dispatch.run: " ^ Request.op_to_string r.Request.op
+     ^ " is not an engine operation")
+
 (* Splice an emitted certificate into a result document.  The certificate
    is built in its own canonical JSON and re-parsed here: the digest binds
    the tree, not the rendering, so the round trip is harmless and cached /
@@ -88,13 +190,36 @@ let with_certificate cert json =
     | Json.Obj kvs -> Json.Obj (kvs @ [ ("certificate", cj) ])
     | other -> other)
 
-let protocol_of (r : Request.t) =
-  match Ts_protocols.Catalog.find r.Request.protocol ~n:r.Request.n with
-  | Ok p -> p
-  | Error msg -> raise (Reject ("unknown-protocol", msg))
+let answer_to_json = function
+  | Witness { horizon_used; cert; replay; certificate } ->
+    with_certificate certificate
+      (Response.witness_to_json ~horizon_used ~verified:replay cert)
+  | Witness_partial { horizon_used; stop; progress } ->
+    Response.witness_partial_to_json ~horizon_used stop progress
+  | Explored { result; replay; certificate } ->
+    with_certificate certificate (Response.explore_to_json ?replay result)
+  | Classified { inputs; horizon; verdict; stats } ->
+    Response.valency_to_json ~inputs ~horizon verdict stats
+  | Analyzed analysis -> Ts_analysis.Analyze.analysis_to_json analysis
 
-(* Each computation returns the result document plus whether it is a
-   complete answer (cacheable) — see the .mli cache policy. *)
+let complete = function
+  | Witness { replay; _ } -> replay = Ok ()
+  | Witness_partial _ -> false
+  | Explored { result; _ } -> result.Explore.stopped = None
+  | Classified _ | Analyzed _ -> true
+
+let refusal = function
+  | Reject (code, msg) -> (code, msg)
+  | Invalid_argument msg -> ("invalid-argument", msg)
+  | Failure msg -> ("construction-failed", msg)
+  | Budget.Exhausted b ->
+    ("out-of-budget", Format.asprintf "%a" Budget.pp_breach b)
+  | Valency.Horizon_exceeded msg ->
+    ("construction-failed", "oracle horizon too small: " ^ msg)
+  | exn -> ("internal", Printexc.to_string exn)
+
+(* The result document plus whether it is a complete answer (cacheable)
+   — see the .mli cache policy. *)
 let compute t (r : Request.t) : Json.t * bool =
   match r.Request.op with
   | Request.Ping -> (Json.Obj [ ("pong", Json.Bool true) ], false)
@@ -115,85 +240,10 @@ let compute t (r : Request.t) : Json.t * bool =
              [ ("store", Response.store_stats_to_json (Store.stats st)) ])
         @ t.extra_stats ()),
       false )
-  | Request.Witness ->
-    let (Protocol.Packed proto) = protocol_of r in
-    let outcome, horizon_used =
-      Theorem.witness ~budget:(budget_of t r) ?horizon:r.Request.horizon proto
-    in
-    (match outcome with
-     | Theorem.Complete cert ->
-       let verified = Theorem.verify cert proto in
-       let emitted =
-         if r.Request.certificate then Some (Ts_cert.Cert.of_theorem proto cert)
-         else None
-       in
-       ( with_certificate emitted
-           (Response.witness_to_json ~horizon_used ~verified cert),
-         verified = Ok () )
-     | Theorem.Partial (stop, progress) ->
-       (Response.witness_partial_to_json ~horizon_used stop progress, false))
-  | Request.Check ->
-    (* before the protocol lookup: a large [n] is refused, not built *)
-    Explore.refuse_large_n r.Request.n;
-    let (Protocol.Packed proto) = protocol_of r in
-    let result =
-      Explore.check_consensus proto ~budget:(budget_of t r)
-        ~inputs_list:(Explore.binary_inputs r.Request.n)
-        ~max_configs:r.Request.max_configs ~max_depth:r.Request.max_depth
-        ~solo_budget:r.Request.solo_budget ~check_solo:r.Request.check_solo
-    in
-    let emitted =
-      match (r.Request.certificate, result.Explore.verdict) with
-      | true, Error v -> Some (Ts_cert.Cert.of_violation proto v)
-      | _ -> None
-    in
-    ( with_certificate emitted (Response.explore_to_json result),
-      result.Explore.stopped = None )
-  | Request.Resilient ->
-    Explore.refuse_large_n r.Request.n;
-    let (Protocol.Packed proto) = protocol_of r in
-    let result =
-      Explore.check_t_resilient proto ~t:r.Request.t_faults
-        ~budget:(budget_of t r)
-        ~inputs_list:(Explore.binary_inputs r.Request.n)
-        ~max_configs:r.Request.max_configs ~max_depth:r.Request.max_depth
-        ~solo_budget:r.Request.solo_budget
-    in
-    let replay =
-      match result.Explore.verdict with
-      | Error v -> Some (Explore.replay ~solo_budget:r.Request.solo_budget proto v)
-      | Ok () -> None
-    in
-    let emitted =
-      match (r.Request.certificate, result.Explore.verdict) with
-      | true, Error v -> Some (Ts_cert.Cert.of_violation proto v)
-      | _ -> None
-    in
-    ( with_certificate emitted (Response.explore_to_json ?replay result),
-      result.Explore.stopped = None )
-  | Request.Valency ->
-    let (Protocol.Packed proto) = protocol_of r in
-    let horizon =
-      match r.Request.horizon with Some h -> h | None -> 10 * r.Request.n
-    in
-    let v = Valency.create ~budget:(budget_of t r) proto ~horizon in
-    let inputs = canonical_inputs r.Request.n in
-    let i0 = Config.initial proto ~inputs in
-    let verdict = Valency.classify v i0 (Pset.all r.Request.n) in
-    (Response.valency_to_json ~inputs ~horizon verdict (Valency.stats v), true)
-  | Request.Analyze -> (
-    match Ts_analysis.Registry.find r.Request.protocol with
-    | None ->
-      raise
-        (Reject
-           ( "unknown-protocol",
-             Printf.sprintf "no registry entry %S (known: %s)"
-               r.Request.protocol
-               (String.concat ", " (Ts_analysis.Registry.names ())) ))
-    | Some entry ->
-      (* the registry gate's first stage: findings and lint summary *)
-      let analysis = Ts_analysis.Analyze.analyze entry in
-      (Ts_analysis.Analyze.analysis_to_json analysis, true))
+  | Request.Witness | Request.Check | Request.Resilient | Request.Valency
+  | Request.Analyze ->
+    let a = run ~budget:(budget_of t r) r in
+    (answer_to_json a, complete a)
 
 let cacheable_op (r : Request.t) =
   match r.Request.op with
@@ -204,20 +254,12 @@ let cacheable_op (r : Request.t) =
 (* Map every engine exception to its stable error code; [f] produces the
    success document. *)
 let guard ~id f =
-  let err code msg =
-    Obs.Metrics.incr "service.errors";
-    Json.to_string (Response.error ~id:(Some id) ~code msg)
-  in
   match f () with
   | response -> response
-  | exception Reject (code, msg) -> err code msg
-  | exception Invalid_argument msg -> err "invalid-argument" msg
-  | exception Failure msg -> err "construction-failed" msg
-  | exception Budget.Exhausted b ->
-    err "out-of-budget" (Format.asprintf "%a" Budget.pp_breach b)
-  | exception Valency.Horizon_exceeded msg ->
-    err "construction-failed" ("oracle horizon too small: " ^ msg)
-  | exception exn -> err "internal" (Printexc.to_string exn)
+  | exception exn ->
+    let code, msg = refusal exn in
+    Obs.Metrics.incr "service.errors";
+    Json.to_string (Response.error ~id:(Some id) ~code msg)
 
 (* One "service.request" span per request, opened wherever the answer is
    actually produced (the loop for hits, a worker for computations). *)

@@ -4,8 +4,9 @@
     One dispatcher owns one sharded result cache ({!Ts_core.Cache}) and,
     optionally, the persistent witness store ({!Ts_store.Store}) behind
     it.  Transport-free by design — the TCP server routes through
-    {!route}, and the tests call {!handle} (or the raw forms below)
-    directly, so wire handling and engine semantics are testable apart.
+    {!route}, the CLI answers in-process through {!run}, and the tests
+    call {!handle} (or the raw forms below) directly, so wire handling
+    and engine semantics are testable apart.
 
     {b Serving tiers.}  The cache stores the {e serialized} result body
     (the compact JSON bytes), not a tree: a hit is spliced straight into
@@ -49,6 +50,76 @@ val cache_version : int
     [Explore]'s own guard, before the protocol lookup, with an
     [invalid-argument] error that names this limit. *)
 val max_explore_n : int
+
+(** {1 The engine seam}
+
+    Both front doors answer an engine operation ([witness], [check],
+    [resilient], [valency], [analyze]) through one call path: {!run}
+    computes a typed {!answer}, {!answer_to_json} renders the served
+    result document, {!complete} decides whether it is cached, and
+    {!refusal} names the error code and message of anything [run]
+    raises.  The daemon calls them behind its cache ({!route}); the CLI
+    calls them in-process and renders text, or the same document under
+    [--json]. *)
+
+(** One case per engine result. *)
+type answer =
+  | Witness of {
+      horizon_used : int;  (** the oracle horizon the construction completed at *)
+      cert : Ts_core.Theorem.certificate;
+      replay : (unit, string) result;
+          (** {!Ts_core.Theorem.verify}'s independent replay of [cert] *)
+      certificate : Ts_cert.Cert.t option;
+          (** built only when the request asks for one *)
+    }  (** a complete Theorem-1 construction *)
+  | Witness_partial of {
+      horizon_used : int;
+      stop : Ts_core.Theorem.stop;
+      progress : Ts_core.Theorem.progress;
+    }  (** a construction stopped by its budget or its oracle horizon *)
+  | Explored of {
+      result : Ts_checker.Explore.result;
+      replay : (unit, string) result option;
+          (** a [resilient] violation's independent
+              {!Ts_checker.Explore.replay}, at the request's solo budget *)
+      certificate : Ts_cert.Cert.t option;
+          (** built only when the request asks for one and a violation
+              was found *)
+    }  (** a [check] or [resilient] exploration *)
+  | Classified of {
+      inputs : Ts_model.Value.t array;
+      horizon : int;
+      verdict : Ts_core.Valency.verdict;
+      stats : Ts_core.Valency.stats;
+    }  (** the valency of the canonical initial configuration *)
+  | Analyzed of Ts_analysis.Analyze.analysis
+      (** the registry gate's first stage for one entry *)
+
+(** [run ?domains ~budget req] answers an engine request on the calling
+    thread.  [domains] (default 1) fans [check] and [resilient] out over
+    that many OCaml domains; it never changes the answer.  It builds a certificate only when [req] asks for one and
+    does not micro-check it.  Raises what the engines raise ({!refusal}
+    maps it to a code), and [Invalid_argument] for [ping], [stats] and
+    [health], which are not engine operations. *)
+val run : ?domains:int -> budget:Ts_core.Budget.t -> Request.t -> answer
+
+(** The served result document of an answer, certificate included. *)
+val answer_to_json : answer -> Json.t
+
+(** Whether an answer is complete, hence cached (see the cache policy
+    above): a witness whose replay verified, an exploration that did not
+    trip its budget, every classification and analysis. *)
+val complete : answer -> bool
+
+(** [refusal exn] is the served error code and message for an exception
+    that {!run} raised: ["unknown-protocol"] for a name the catalog or
+    the registry does not know, ["invalid-argument"] for
+    [Invalid_argument], ["construction-failed"] for [Failure] and
+    {!Ts_core.Valency.Horizon_exceeded}, ["out-of-budget"] for
+    {!Ts_core.Budget.Exhausted}, and ["internal"] for anything else. *)
+val refusal : exn -> string * string
+
+(** {1 The dispatcher} *)
 
 type t
 

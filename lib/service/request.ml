@@ -48,7 +48,7 @@ type t = {
   max_nodes : int option;
 }
 
-(* Mirrors the CLI flag defaults in bin/tightspace.ml. *)
+(* The CLI's engine flags take their defaults from here. *)
 let defaults =
   {
     id = 0;
@@ -67,6 +67,25 @@ let defaults =
     max_nodes = None;
   }
 
+(* Bounds and budgets are counts.  A negative one yields a complete but
+   meaningless answer that the cache and the store would keep, and since
+   Dispatch.cache_key packs an absent horizon as -1, "horizon": -1 would
+   even share the default request's entry. *)
+let validate r =
+  let negative =
+    List.find_opt
+      (fun (_, i) -> i < 0)
+      [
+        ("horizon", Option.value r.horizon ~default:0);
+        ("max_configs", r.max_configs);
+        ("max_depth", r.max_depth);
+        ("solo_budget", r.solo_budget);
+      ]
+  in
+  match negative with
+  | None -> Ok r
+  | Some (k, i) -> Error (Printf.sprintf "field %S must be non-negative, got %d" k i)
+
 (* Field decoding is total-with-defaults for optional fields but strict on
    type mismatches: a client sending {"n": "three"} gets an error, not the
    default silently. *)
@@ -83,21 +102,6 @@ let get_int_opt doc k default =
   | Some Json.Null -> Ok None
   | Some v -> (
     match Json.to_int_opt v with Some i -> Ok (Some i) | None -> field_err k)
-
-(* Bounds and budgets are counts.  A negative one yields a complete but
-   meaningless answer that the cache and the store would keep, and since
-   Dispatch.cache_key packs an absent horizon as -1, "horizon": -1 would
-   even share the default request's entry. *)
-let non_negative k i =
-  if i < 0 then Error (Printf.sprintf "field %S must be non-negative, got %d" k i)
-  else Ok i
-
-let get_count doc k default = Result.bind (get_int doc k default) (non_negative k)
-
-let get_count_opt doc k default =
-  match get_int_opt doc k default with
-  | Ok (Some i) -> Result.map Option.some (non_negative k i)
-  | r -> r
 
 let get_float_opt doc k default =
   match Json.member k doc with
@@ -135,17 +139,17 @@ let of_json doc =
     let* id = get_int doc "id" d.id in
     let* protocol = get_str doc "protocol" d.protocol in
     let* n = get_int doc "n" d.n in
-    let* horizon = get_count_opt doc "horizon" d.horizon in
+    let* horizon = get_int_opt doc "horizon" d.horizon in
     let* seed = get_int doc "seed" d.seed in
-    let* max_configs = get_count doc "max_configs" d.max_configs in
-    let* max_depth = get_count doc "max_depth" d.max_depth in
-    let* solo_budget = get_count doc "solo_budget" d.solo_budget in
+    let* max_configs = get_int doc "max_configs" d.max_configs in
+    let* max_depth = get_int doc "max_depth" d.max_depth in
+    let* solo_budget = get_int doc "solo_budget" d.solo_budget in
     let* check_solo = get_bool doc "check_solo" d.check_solo in
     let* t_faults = get_int doc "t" d.t_faults in
     let* certificate = get_bool doc "certificate" d.certificate in
     let* deadline = get_float_opt doc "deadline" d.deadline in
     let* max_nodes = get_int_opt doc "max_nodes" d.max_nodes in
-    Ok
+    validate
       {
         id; op; protocol; n; horizon; seed; max_configs; max_depth;
         solo_budget; check_solo; t_faults; certificate; deadline; max_nodes;

@@ -38,17 +38,24 @@ type t = {
   max_nodes : int option;  (** per-request search-node budget *)
 }
 
-(** Defaults mirror the CLI subcommands' flag defaults, so a daemon query
-    and a one-shot CLI run of the same operation compute the same
-    answer. *)
+(** The defaults of an absent field.  The CLI's engine flags take their
+    defaults from here too, so a daemon query and a one-shot CLI run of
+    the same operation compute the same answer. *)
 val defaults : t
 
+(** [validate r] is [Ok r] unless [r]'s ["horizon"], ["max_configs"],
+    ["max_depth"] or ["solo_budget"] is negative; the [Error] names the
+    first such field.  A negative count would yield a complete, hence
+    cached, but meaningless answer.  {!of_json} ends with this rule, and
+    the CLI applies it to the request it builds from its flags. *)
+val validate : t -> (t, string) result
+
 (** [of_json doc] decodes a request object.  Unknown fields are ignored
-    (forward compatibility); a missing ["op"], an unknown op name, a
-    type-mismatched field, or a negative ["horizon"], ["max_configs"],
-    ["max_depth"] or ["solo_budget"] is an [Error] naming the field. *)
+    (forward compatibility); a missing ["op"], an unknown op name or a
+    type-mismatched field is an [Error] naming the field, and so is any
+    request that {!validate} refuses. *)
 val of_json : Ts_analysis.Json.t -> (t, string) result
 
 (** [to_json r] is the wire form; [of_json (to_json r) = Ok r] whenever
-    those four fields of [r] are non-negative. *)
+    {!validate} accepts [r]. *)
 val to_json : t -> Ts_analysis.Json.t

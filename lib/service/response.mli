@@ -100,8 +100,8 @@ val envelope_raw :
 (** [error ~id ~code msg] is the failure document: [{"id": ..., "ok":
     false, "error": {"code": ..., "message": ...}}].  Stable codes:
     ["bad-frame"], ["bad-json"], ["bad-request"], ["unknown-protocol"],
-    ["invalid-argument"], ["construction-failed"], ["overloaded"],
-    ["shutting-down"], ["internal"].  [retry_after_ms] adds the
+    ["invalid-argument"], ["construction-failed"], ["out-of-budget"],
+    ["overloaded"], ["shutting-down"], ["internal"].  [retry_after_ms] adds the
     machine-readable backpressure hint ([{"retry_after_ms": ...}] inside
     the error object) that backpressure refusals ([overloaded],
     [shutting-down]) carry and the resilient client honors — see

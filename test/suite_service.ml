@@ -869,6 +869,99 @@ let test_decoders_never_raise () =
   in
   QCheck2.Test.check_exn test
 
+(* --- the engine seam both front doors share ------------------------------ *)
+
+(* The CLI checks the request it builds from its flags with the rule the
+   decoder applies, so a negative count is refused on both paths with
+   the same message. *)
+let test_validate_counts () =
+  let fields =
+    [
+      ("horizon", fun r -> { r with Request.horizon = Some (-1) });
+      ("max_configs", fun r -> { r with Request.max_configs = -1 });
+      ("max_depth", fun r -> { r with Request.max_depth = -1 });
+      ("solo_budget", fun r -> { r with Request.solo_budget = -1 });
+    ]
+  in
+  List.iter
+    (fun (field, set) ->
+      match Request.validate (set Request.defaults) with
+      | Ok _ -> Alcotest.failf "%s = -1 was accepted" field
+      | Error msg ->
+        Alcotest.(check bool) ("message names the field: " ^ msg) true
+          (List.mem (Printf.sprintf "%S" field) (String.split_on_char ' ' msg)))
+    fields;
+  let zeros =
+    { Request.defaults with
+      Request.horizon = Some 0; max_configs = 0; max_depth = 0; solo_budget = 0 }
+  in
+  List.iter
+    (fun (name, r) ->
+      Alcotest.(check bool) (name ^ " accepted") true (Request.validate r = Ok r))
+    [ ("defaults", Request.defaults); ("zeros", zeros) ]
+
+(* The CLI renders [Dispatch.run]'s answer with [answer_to_json]; the
+   daemon serves the same rendering as its result member. *)
+let test_run_matches_served () =
+  let d = Dispatch.create () in
+  let explore op protocol =
+    { Request.defaults with
+      Request.op; protocol; n = 2; max_configs = 400; max_depth = 12 }
+  in
+  let check = explore Request.Check "broken-lww" in
+  List.iter
+    (fun (name, req) ->
+      let ran =
+        Dispatch.answer_to_json (Dispatch.run ~budget:Ts_core.Budget.unlimited req)
+      in
+      Alcotest.(check string) name
+        (Json.to_string (result_of (Dispatch.handle d req)))
+        (Json.to_string ran))
+    [
+      ("witness", { witness_req with Request.n = 3 });
+      ("certified witness", { witness_req with Request.n = 3; certificate = true });
+      ("check", check);
+      ("certified check", { check with Request.certificate = true });
+      ("resilient", { (explore Request.Resilient "broken-wait") with Request.t_faults = 1 });
+      ("valency", { Request.defaults with Request.op = Request.Valency });
+      ("analyze", { Request.defaults with Request.op = Request.Analyze });
+    ]
+
+(* The CLI's refusals, its last-resort handler included, come from
+   [Dispatch.refusal]: the code and message the daemon serves. *)
+let test_refusal_matches_served () =
+  let d = Dispatch.create () in
+  List.iter
+    (fun (name, req, code) ->
+      let err =
+        match Json.member "error" (Dispatch.handle d req) with
+        | Some e -> e
+        | None -> Alcotest.failf "%s was answered" name
+      in
+      let refused =
+        match Dispatch.run ~budget:Ts_core.Budget.unlimited req with
+        | _ -> Alcotest.failf "%s ran" name
+        | exception exn -> Dispatch.refusal exn
+      in
+      Alcotest.(check (option string)) (name ^ ": served code") (Some code)
+        (member_str "code" err);
+      Alcotest.(check (pair (option string) (option string)))
+        (name ^ ": refusal = served") (member_str "code" err, member_str "message" err)
+        (Some (fst refused), Some (snd refused)))
+    [
+      ("unknown protocol", { witness_req with Request.protocol = "nosuch" },
+       "unknown-protocol");
+      ("witness at n = 1", { witness_req with Request.n = 1 }, "invalid-argument");
+      ("check at n = 17", { Request.defaults with Request.op = Request.Check; n = 17 },
+       "invalid-argument");
+    ];
+  Alcotest.(check (pair string string)) "a construction failure"
+    ("construction-failed", "no witness")
+    (Dispatch.refusal (Failure "no witness"));
+  Alcotest.(check (pair string string)) "an exhausted oracle horizon"
+    ("construction-failed", "oracle horizon too small: lemma 3")
+    (Dispatch.refusal (Ts_core.Valency.Horizon_exceeded "lemma 3"))
+
 let suite =
   ( "service",
     [
@@ -922,4 +1015,10 @@ let suite =
         test_unsupported_n_refused;
       Alcotest.test_case "the store gets fresh answers, not recovered ones" `Quick
         test_store_appends_fresh_only;
+      Alcotest.test_case "validate refuses each negative count by name" `Quick
+        test_validate_counts;
+      Alcotest.test_case "run's rendered answer is the served result" `Quick
+        test_run_matches_served;
+      Alcotest.test_case "refusal gives the served code and message" `Quick
+        test_refusal_matches_served;
     ] )
