@@ -158,6 +158,20 @@ let certificate_arg =
                  needs a complete construction; check and resilient need a \
                  violation.")
 
+(* A stopped construction of either engine: the stop, the engine's
+   progress and the flag that would carry it further.  [used] is the
+   horizon (or private-run allowance) the stop came from. *)
+let print_partial ~used pp_progress stop progress =
+  Format.printf "partial result: %a@.progress: %a@." Theorem.pp_stop stop
+    pp_progress progress;
+  match stop with
+  | Theorem.Wall _ ->
+    Format.printf
+      "hint: raise --horizon beyond %d (or drop it to escalate automatically).@."
+      used
+  | Theorem.Out_of_budget _ ->
+    Format.printf "hint: raise --deadline / --max-nodes and rerun.@."
+
 (* The text form of an answer. *)
 let print_answer ~diagram = function
   | Dispatch.Witness { horizon_used; cert; replay; _ } -> (
@@ -169,16 +183,8 @@ let print_answer ~diagram = function
     match replay with
     | Ok () -> Format.printf "independent replay: verified.@."
     | Error e -> Format.printf "replay FAILED: %s@." e)
-  | Dispatch.Witness_partial { horizon_used; stop; progress } -> (
-    Format.printf "partial result: %a@.progress: %a@." Theorem.pp_stop stop
-      Theorem.pp_progress progress;
-    match stop with
-    | Theorem.Horizon_wall _ ->
-      Format.printf
-        "hint: raise --horizon beyond %d (or drop it to escalate automatically).@."
-        horizon_used
-    | Theorem.Out_of_budget _ ->
-      Format.printf "hint: raise --deadline / --max-nodes and rerun.@.")
+  | Dispatch.Witness_partial { horizon_used; stop; progress } ->
+    print_partial ~used:horizon_used Theorem.pp_progress stop progress
   | Dispatch.Explored { result = r; replay; _ } -> (
     (match replay with
      | Some (Ok ()) -> Format.printf "witness replayed independently: confirmed.@."
@@ -281,17 +287,7 @@ let witness_revisionist ~json ~certificate ~budget ~horizon proto =
       pr_json
         (Ts_service.Response.revisionist_partial_to_json ~max_solo_used:used
            stop progress)
-    else begin
-      Format.printf "partial result: %a@.progress: %a@." Rev.pp_stop stop
-        Rev.pp_progress progress;
-      match stop with
-      | Rev.Search_wall _ ->
-        Format.printf
-          "hint: raise --horizon beyond %d (or drop it to escalate automatically).@."
-          used
-      | Rev.Out_of_budget _ ->
-        Format.printf "hint: raise --deadline / --max-nodes and rerun.@."
-    end;
+    else print_partial ~used Rev.pp_progress stop progress;
     if certificate <> None then
       Format.eprintf "no certificate: the construction was partial.@.";
     2
@@ -359,8 +355,8 @@ let print_comparison ~json ~budget ~horizon proto =
        let side name (s : _ X.side) =
          match s.X.result with
          | X.Completed _ -> Format.printf "%s: complete.@." name
-         | X.Walled reason | X.Tripped reason ->
-           Format.printf "%s: partial (%s).@." name reason
+         | X.Stopped stop ->
+           Format.printf "%s: partial (%a).@." name Theorem.pp_stop stop
        in
        side "lemmas" lem;
        side "revisionist" rev);
@@ -473,7 +469,7 @@ let resilient_cmd =
 let dot_out n depth file =
   let proto = Racing.make ~n in
   let t = Valency.create proto ~horizon:(30 * n) in
-  let inputs = Array.init n (fun p -> Value.int (if p = 1 then 1 else 0)) in
+  let inputs = Theorem.canonical_inputs n in
   let dot, stats =
     Valgraph.dot t ~inputs ~pset:(Pset.all n) ~depth ~max_nodes:5_000
   in
@@ -575,12 +571,9 @@ let analyze all protocol json domains =
       prerr_endline "analyze: pass --all or --protocol NAME";
       2
     | Some name ->
-      (match Ts_analysis.Registry.find name with
-       | None ->
-         Printf.eprintf "analyze: unknown protocol %s (known: %s)\n" name
-           (String.concat ", " (Ts_analysis.Registry.names ()));
-         2
-       | Some entry ->
+      (match Ts_analysis.Registry.lookup name with
+       | Error msg -> refuse ~json ("unknown-protocol", msg)
+       | Ok entry ->
          let r = A.gate ~domains entry in
          if json then pr_json (A.report_to_json r)
          else Format.printf "%a@." A.pp_report r;

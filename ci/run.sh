@@ -11,6 +11,11 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# every temporary file lives in one private directory, removed on exit
+CI_TMP=$(mktemp -d "${TMPDIR:-/tmp}/tightspace-ci.XXXXXX")
+trap 'rm -rf "$CI_TMP"' EXIT
+trap 'exit 1' HUP INT TERM
+
 # await_port OUT WHAT PID...: poll OUT for the "listening on" banner that
 # `tightspace serve` and `tightspace chaos proxy` print, and echo its port.
 # After 100 polls (~20 s) it reports WHAT, dumps OUT, kills every PID and
@@ -46,35 +51,35 @@ timeout 300 dune exec bin/tightspace.exe -- resilient --protocol racing -n 3 -t 
   --max-configs 2000 --max-depth 12 > /dev/null
 # the non-resilient control must be caught (exit 1) and its witness replay
 if timeout 300 dune exec bin/tightspace.exe -- resilient --protocol broken-wait -n 3 -t 1 \
-     > /tmp/resilient-broken.out 2>&1; then
+     > "$CI_TMP/resilient-broken.out" 2>&1; then
   echo "ci: broken-wait unexpectedly passed the resilience check" >&2
   exit 1
 fi
-grep -q "witness replayed independently: confirmed" /tmp/resilient-broken.out
+grep -q "witness replayed independently: confirmed" "$CI_TMP/resilient-broken.out"
 
 echo "== trace smoke (span tracing + Chrome export; 5 min cap) =="
 # the Theorem-1 trace must export well-formed Chrome trace_event JSON with
 # at least one span per lemma phase (the names CI greps for are the stable
 # span vocabulary documented in docs/OBSERVABILITY.md)
 timeout 300 dune exec bin/tightspace.exe -- trace racing -n 3 \
-  --out /tmp/trace.json --metrics > /tmp/trace.out
+  --out "$CI_TMP/trace.json" --metrics > "$CI_TMP/trace.out"
 if command -v python3 > /dev/null 2>&1; then
-  python3 -c 'import json; json.load(open("/tmp/trace.json"))'
+  python3 -c 'import json, sys; json.load(open(sys.argv[1]))' "$CI_TMP/trace.json"
 fi
 for span in theorem1 lemma1 lemma2 lemma3 lemma4 valency.search; do
-  grep -q "\"name\":\"$span\"" /tmp/trace.json || {
+  grep -q "\"name\":\"$span\"" "$CI_TMP/trace.json" || {
     echo "ci: trace.json is missing span '$span'" >&2; exit 1; }
 done
-grep -q "engine metrics:" /tmp/trace.out
+grep -q "engine metrics:" "$CI_TMP/trace.out"
 
 echo "== odoc (skipped unless odoc is installed) =="
 if command -v odoc > /dev/null 2>&1; then
-  dune build @doc 2> /tmp/odoc.err
+  dune build @doc 2> "$CI_TMP/odoc.err"
   # odoc warnings (broken references, missing comments) land on stderr;
   # the docs satellite requires a warning-clean render
-  if [ -s /tmp/odoc.err ]; then
+  if [ -s "$CI_TMP/odoc.err" ]; then
     echo "ci: dune build @doc produced warnings:" >&2
-    cat /tmp/odoc.err >&2
+    cat "$CI_TMP/odoc.err" >&2
     exit 1
   fi
 else
@@ -86,22 +91,22 @@ echo "== serve smoke (daemon + mixed batch + cache hit + drain; 5 min cap) =="
 # (including one deliberately malformed frame), serve the repeated query
 # from cache, and drain cleanly on SIGTERM — all the E21 plumbing
 TS=_build/default/bin/tightspace.exe
-"$TS" serve --port 0 --workers 2 > /tmp/serve.out 2>&1 &
+"$TS" serve --port 0 --workers 2 > "$CI_TMP/serve.out" 2>&1 &
 SERVE_PID=$!
-PORT=$(await_port /tmp/serve.out serve "$SERVE_PID")
-timeout 60 "$TS" query ping --port "$PORT" > /tmp/q-ping.json
-grep -q '"pong": true' /tmp/q-ping.json
-timeout 300 "$TS" query witness --port "$PORT" --protocol racing -n 2 > /tmp/q-cold.json
-grep -q '"provenance": "fresh"' /tmp/q-cold.json
+PORT=$(await_port "$CI_TMP/serve.out" serve "$SERVE_PID")
+timeout 60 "$TS" query ping --port "$PORT" > "$CI_TMP/q-ping.json"
+grep -q '"pong": true' "$CI_TMP/q-ping.json"
+timeout 300 "$TS" query witness --port "$PORT" --protocol racing -n 2 > "$CI_TMP/q-cold.json"
+grep -q '"provenance": "fresh"' "$CI_TMP/q-cold.json"
 # the repeat must come back from the cache
-timeout 60 "$TS" query witness --port "$PORT" --protocol racing -n 2 > /tmp/q-warm.json
-grep -q '"provenance": "cached"' /tmp/q-warm.json
+timeout 60 "$TS" query witness --port "$PORT" --protocol racing -n 2 > "$CI_TMP/q-warm.json"
+grep -q '"provenance": "cached"' "$CI_TMP/q-warm.json"
 # a malformed frame gets a typed error answer and must not kill the daemon
-timeout 60 "$TS" query ping --port "$PORT" --raw 'garbage#frame' > /tmp/q-raw.json
-grep -q '"bad-frame"' /tmp/q-raw.json
+timeout 60 "$TS" query ping --port "$PORT" --raw 'garbage#frame' > "$CI_TMP/q-raw.json"
+grep -q '"bad-frame"' "$CI_TMP/q-raw.json"
 kill -0 "$SERVE_PID" || { echo "ci: daemon died on malformed frame" >&2; exit 1; }
-timeout 60 "$TS" query stats --port "$PORT" > /tmp/q-stats.json
-grep -q '"hits": 1' /tmp/q-stats.json
+timeout 60 "$TS" query stats --port "$PORT" > "$CI_TMP/q-stats.json"
+grep -q '"hits": 1' "$CI_TMP/q-stats.json"
 # graceful drain: SIGTERM, bounded wait, daemon must exit 0 with a summary
 kill -TERM "$SERVE_PID"
 i=0
@@ -114,13 +119,13 @@ while kill -0 "$SERVE_PID" 2> /dev/null; do
   sleep 0.2
 done
 wait "$SERVE_PID"
-grep -q "served .* request" /tmp/serve.out
+grep -q "served .* request" "$CI_TMP/serve.out"
 
 echo "== persistence smoke (store-backed serve + restart recovery; 5 min cap) =="
 # the E22 story end to end: a store-backed daemon persists its answers,
 # and a NEW process on the same log serves the repeat from disk — same
 # provenance discipline, byte-identical result — without recomputing
-STORE=/tmp/ci-witlog-$$.log
+STORE="$CI_TMP/witlog.log"
 rm -f "$STORE"
 serve_on_store() {
   # $1: output file.  Starts a store-backed daemon, echoes its port.
@@ -141,23 +146,23 @@ drain() {
   done
   wait "$SERVE_PID"
 }
-serve_on_store /tmp/serve-store1.out
-timeout 300 "$TS" query witness --port "$PORT" --protocol racing -n 2 > /tmp/q-persist1.json
-grep -q '"provenance": "fresh"' /tmp/q-persist1.json
+serve_on_store "$CI_TMP/serve-store1.out"
+timeout 300 "$TS" query witness --port "$PORT" --protocol racing -n 2 > "$CI_TMP/q-persist1.json"
+grep -q '"provenance": "fresh"' "$CI_TMP/q-persist1.json"
 drain
 # the log must exist and carry the one answer
-"$TS" store "$STORE" > /tmp/store-inspect.out
-grep -q "1 record" /tmp/store-inspect.out
+"$TS" store "$STORE" > "$CI_TMP/store-inspect.out"
+grep -q "1 record" "$CI_TMP/store-inspect.out"
 # restart on the same log: the repeat is served from disk, not recomputed
-serve_on_store /tmp/serve-store2.out
-timeout 60 "$TS" query witness --port "$PORT" --protocol racing -n 2 > /tmp/q-persist2.json
-grep -q '"provenance": "recovered"' /tmp/q-persist2.json
+serve_on_store "$CI_TMP/serve-store2.out"
+timeout 60 "$TS" query witness --port "$PORT" --protocol racing -n 2 > "$CI_TMP/q-persist2.json"
+grep -q '"provenance": "recovered"' "$CI_TMP/q-persist2.json"
 # ...and a second repeat from the re-warmed memory tier
-timeout 60 "$TS" query witness --port "$PORT" --protocol racing -n 2 > /tmp/q-persist3.json
-grep -q '"provenance": "cached"' /tmp/q-persist3.json
+timeout 60 "$TS" query witness --port "$PORT" --protocol racing -n 2 > "$CI_TMP/q-persist3.json"
+grep -q '"provenance": "cached"' "$CI_TMP/q-persist3.json"
 if command -v python3 > /dev/null 2>&1; then
   # the differential guarantee: all three tiers return the same result bytes
-  python3 - /tmp/q-persist1.json /tmp/q-persist2.json /tmp/q-persist3.json <<'EOF'
+  python3 - "$CI_TMP/q-persist1.json" "$CI_TMP/q-persist2.json" "$CI_TMP/q-persist3.json" <<'EOF'
 import json, sys
 fresh, recovered, cached = (
     json.dumps(json.load(open(f))["result"], sort_keys=True) for f in sys.argv[1:])
@@ -174,20 +179,20 @@ echo "== chaos smoke (fault proxy + resilient client + crash torture; 10 min cap
 # (witness, check and valency from concurrent resilient clients, answers
 # byte-identical to a fault-free baseline) runs under `dune runtest`, in
 # suite_service's "e2e: resilient client through the chaos proxy".
-"$TS" serve --port 0 --workers 2 > /tmp/serve-chaos.out 2>&1 &
+"$TS" serve --port 0 --workers 2 > "$CI_TMP/serve-chaos.out" 2>&1 &
 SERVE_PID=$!
-PORT=$(await_port /tmp/serve-chaos.out serve "$SERVE_PID")
+PORT=$(await_port "$CI_TMP/serve-chaos.out" serve "$SERVE_PID")
 "$TS" chaos proxy --upstream-port "$PORT" --seed 7 --fault-prob 1.0 \
-  > /tmp/chaos-proxy.out 2>&1 &
+  > "$CI_TMP/chaos-proxy.out" 2>&1 &
 PROXY_PID=$!
-PPORT=$(await_port /tmp/chaos-proxy.out "chaos proxy" "$PROXY_PID" "$SERVE_PID")
+PPORT=$(await_port "$CI_TMP/chaos-proxy.out" "chaos proxy" "$PROXY_PID" "$SERVE_PID")
 timeout 300 "$TS" query witness --port "$PPORT" --protocol racing -n 2 \
-  --retries 10 > /tmp/q-chaos1.json
+  --retries 10 > "$CI_TMP/q-chaos1.json"
 timeout 300 "$TS" query witness --port "$PPORT" --protocol racing -n 2 \
-  --retries 10 > /tmp/q-chaos2.json
+  --retries 10 > "$CI_TMP/q-chaos2.json"
 if command -v python3 > /dev/null 2>&1; then
   # byte-equal result bodies through the faulty path
-  python3 - /tmp/q-chaos1.json /tmp/q-chaos2.json <<'EOF'
+  python3 - "$CI_TMP/q-chaos1.json" "$CI_TMP/q-chaos2.json" <<'EOF'
 import json, sys
 a, b = (json.dumps(json.load(open(f))["result"], sort_keys=True) for f in sys.argv[1:])
 assert a == b, "results through the chaos proxy differ"
@@ -195,15 +200,15 @@ EOF
 fi
 kill -INT "$PROXY_PID"
 wait "$PROXY_PID"
-grep -q "connections" /tmp/chaos-proxy.out
+grep -q "connections" "$CI_TMP/chaos-proxy.out"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || true
 # part 2: the store crash-torture bar — 300 seeded append/crash/reopen
 # cycles, recovery invariants checked sharply at every reopen
-TORTURE_LOG=/tmp/ci-torture-$$.log
+TORTURE_LOG="$CI_TMP/torture.log"
 timeout 600 "$TS" chaos torture --iterations 300 --seed 2026 \
-  --path "$TORTURE_LOG" --json > /tmp/torture.json
-grep -q '"iterations":300' /tmp/torture.json
+  --path "$TORTURE_LOG" --json > "$CI_TMP/torture.json"
+grep -q '"iterations":300' "$CI_TMP/torture.json"
 rm -f "$TORTURE_LOG"
 
 echo "== registry gate (analyzers, engine comparison, certificates; 10 min cap) =="
@@ -214,12 +219,12 @@ echo "== registry gate (analyzers, engine comparison, certificates; 10 min cap) 
 # tampered variant rejected, the parallel engine certified race-free and
 # the planted race caught
 timeout 600 dune exec bin/tightspace.exe -- analyze --all --json \
-  > /tmp/analyze-all.json
-grep -q '^  "ok": true' /tmp/analyze-all.json
-grep -q '"planted_race_caught": true' /tmp/analyze-all.json
+  > "$CI_TMP/analyze-all.json"
+grep -q '^  "ok": true' "$CI_TMP/analyze-all.json"
+grep -q '"planted_race_caught": true' "$CI_TMP/analyze-all.json"
 # the gate proves it can catch a divergence: the first verdict after the
 # broken-scribbler entry opens is its comparison's
-sed -n '/^      "protocol": "broken-scribbler"/,/"status"/p' /tmp/analyze-all.json \
+sed -n '/^      "protocol": "broken-scribbler"/,/"status"/p' "$CI_TMP/analyze-all.json" \
   | grep -q '"status": "diverged"' || {
   echo "ci: analyze --all did not catch the planted broken-scribbler divergence" >&2
   exit 1; }
@@ -238,7 +243,7 @@ if grep -q "(libraries" lib/cert/microcheck/dune; then
   exit 1
 fi
 # a small on-disk corpus through the standalone checker
-CERTDIR=/tmp/ci-certs-$$
+CERTDIR="$CI_TMP/certs"
 mkdir -p "$CERTDIR"
 timeout 300 "$TS" witness --protocol racing -n 2 \
   --certificate "$CERTDIR/racing.cert" > /dev/null
@@ -276,24 +281,24 @@ PYFLIP
   fi
 fi
 # certified answers survive the store: persist one, then audit the log
-AUDIT_STORE=/tmp/ci-auditlog-$$.log
+AUDIT_STORE="$CI_TMP/auditlog.log"
 rm -f "$AUDIT_STORE"
-"$TS" serve --port 0 --workers 2 --store "$AUDIT_STORE" > /tmp/serve-audit.out 2>&1 &
+"$TS" serve --port 0 --workers 2 --store "$AUDIT_STORE" > "$CI_TMP/serve-audit.out" 2>&1 &
 SERVE_PID=$!
-PORT=$(await_port /tmp/serve-audit.out "audit serve" "$SERVE_PID")
+PORT=$(await_port "$CI_TMP/serve-audit.out" "audit serve" "$SERVE_PID")
 timeout 300 "$TS" query witness --port "$PORT" --protocol racing -n 2 \
-  --certificate > /tmp/q-certified.json
-grep -q '"certificate"' /tmp/q-certified.json
+  --certificate > "$CI_TMP/q-certified.json"
+grep -q '"certificate"' "$CI_TMP/q-certified.json"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || true
-timeout 60 "$TS" store "$AUDIT_STORE" --audit > /tmp/store-audit.out
-grep -q "certificate pass" /tmp/store-audit.out
+timeout 60 "$TS" store "$AUDIT_STORE" --audit > "$CI_TMP/store-audit.out"
+grep -q "certificate pass" "$CI_TMP/store-audit.out"
 rm -rf "$CERTDIR" "$AUDIT_STORE"
 # the two-engine witness path runs the gate's comparison: it agrees end
 # to end on the CLI too, and calls the planted fixture a divergence (exit 1)
 timeout 300 "$TS" witness --protocol racing -n 2 --engine both \
-  > /tmp/witness-both.out
-grep -q "engines agree: space bound 1" /tmp/witness-both.out
+  > "$CI_TMP/witness-both.out"
+grep -q "engines agree: space bound 1" "$CI_TMP/witness-both.out"
 set +e
 timeout 300 "$TS" witness --protocol broken-scribbler -n 2 --engine both \
   > /dev/null
@@ -305,26 +310,26 @@ if [ "$RC" -ne 1 ]; then
 fi
 # a second-engine certificate round-trips through the micro-checker
 timeout 300 "$TS" witness --protocol racing -n 2 --engine revisionist \
-  --certificate /tmp/ci-rev-$$.cert > /dev/null
-timeout 60 "$TS" certify /tmp/ci-rev-$$.cert
-rm -f /tmp/ci-rev-$$.cert
+  --certificate "$CI_TMP/rev.cert" > /dev/null
+timeout 60 "$TS" certify "$CI_TMP/rev.cert"
+rm -f "$CI_TMP/rev.cert"
 
 echo "== check --json and exit-code smoke (5 min cap) =="
 # scripts branch on these: a clean bounded check exits 0, a violation 1,
 # and the JSON document carries the matching verdict
 timeout 300 "$TS" check --protocol racing -n 2 --max-configs 400 --max-depth 12 \
-  --json > /tmp/ci-check-clean.json
-grep -q '"verdict": "clean"' /tmp/ci-check-clean.json
+  --json > "$CI_TMP/check-clean.json"
+grep -q '"verdict": "clean"' "$CI_TMP/check-clean.json"
 set +e
 timeout 300 "$TS" check --protocol broken-lww -n 2 --max-configs 400 --max-depth 12 \
-  --json > /tmp/ci-check-broken.json
+  --json > "$CI_TMP/check-broken.json"
 RC=$?
 set -e
 if [ "$RC" -ne 1 ]; then
   echo "ci: check on broken-lww exited $RC, want 1" >&2
   exit 1
 fi
-grep -q '"verdict": "violation"' /tmp/ci-check-broken.json
+grep -q '"verdict": "violation"' "$CI_TMP/check-broken.json"
 # an engine refusing its arguments reaches the CLI's own handler: exit 2
 # with a hint, not cmdliner's internal-error exit
 set +e
@@ -339,15 +344,15 @@ fi
 # build its 2^n input vectors: exit 2 at once, naming the limit 16
 refuses_large_n() {
   set +e
-  timeout 20 "$TS" "$@" > /dev/null 2> /tmp/ci-large-n.err
+  timeout 20 "$TS" "$@" > /dev/null 2> "$CI_TMP/large-n.err"
   RC=$?
   set -e
   if [ "$RC" -ne 2 ]; then
     echo "ci: $* exited $RC, want 2" >&2
     exit 1
   fi
-  grep -q "limit of 16" /tmp/ci-large-n.err || {
-    echo "ci: $* did not name the limit 16" >&2; cat /tmp/ci-large-n.err >&2; exit 1; }
+  grep -q "limit of 16" "$CI_TMP/large-n.err" || {
+    echo "ci: $* did not name the limit 16" >&2; cat "$CI_TMP/large-n.err" >&2; exit 1; }
 }
 refuses_large_n check --protocol racing -n 24
 refuses_large_n resilient --protocol racing -n 24 -t 1
@@ -356,33 +361,60 @@ refuses_large_n resilient --protocol racing -n 24 -t 1
 # naming the field
 set +e
 timeout 60 "$TS" check --protocol racing -n 2 --solo-budget=-3 \
-  > /dev/null 2> /tmp/ci-negative.err
+  > /dev/null 2> "$CI_TMP/negative.err"
 RC=$?
 set -e
 if [ "$RC" -ne 2 ]; then
   echo "ci: check with a negative --solo-budget exited $RC, want 2" >&2
   exit 1
 fi
-grep -q "solo_budget" /tmp/ci-negative.err || {
+grep -q "solo_budget" "$CI_TMP/negative.err" || {
   echo "ci: the negative-count refusal did not name solo_budget" >&2; exit 1; }
 # a --json refusal prints the served error document, same exit code
 set +e
-timeout 60 "$TS" witness --protocol racing -n 1 --json > /tmp/ci-refusal.json
+timeout 60 "$TS" witness --protocol racing -n 1 --json > "$CI_TMP/refusal.json"
 RC=$?
 set -e
 if [ "$RC" -ne 2 ]; then
   echo "ci: witness --json at n = 1 exited $RC, want 2" >&2
   exit 1
 fi
-grep -q '"invalid-argument"' /tmp/ci-refusal.json
+grep -q '"invalid-argument"' "$CI_TMP/refusal.json"
+
+echo "== stopped-construction smoke (partial witnesses, unknown protocol; 1 min cap) =="
+# exits_with WANT OUT ARGS...: run tightspace ARGS, stdout and stderr to
+# OUT, and fail unless it exits WANT
+exits_with() {
+  want=$1; out=$2; shift 2
+  set +e
+  timeout 60 "$TS" "$@" > "$out" 2>&1
+  RC=$?
+  set -e
+  if [ "$RC" -ne "$want" ]; then
+    echo "ci: $* exited $RC, want $want" >&2; cat "$out" >&2; exit 1
+  fi
+}
+# a construction that stops short is a partial result (exit 2): the
+# default policy escalates broken-const's horizon from 20 to 320, and the
+# revisionist engine reports its wall as the same "horizon" stop
+exits_with 2 "$CI_TMP/partial.out" witness --protocol broken-const -n 2
+grep -q "hint: raise --horizon beyond 320" "$CI_TMP/partial.out"
+exits_with 2 "$CI_TMP/partial-rev.json" witness --protocol broken-const -n 2 \
+  --engine revisionist --json
+grep -q '"reason": "horizon"' "$CI_TMP/partial-rev.json"
+# an unknown registry name is refused as every unknown protocol is: exit
+# 1, and under --json the served error document
+exits_with 1 "$CI_TMP/analyze-nosuch.out" analyze --protocol nosuch
+exits_with 1 "$CI_TMP/analyze-nosuch.json" analyze --protocol nosuch --json
+grep -q '"unknown-protocol"' "$CI_TMP/analyze-nosuch.json"
 
 echo "== CLI = daemon smoke (one call path per engine op; 5 min cap) =="
 # witness, check and resilient answer in-process through the daemon's own
 # handler, so each --json document must equal the result member of the
 # same query, certificate included
-"$TS" serve --port 0 --workers 2 > /tmp/serve-cli.out 2>&1 &
+"$TS" serve --port 0 --workers 2 > "$CI_TMP/serve-cli.out" 2>&1 &
 SERVE_PID=$!
-PORT=$(await_port /tmp/serve-cli.out serve "$SERVE_PID")
+PORT=$(await_port "$CI_TMP/serve-cli.out" serve "$SERVE_PID")
 # cli_json OUT ARGS...: the CLI's --json document; exit 1 (a violation) is
 # what the check and resilient lines are sent to find
 cli_json() {
@@ -396,48 +428,49 @@ cli_json() {
     kill "$SERVE_PID" 2> /dev/null || true; exit 1
   fi
 }
-cli_json /tmp/ci-cli-w3.json witness --protocol racing -n 3
+cli_json "$CI_TMP/cli-w3.json" witness --protocol racing -n 3
 timeout 300 "$TS" query witness --port "$PORT" --protocol racing -n 3 \
-  > /tmp/ci-q-w3.json
-cli_json /tmp/ci-cli-w3c.json witness --protocol racing -n 3 \
-  --certificate /tmp/ci-cli-$$.cert
+  > "$CI_TMP/q-w3.json"
+cli_json "$CI_TMP/cli-w3c.json" witness --protocol racing -n 3 \
+  --certificate "$CI_TMP/cli.cert"
 timeout 300 "$TS" query witness --port "$PORT" --protocol racing -n 3 \
-  --certificate > /tmp/ci-q-w3c.json
-cli_json /tmp/ci-cli-lww.json check --protocol broken-lww -n 2 \
+  --certificate > "$CI_TMP/q-w3c.json"
+cli_json "$CI_TMP/cli-lww.json" check --protocol broken-lww -n 2 \
   --max-configs 400 --max-depth 12
 timeout 300 "$TS" query check --port "$PORT" --protocol broken-lww -n 2 \
-  --max-configs 400 --max-depth 12 > /tmp/ci-q-lww.json
-cli_json /tmp/ci-cli-bw.json resilient --protocol broken-wait -n 2 -t 1
+  --max-configs 400 --max-depth 12 > "$CI_TMP/q-lww.json"
+cli_json "$CI_TMP/cli-bw.json" resilient --protocol broken-wait -n 2 -t 1
 timeout 300 "$TS" query resilient --port "$PORT" --protocol broken-wait -n 2 \
-  -t 1 > /tmp/ci-q-bw.json
+  -t 1 > "$CI_TMP/q-bw.json"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || true
-grep -q '"certificate"' /tmp/ci-cli-w3c.json
-rm -f /tmp/ci-cli-$$.cert
+grep -q '"certificate"' "$CI_TMP/cli-w3c.json"
+rm -f "$CI_TMP/cli.cert"
 if command -v python3 > /dev/null 2>&1; then
-  python3 - <<'EOF'
-import json
+  python3 - "$CI_TMP" <<'EOF'
+import json, os, sys
+def load(name):
+    return json.load(open(os.path.join(sys.argv[1], name)))
 for name in ("w3", "w3c", "lww", "bw"):
-    cli = json.dumps(json.load(open("/tmp/ci-cli-%s.json" % name)), sort_keys=True)
-    served = json.dumps(json.load(open("/tmp/ci-q-%s.json" % name))["result"],
-                        sort_keys=True)
+    cli = json.dumps(load("cli-%s.json" % name), sort_keys=True)
+    served = json.dumps(load("q-%s.json" % name)["result"], sort_keys=True)
     assert cli == served, "CLI --json differs from the served result: " + name
 EOF
 fi
 
 echo "== dot smoke (valency graph export; 1 min cap) =="
-DOT=/tmp/ci-valency-$$.dot
-timeout 60 "$TS" dot -n 2 -o "$DOT" > /tmp/ci-dot.out
+DOT="$CI_TMP/valency.dot"
+timeout 60 "$TS" dot -n 2 -o "$DOT" > "$CI_TMP/dot.out"
 head -n 1 "$DOT" | grep -q "^digraph valency"
-grep -q "75 configurations" /tmp/ci-dot.out
+grep -q "75 configurations" "$CI_TMP/dot.out"
 rm -f "$DOT"
 
 echo "== ledger smoke (every benchmark workload, 1 s each; 5 min cap) =="
 # every served answer the benchmark ledger draws is checked (witnesses,
 # certificates, verdicts, byte-identical repeats); any failed check
 # withholds the final line
-timeout 300 sh ledger/run.sh --seconds 1 > /tmp/ci-ledger-smoke.out
-grep -q "^ledger: every workload correct$" /tmp/ci-ledger-smoke.out
+timeout 300 sh ledger/run.sh --seconds 1 > "$CI_TMP/ledger-smoke.out"
+grep -q "^ledger: every workload correct$" "$CI_TMP/ledger-smoke.out"
 
 echo "== docs link check (every relative link in a tracked .md must resolve) =="
 if command -v python3 > /dev/null 2>&1 && command -v git > /dev/null 2>&1; then

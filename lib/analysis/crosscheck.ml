@@ -7,8 +7,7 @@ module Obs = Ts_obs.Obs
 
 type engine_result =
   | Completed of int * string list
-  | Walled of string
-  | Tripped of string
+  | Stopped of Theorem.stop
 
 type 'o side = {
   outcome : 'o;
@@ -24,102 +23,77 @@ type verdict =
   | Unavailable of string
 
 type comparison = {
-  lemmas : Theorem.outcome side;
-  revisionist : Revisionist.outcome side;
+  lemmas : (Theorem.certificate, Theorem.progress) Theorem.outcome side;
+  revisionist :
+    (Revisionist.certificate, Revisionist.progress) Theorem.outcome side;
   verdict : verdict;
 }
 
 let ns_since t0 = Int64.of_float ((Unix.gettimeofday () -. t0) *. 1e9)
 
-(* Witness acceptance: the engine-side replay on the shared execution
-   substrate, plus the certificate pipeline (engine validate + the
-   independent micro-checker).  Returns the (empty-iff-accepted) error
-   list and the certificate, when it could be built. *)
-let accept proto ~replay ~cert =
-  let errs = ref [] in
-  let add e = errs := e :: !errs in
-  (match replay with Ok () -> () | Error m -> add ("replay: " ^ m));
-  let built =
-    match cert () with
-    | exception Invalid_argument m ->
-        add ("certificate build: " ^ m);
-        None
-    | c ->
-        (match Cert.validate proto c with
-        | Ok () -> ()
-        | Error m -> add ("certificate replay: " ^ m));
-        (match Cert.microcheck c with
-        | Ok () -> ()
-        | Error m -> add ("microcheck: " ^ m));
-        Some c
-  in
-  (List.rev !errs, built)
-
-(* Each engine runs under its witness policy, and a complete run is
-   accepted or rejected; the time covers both. *)
-let lemmas_side ~budget ?horizon proto =
+(* One engine's side: [run] is the engine under its witness policy, and a
+   complete run is accepted only if [verify] replays it on the shared
+   execution substrate and its certificate ([certify]) passes
+   [Cert.validate], the micro-checker and then the engine replay.  The
+   error list is empty iff the witness is accepted; the time covers the
+   run and its acceptance. *)
+let side proto ~run ~verify ~certify =
   let t0 = Unix.gettimeofday () in
-  let outcome, used = Theorem.witness ~budget ?horizon proto in
-  let stopped stop = Format.asprintf "%a" Theorem.pp_stop stop in
+  let outcome, used = run () in
   let result, cert =
     match outcome with
     | Theorem.Complete c ->
-        let errs, cert =
-          accept proto ~replay:(Theorem.verify c proto) ~cert:(fun () ->
-              Cert.of_theorem proto c)
+        let replay =
+          match verify c proto with Ok () -> [] | Error m -> [ "replay: " ^ m ]
         in
-        (Completed (c.Theorem.n, errs), cert)
-    | Theorem.Partial ((Theorem.Horizon_wall _ as stop), _) ->
-        (Walled (stopped stop), None)
-    | Theorem.Partial ((Theorem.Out_of_budget _ as stop), _) ->
-        (Tripped (stopped stop), None)
-  in
-  { outcome; used; result; cert; ns = ns_since t0 }
-
-let revisionist_side ~budget ?max_solo proto =
-  let t0 = Unix.gettimeofday () in
-  let outcome, used = Revisionist.witness ~budget ?max_solo proto in
-  let stopped stop = Format.asprintf "%a" Revisionist.pp_stop stop in
-  let result, cert =
-    match outcome with
-    | Revisionist.Complete c ->
-        let errs, cert =
-          accept proto ~replay:(Revisionist.verify c proto) ~cert:(fun () ->
-              Cert.of_revisionist proto c)
-        in
-        (Completed (c.Revisionist.n, errs), cert)
-    | Revisionist.Partial ((Revisionist.Search_wall _ as stop), _) ->
-        (Walled (stopped stop), None)
-    | Revisionist.Partial ((Revisionist.Out_of_budget _ as stop), _) ->
-        (Tripped (stopped stop), None)
+        let n = proto.Protocol.num_processes in
+        (match certify proto c with
+        | exception Invalid_argument m ->
+            (Completed (n, replay @ [ "certificate build: " ^ m ]), None)
+        | cert ->
+            let errs =
+              match Cert.validate proto cert with
+              | Ok () -> replay
+              | Error m -> replay @ [ "certificate: " ^ m ]
+            in
+            (Completed (n, errs), Some cert))
+    | Theorem.Partial (stop, _) -> (Stopped stop, None)
   in
   { outcome; used; result; cert; ns = ns_since t0 }
 
 let verdict lemmas revisionist =
+  let stopped = Format.asprintf "%a" Theorem.pp_stop in
   match (lemmas, revisionist) with
   | Completed (_, e :: _), Completed _ ->
       Diverged ("lemmas witness rejected: " ^ e)
   | Completed _, Completed (_, e :: _) ->
       Diverged ("revisionist witness rejected: " ^ e)
   | Completed (n, []), Completed (_, []) -> Agreed (n - 1)
-  | Completed _, Walled m ->
-      Diverged ("only lemmas completed; revisionist stopped: " ^ m)
-  | Walled m, Completed _ ->
-      Diverged ("only revisionist completed; lemmas stopped: " ^ m)
-  | Tripped m, Completed _ -> Unavailable ("lemmas ran out of budget: " ^ m)
-  | Completed _, Tripped m ->
-      Unavailable ("revisionist ran out of budget: " ^ m)
-  | (Walled a | Tripped a), (Walled b | Tripped b) ->
+  | Completed _, Stopped (Theorem.Wall _ as s) ->
+      Diverged ("only lemmas completed; revisionist stopped: " ^ stopped s)
+  | Stopped (Theorem.Wall _ as s), Completed _ ->
+      Diverged ("only revisionist completed; lemmas stopped: " ^ stopped s)
+  | Stopped (Theorem.Out_of_budget _ as s), Completed _ ->
+      Unavailable ("lemmas ran out of budget: " ^ stopped s)
+  | Completed _, Stopped (Theorem.Out_of_budget _ as s) ->
+      Unavailable ("revisionist ran out of budget: " ^ stopped s)
+  | Stopped a, Stopped b ->
       Unavailable
         (Printf.sprintf "neither engine completed (lemmas: %s; revisionist: %s)"
-           a b)
+           (stopped a) (stopped b))
 
 let compare_engines ?(budget = fun () -> Budget.unlimited) ?horizon proto =
   let sp = Obs.enter ~cat:"crosscheck" "crosscheck.protocol" in
   Obs.set_str sp "protocol" proto.Protocol.name;
   Fun.protect ~finally:(fun () -> Obs.close sp) @@ fun () ->
-  let lemmas = lemmas_side ~budget:(budget ()) ?horizon proto in
-  let revisionist = revisionist_side ~budget:(budget ()) ?max_solo:horizon proto in
+  let lemmas =
+    side proto ~verify:Theorem.verify ~certify:Cert.of_theorem ~run:(fun () ->
+        Theorem.witness ~budget:(budget ()) ?horizon proto)
+  in
+  let revisionist =
+    side proto ~verify:Revisionist.verify ~certify:Cert.of_revisionist
+      ~run:(fun () -> Revisionist.witness ~budget:(budget ()) ?max_solo:horizon proto)
+  in
   let verdict = verdict lemmas.result revisionist.result in
   Obs.Metrics.incr "crosscheck.compared";
   (match verdict with

@@ -7,23 +7,26 @@
     gate ([Analyze.gate], once per steppable entry), [witness --engine
     both] and the E26 table all call it.
 
-    Each engine runs under its shared witness policy
-    ({!Ts_core.Theorem.witness}, [Revisionist.witness]): an explicit
-    horizon (for the revisionist engine, its private-run allowance) is a
-    promise, and otherwise the engine escalates from [10 * n].  A
-    complete run's witness is {e accepted} only if it replays on the
-    shared execution substrate ({!Ts_core.Theorem.verify} /
-    [Revisionist.verify]) and its ["space_bound"] certificate passes both
-    the engine replay ({!Ts_cert.Cert.validate}) and the independent
-    micro-checker.  One rule ({!val-verdict}) then decides:
+    Each engine runs under the one witness policy
+    ({!Ts_core.Theorem.policy}, through {!Ts_core.Theorem.witness} and
+    [Revisionist.witness]): an explicit horizon (for the revisionist
+    engine, its private-run allowance) is a promise, and otherwise the
+    engine escalates from [10 * n].  Both engines stop with the one
+    {!Ts_core.Theorem.stop}.  A complete run's witness is {e accepted}
+    only if it replays on the shared execution substrate
+    ({!Ts_core.Theorem.verify} / [Revisionist.verify]) and its
+    ["space_bound"] certificate passes {!Ts_cert.Cert.validate}: the
+    independent micro-checker, then the engine replay.  One rule
+    ({!val-verdict}) then decides:
 
     - both engines complete: {!Agreed} [(n - 1)] when both witnesses are
       accepted, {!Diverged} otherwise;
-    - one completes and the other stops at its own horizon or search
-      wall: {!Diverged} — the planted [broken-scribbler] case, where the
-      revisionist adversary claims a bound and the Lemmas engine finds
-      Proposition 2 false;
-    - any budget trip, or neither engine completing: {!Unavailable}.
+    - one completes and the other stops at a [Wall] (its horizon, or the
+      revisionist private-run allowance): {!Diverged} — the planted
+      [broken-scribbler] case, where the revisionist adversary claims a
+      bound and the Lemmas engine finds Proposition 2 false;
+    - any [Out_of_budget] stop, or neither engine completing:
+      {!Unavailable}.
 
     The rule compares no claims, because acceptance already settles them:
     both certificates come from the one protocol instance, and the
@@ -42,13 +45,12 @@
 type engine_result =
   | Completed of int * string list
       (** construction complete on an [n]-process instance; the list
-          holds witness-acceptance errors (replay / certificate
-          validation / micro-checker) and is empty iff the witness is
+          holds witness-acceptance errors (replay / certificate build /
+          certificate validation) and is empty iff the witness is
           accepted *)
-  | Walled of string
-      (** stopped at the engine's own horizon (Lemmas) or search wall
-          (revisionist), with the stop reason *)
-  | Tripped of string  (** stopped by the caller's budget, with the breach *)
+  | Stopped of Ts_core.Theorem.stop
+      (** stopped short of a witness: a [Wall] at the engine's own
+          allowance, or [Out_of_budget] under the caller's budget *)
 
 (** One engine's side of a comparison. *)
 type 'o side = {
@@ -73,8 +75,15 @@ type verdict =
           from being stepped *)
 
 type comparison = {
-  lemmas : Ts_core.Theorem.outcome side;
-  revisionist : Ts_revisionist.Revisionist.outcome side;
+  lemmas :
+    (Ts_core.Theorem.certificate, Ts_core.Theorem.progress)
+    Ts_core.Theorem.outcome
+    side;
+  revisionist :
+    ( Ts_revisionist.Revisionist.certificate,
+      Ts_revisionist.Revisionist.progress )
+    Ts_core.Theorem.outcome
+    side;
   verdict : verdict;
 }
 

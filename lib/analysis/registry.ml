@@ -79,3 +79,11 @@ let all () =
 
 let find name = List.find_opt (fun e -> String.equal e.cli_name name) (all ())
 let names () = List.map (fun e -> e.cli_name) (all ())
+
+let lookup name =
+  match find name with
+  | Some e -> Ok e
+  | None ->
+    Error
+      (Printf.sprintf "no registry entry %S (known: %s)" name
+         (String.concat ", " (names ())))

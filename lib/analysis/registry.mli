@@ -51,3 +51,8 @@ val find : string -> entry option
 
 (** The registered names, in display order. *)
 val names : unit -> string list
+
+(** [lookup name] is {!find} with the refusal both front doors serve for
+    an unknown name (the daemon's [analyze] op and [tightspace analyze
+    --protocol], as [unknown-protocol]): it lists the known names. *)
+val lookup : string -> (entry, string) result

@@ -133,41 +133,37 @@ let resign t =
       | _ -> assert false)
   | other -> other
 
-let of_theorem proto (c : Ts_core.Theorem.certificate) =
+(* Both lower-bound engines make the same shape of claim — the bound,
+   the registers written, a covered set and the fresh register the last
+   process was forced onto — so both certify under the "space_bound"
+   kind and the micro-checker needs no engine-specific knowledge. *)
+let space_bound proto ~inputs ~schedule ~bound ~written ~covered ~fresh =
   let regs l = J.List (List.map (fun r -> J.Int r) l) in
-  let claim =
-    J.Obj
-      [
-        ("bound", J.Int (c.Ts_core.Theorem.n - 1));
-        ("registers_written", regs c.Ts_core.Theorem.registers_written);
-        ("covered", regs c.Ts_core.Theorem.covered_registers);
-        ("fresh_register", J.Int c.Ts_core.Theorem.fresh_register);
-      ]
-  in
-  build proto ~kind:"space_bound" ~inputs:c.Ts_core.Theorem.inputs
-    ~schedule:c.Ts_core.Theorem.schedule ~claim
+  build proto ~kind:"space_bound" ~inputs ~schedule
+    ~claim:
+      (J.Obj
+         [
+           ("bound", J.Int bound);
+           ("registers_written", regs written);
+           ("covered", regs covered);
+           ("fresh_register", J.Int fresh);
+         ])
 
-(* The revisionist engine's witness makes the same shape of claim as the
-   Theorem-1 construction — n-1 distinct registers written, a covered set
-   and the fresh register the last parked process was forced onto — so it
-   certifies under the same "space_bound" kind and the micro-checker needs
-   no new knowledge.  Crash-faulted constructions claim survivors-1 < n-1
-   and are not certifiable in this format. *)
+let of_theorem proto (c : Ts_core.Theorem.certificate) =
+  let open Ts_core.Theorem in
+  space_bound proto ~inputs:c.inputs ~schedule:c.schedule ~bound:(c.n - 1)
+    ~written:c.registers_written ~covered:c.covered_registers
+    ~fresh:c.fresh_register
+
+(* Crash-faulted constructions claim survivors-1 < n-1 and are not
+   certifiable in this format. *)
 let of_revisionist proto (c : Ts_revisionist.Revisionist.certificate) =
   let open Ts_revisionist.Revisionist in
   if c.excluded <> [] then
     invalid_arg "Cert.of_revisionist: crash-faulted constructions (bound < n - 1) are not certifiable";
-  let regs l = J.List (List.map (fun r -> J.Int r) l) in
-  let claim =
-    J.Obj
-      [
-        ("bound", J.Int c.bound);
-        ("registers_written", regs c.registers_written);
-        ("covered", regs c.covered_registers);
-        ("fresh_register", J.Int c.fresh_register);
-      ]
-  in
-  build proto ~kind:"space_bound" ~inputs:c.inputs ~schedule:c.schedule ~claim
+  space_bound proto ~inputs:c.inputs ~schedule:c.schedule ~bound:c.bound
+    ~written:c.registers_written ~covered:c.covered_registers
+    ~fresh:c.fresh_register
 
 let of_violation ?(k = 1) proto (v : Ts_checker.Explore.violation) =
   let open Ts_checker.Explore in
@@ -200,7 +196,7 @@ let microcheck_string = M.check_string
 
 let validate proto t =
   match M.check t with
-  | Error _ as e -> e
+  | Error m -> Error ("microcheck: " ^ m)
   | Ok () -> (
       (* Regenerate the certificate from its own inputs + schedule by
          running the real protocol, holding kind and claim fixed: byte

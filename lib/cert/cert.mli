@@ -66,9 +66,10 @@ val microcheck : t -> (unit, string) result
 val microcheck_string : string -> (unit, string) result
 
 (** [validate proto t] is the engine-side half of the audit: first
-    {!microcheck}, then re-run [proto] over the certificate's inputs and
-    schedule and require the regenerated trace, final state and digests
-    to be identical.  Rejects certificates whose steps are legal register
+    {!microcheck} (whose refusal comes back prefixed ["microcheck: "]),
+    then re-run [proto] over the certificate's inputs and schedule and
+    require the regenerated trace, final state and digests to be
+    identical.  Rejects certificates whose steps are legal register
     operations but not what the protocol was poised to do. *)
 val validate : 's Protocol.t -> t -> (unit, string) result
 

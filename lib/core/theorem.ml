@@ -164,12 +164,15 @@ type certificate = {
   oracle_searches : int;
 }
 
+let canonical_inputs n =
+  Array.init n (fun p -> if p = 1 then Value.int 1 else Value.int 0)
+
 let theorem1 t =
   let proto = Valency.protocol t in
   let n = proto.Protocol.num_processes in
   if n < 2 then invalid_arg "Theorem.theorem1: need n >= 2";
   (* Proposition 2: p0 input 0, p1 input 1 makes {p0,p1} bivalent. *)
-  let inputs = Array.init n (fun p -> if p = 1 then Value.int 1 else Value.int 0) in
+  let inputs = canonical_inputs n in
   let i0 = Config.initial proto ~inputs in
   if Obs.tracing () then
     Obs.instant ~cat:"log.info"
@@ -247,11 +250,11 @@ type progress = {
 
 type stop =
   | Out_of_budget of Budget.breach
-  | Horizon_wall of string
+  | Wall of string
 
-type outcome =
-  | Complete of certificate
-  | Partial of stop * progress
+type ('c, 'p) outcome =
+  | Complete of 'c
+  | Partial of stop * 'p
 
 let progress_of t =
   let s = Valency.stats t in
@@ -272,37 +275,41 @@ let theorem1_outcome t =
       Obs.instant ~cat:"log.info"
         (Printf.sprintf "theorem1: horizon %d insufficient (%s)"
            (Valency.horizon t) msg);
-    Partial (Horizon_wall msg, progress_of t)
+    Partial (Wall msg, progress_of t)
 
-(* Adaptive horizon escalation: geometric backoff on an exhausted horizon,
-   at most [retries] doublings, a fresh oracle per attempt.  The budget is
-   shared across attempts — it guards the whole escalation, so a capped
-   run returns [Partial (Out_of_budget _, _)] instead of looping. *)
-let theorem1_escalate ?(budget = Budget.unlimited) ?(retries = 4) proto ~initial_horizon =
-  if initial_horizon < 1 then invalid_arg "Theorem.theorem1_escalate: bad initial horizon";
-  if retries < 0 then invalid_arg "Theorem.theorem1_escalate: negative retries";
-  let rec go horizon attempt =
-    let t = Valency.create ~budget proto ~horizon in
-    match theorem1_outcome t with
-    | Partial (Horizon_wall msg, _) when attempt < retries ->
+(* Geometric backoff on a wall: at most [retries] doublings, a fresh
+   attempt each time.  Any budget lives in [attempt], so it spans every
+   attempt and a capped run stops at its breach instead of looping. *)
+let escalate ?(retries = 4) ~initial attempt =
+  if initial < 1 then invalid_arg "Theorem.escalate: bad initial allowance";
+  if retries < 0 then invalid_arg "Theorem.escalate: negative retries";
+  let rec go allowance k =
+    match attempt allowance with
+    | Partial (Wall msg, _) when k < retries ->
       if Obs.tracing () then
         Obs.instant ~cat:"log.info"
-          (Printf.sprintf "horizon %d insufficient (%s); deepening to %d" horizon
-             msg (2 * horizon));
-      go (2 * horizon) (attempt + 1)
-    | outcome -> outcome, horizon
+          (Printf.sprintf "horizon %d insufficient (%s); deepening to %d"
+             allowance msg (2 * allowance));
+      go (2 * allowance) (k + 1)
+    | outcome -> (outcome, allowance)
   in
-  go initial_horizon 0
+  go initial 0
 
-(* The witness policy every caller shares: an explicit horizon is a
-   promise (one oracle, no escalation); without one the horizon escalates
-   from 10·n. *)
+(* The witness policy both engines share: an explicit allowance is a
+   promise (one attempt, no escalation); without one the allowance
+   escalates from 10·n. *)
+let policy ?allowance ~n attempt =
+  match allowance with
+  | Some a -> (attempt a, a)
+  | None -> escalate ~initial:(10 * n) attempt
+
+let theorem1_escalate ?budget ?retries proto ~initial_horizon =
+  escalate ?retries ~initial:initial_horizon (fun horizon ->
+      theorem1_outcome (Valency.create ?budget proto ~horizon))
+
 let witness ?budget ?horizon proto =
-  match horizon with
-  | Some h -> (theorem1_outcome (Valency.create ?budget proto ~horizon:h), h)
-  | None ->
-    theorem1_escalate ?budget proto
-      ~initial_horizon:(10 * proto.Protocol.num_processes)
+  policy ?allowance:horizon ~n:proto.Protocol.num_processes (fun horizon ->
+      theorem1_outcome (Valency.create ?budget proto ~horizon))
 
 let verify cert (proto : 's Protocol.t) =
   if proto.Protocol.num_processes <> cert.n then Error "process count mismatch"
@@ -323,7 +330,7 @@ let verify cert (proto : 's Protocol.t) =
 
 let pp_stop ppf = function
   | Out_of_budget b -> Budget.pp_breach ppf b
-  | Horizon_wall msg -> Fmt.pf ppf "oracle horizon exhausted: %s" msg
+  | Wall msg -> Fmt.pf ppf "horizon exhausted: %s" msg
 
 let pp_progress ppf p =
   Fmt.pf ppf "horizon %d, %d valency searches over %d nodes" p.horizon p.searches

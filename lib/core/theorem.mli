@@ -40,10 +40,14 @@ type certificate = {
   oracle_searches : int;  (** valency searches spent *)
 }
 
+(** [canonical_inputs n] is Proposition 2's bivalent initial assignment,
+    the one both lower-bound engines, the daemon's [valency] op and the
+    [dot] export start from: p1 has input 1, everyone else 0. *)
+val canonical_inputs : int -> Value.t array
+
 (** [theorem1 t] runs the whole construction from the canonical bivalent
-    initial configuration (p0 has input 0, p1 input 1, the rest 0) and
-    returns a certificate with
-    [List.length registers_written >= n - 1].
+    initial configuration ({!canonical_inputs}) and returns a certificate
+    with [List.length registers_written >= n - 1].
     @raise Valency.Horizon_exceeded if the oracle horizon is too small.
     @raise Invalid_argument if the protocol has fewer than 2 processes. *)
 val theorem1 : 's Valency.t -> certificate
@@ -56,44 +60,68 @@ type progress = {
   nodes_expanded : int;
 }
 
-(** Why a construction stopped short of a certificate. *)
+(** Why a lower-bound construction stopped short of a certificate.  Both
+    engines stop with this type: the revisionist engine
+    ([Ts_revisionist.Revisionist]) re-exports it. *)
 type stop =
   | Out_of_budget of Budget.breach  (** the {!Budget} guard tripped *)
-  | Horizon_wall of string  (** the oracle horizon could not verify a step *)
+  | Wall of string
+      (** the step allowance could not carry a step: the oracle horizon
+          here, the private-run allowance in the revisionist engine *)
 
-type outcome =
-  | Complete of certificate
-  | Partial of stop * progress
+(** A construction's outcome: a certificate ['c], or the stop and the
+    engine's own progress record ['p]. *)
+type ('c, 'p) outcome =
+  | Complete of 'c
+  | Partial of stop * 'p
 
 (** [theorem1_outcome t] is {!theorem1} with structured degradation: a
     tripped {!Budget} or an exhausted horizon yields [Partial] instead of
     an exception (and, while tracing is armed, a ["log.info"]
     {!Ts_obs.Obs.instant} naming the stop).  [Invalid_argument] (caller
     errors) still raises. *)
-val theorem1_outcome : 's Valency.t -> outcome
+val theorem1_outcome : 's Valency.t -> (certificate, progress) outcome
 
-(** [theorem1_escalate ?budget ?retries proto ~initial_horizon] is the
-    adaptive wrapper: on [Horizon_wall] the horizon doubles (geometric
-    backoff, a fresh oracle per attempt) up to [retries] times (default 4).
-    [budget] (default unlimited) spans {e all} attempts, so a capped run
-    degrades to [Partial (Out_of_budget _, _)] rather than hanging.
-    Returns the outcome and the last horizon tried. *)
+(** [escalate ?retries ~initial attempt] is the one escalation loop:
+    it runs [attempt initial], and on a [Wall] doubles the allowance
+    (geometric backoff, a fresh attempt each time) up to [retries] times
+    (default 4).  A budget lives in [attempt], so it spans every attempt
+    and a breach ends the loop.  While tracing is armed each doubling
+    emits a ["log.info"] instant
+    ["horizon H insufficient (REASON); deepening to 2H"].  Returns the
+    outcome and the last allowance tried.
+    @raise Invalid_argument if [initial < 1] or [retries < 0]. *)
+val escalate :
+  ?retries:int -> initial:int -> (int -> ('c, 'p) outcome) -> ('c, 'p) outcome * int
+
+(** [policy ?allowance ~n attempt] is the witness policy both engines
+    share: an explicit [allowance] is a promise — one attempt at exactly
+    that value — and without one the allowance escalates from [10 * n]
+    ({!escalate} with its default retries).  Returns the outcome and the
+    allowance it came from. *)
+val policy :
+  ?allowance:int -> n:int -> (int -> ('c, 'p) outcome) -> ('c, 'p) outcome * int
+
+(** [theorem1_escalate ?budget ?retries proto ~initial_horizon] is
+    {!escalate} over {!theorem1_outcome}, a fresh oracle per horizon.
+    [budget] (default unlimited) spans all attempts. *)
 val theorem1_escalate :
   ?budget:Budget.t ->
   ?retries:int ->
   's Protocol.t ->
   initial_horizon:int ->
-  outcome * int
+  (certificate, progress) outcome * int
 
-(** [witness ?budget ?horizon proto] is the witness policy every caller
-    shares (the CLI's [witness] and [trace], the daemon's [witness] op,
-    the two-engine comparison): an explicit [horizon] is a promise — one
-    oracle at exactly that horizon, no escalation — and without one the
-    construction escalates from [10 * n] ({!theorem1_escalate} with its
-    default retries).  [budget] (default unlimited) spans every attempt.
-    Returns the outcome and the horizon it came from. *)
-val witness : ?budget:Budget.t -> ?horizon:int -> 's Protocol.t -> outcome * int
+(** [witness ?budget ?horizon proto] is {!policy} over
+    {!theorem1_outcome}, the Lemmas engine's witness for every caller
+    (the CLI's [witness] and [trace], the daemon's [witness] op, the
+    two-engine comparison).  [budget] (default unlimited) spans every
+    attempt.  Returns the outcome and the horizon it came from. *)
+val witness :
+  ?budget:Budget.t -> ?horizon:int -> 's Protocol.t -> (certificate, progress) outcome * int
 
+(** A stop, for either engine: a budget stop prints its breach, a wall
+    ["horizon exhausted: REASON"]. *)
 val pp_stop : Format.formatter -> stop -> unit
 val pp_progress : Format.formatter -> progress -> unit
 

@@ -1,6 +1,7 @@
 open Ts_model
 module Budget = Ts_core.Budget
 module Covering = Ts_core.Covering
+module Theorem = Ts_core.Theorem
 module Obs = Ts_obs.Obs
 
 type pid = int
@@ -28,15 +29,16 @@ type progress = {
   private_steps : int;
 }
 
-type stop =
+type stop = Theorem.stop =
   | Out_of_budget of Budget.breach
-  | Search_wall of string
+  | Wall of string
 
-type outcome =
-  | Complete of certificate
-  | Partial of stop * progress
+type ('c, 'p) outcome = ('c, 'p) Theorem.outcome =
+  | Complete of 'c
+  | Partial of stop * 'p
 
-exception Wall of string
+(* A construction that cannot go on; [construct] reports it as a [Wall]. *)
+exception Stuck of string
 
 (* Mutable search counters, shared between the construction and the
    partial-result reporting when it stops short. *)
@@ -45,9 +47,6 @@ type counters = {
   mutable revs : int;  (* backed-out choice points *)
   mutable deepest : int;  (* high-water parking level *)
 }
-
-let canonical_inputs n =
-  Array.init n (fun p -> if p = 1 then Value.int 1 else Value.int 0)
 
 (* The last element of a non-empty list and everything before it. *)
 let split_last l =
@@ -67,7 +66,7 @@ let construct_exn ~faults ~budget ~max_solo ~(c : counters)
   if n_surv < 2 then
     invalid_arg "Revisionist.construct: fewer than 2 surviving processes";
   let target = n_surv - 1 in
-  let inputs = canonical_inputs n in
+  let inputs = Theorem.canonical_inputs n in
   let cfg0 = Config.initial proto ~inputs in
   (* [private_run cfg z ~covered _ count k] advances [z] alone from [cfg]
      until it is poised to write a register outside [covered], then hands
@@ -136,9 +135,8 @@ let construct_exn ~faults ~budget ~max_solo ~(c : counters)
     place cfg0 ~covered:[] ~parked:[] ~active:survivors ~segs_rev:[] ~depth:0
   with
   | None ->
-    Obs.Metrics.incr "revisionist.walls";
     raise
-      (Wall
+      (Stuck
          (Printf.sprintf
             "no revision of the parking order parks %d processes within %d \
              private steps each"
@@ -148,13 +146,13 @@ let construct_exn ~faults ~budget ~max_solo ~(c : counters)
        or the release below would not write [target] registers. *)
     let pset = Pset.of_list (List.map fst parked) in
     if not (Covering.well_spread proto cfg_parked pset) then
-      raise (Wall "internal: parked processes are not well spread");
+      raise (Stuck "internal: parked processes are not well spread");
     let release = List.map (fun (p, _) -> Execution.ev p) parked in
     let schedule = List.concat segs @ release in
     let _, trace = Execution.apply proto cfg0 schedule in
     let written = Execution.written_registers trace in
     if List.length written < target then
-      raise (Wall "internal: release wrote fewer registers than were parked");
+      raise (Stuck "internal: release wrote fewer registers than were parked");
     let covered_registers, fresh_register = split_last (List.map snd parked) in
     Obs.Metrics.incr "revisionist.constructs";
     Obs.Metrics.incr ~by:target "revisionist.parks";
@@ -175,7 +173,7 @@ let construct_exn ~faults ~budget ~max_solo ~(c : counters)
     }
 
 let construct ?(faults = Fault.none) ?(budget = Budget.unlimited)
-    ?(max_solo = 64) proto : outcome =
+    ?(max_solo = 64) proto =
   let c = { steps = 0; revs = 0; deepest = 0 } in
   let progress () =
     { max_solo; parked = c.deepest; revisions = c.revs; private_steps = c.steps }
@@ -196,29 +194,20 @@ let construct ?(faults = Fault.none) ?(budget = Budget.unlimited)
   | cert -> finish (Complete cert)
   | exception Budget.Exhausted b ->
     finish (Partial (Out_of_budget b, progress ()))
-  | exception Wall msg -> finish (Partial (Search_wall msg, progress ()))
+  | exception Stuck msg ->
+    Obs.Metrics.incr "revisionist.walls";
+    finish (Partial (Wall msg, progress ()))
   | exception e ->
     Obs.close sp;
     raise e
 
-let escalate ?budget ?(retries = 4) ?faults proto ~initial_solo =
-  let rec go attempt max_solo =
-    match construct ?faults ?budget ~max_solo proto with
-    | Complete _ as o -> (o, max_solo)
-    | Partial (Search_wall _, _) when attempt < retries ->
-      go (attempt + 1) (max_solo * 2)
-    | o -> (o, max_solo)
-  in
-  go 0 (max initial_solo 1)
+let escalate ?budget ?retries ?faults proto ~initial_solo =
+  Theorem.escalate ?retries ~initial:initial_solo (fun max_solo ->
+      construct ?faults ?budget ~max_solo proto)
 
-(* The witness policy every caller shares, the sibling of
-   [Theorem.witness]: an explicit allowance is a promise, otherwise the
-   allowance escalates from 10·n. *)
 let witness ?budget ?max_solo proto =
-  match max_solo with
-  | Some m -> (construct ?budget ~max_solo:m proto, m)
-  | None ->
-    escalate ?budget proto ~initial_solo:(10 * proto.Protocol.num_processes)
+  Theorem.policy ?allowance:max_solo ~n:proto.Protocol.num_processes
+    (fun max_solo -> construct ?budget ~max_solo proto)
 
 let verify (cert : certificate) (proto : 's Protocol.t) : (unit, string) result
     =
@@ -283,9 +272,7 @@ let pp_certificate ppf (c : certificate) =
     (List.length c.schedule)
     c.revisions c.private_steps
 
-let pp_stop ppf = function
-  | Out_of_budget b -> Fmt.pf ppf "out of budget (%a)" Budget.pp_breach b
-  | Search_wall m -> Fmt.pf ppf "search wall: %s" m
+let pp_stop = Theorem.pp_stop
 
 let pp_progress ppf (p : progress) =
   Fmt.pf ppf

@@ -21,14 +21,17 @@
     at least [n − 1] distinct registers, so the certificate is
     self-evident: {!verify} replays it with {!Ts_model.Execution.apply}
     and counts, with no dependence on the valency oracle the first engine
-    is built on.  The two engines share only the substrate
-    ({!Ts_model.Protocol}, [Config], [Execution], {!Ts_core.Budget}) —
-    which is what makes diffing their answers
-    ([Ts_analysis.Crosscheck]) meaningful.
+    is built on.  The two engines share no proof logic — which is what
+    makes diffing their answers ([Ts_analysis.Crosscheck]) meaningful —
+    only the substrate ({!Ts_model.Protocol}, [Config], [Execution],
+    {!Ts_core.Budget}) and {!Ts_core.Theorem}'s stopping decisions: the
+    {!stop} and {!outcome} types, the escalation loop, the witness policy
+    and the canonical inputs.
 
     Like the first engine, a capped run degrades to a structured
-    {!Partial} rather than raising: {!Ts_core.Budget.Exhausted} and the
-    engine's own {!Search_wall} are both caught by {!construct}.
+    {!Partial} rather than raising: {!construct} reports a tripped
+    {!Ts_core.Budget} as [Out_of_budget] and a construction its
+    private-run allowance cannot carry as a [Wall].
 
     Instrumentation: spans [revisionist.construct] (cat [revisionist])
     with revision/step counts as attributes; counters
@@ -47,7 +50,7 @@ type pid = int
 type certificate = {
   protocol_name : string;
   n : int;  (** processes in the protocol instance *)
-  inputs : Value.t array;  (** the canonical initial assignment (p1 has 1, the rest 0) *)
+  inputs : Value.t array;  (** {!Ts_core.Theorem.canonical_inputs} *)
   excluded : pid list;  (** processes a crash plan removed; never scheduled *)
   schedule : Execution.event list;
   trace : Execution.trace;
@@ -68,16 +71,18 @@ type progress = {
   private_steps : int;
 }
 
-(** Why a construction stopped short of a certificate. *)
-type stop =
-  | Out_of_budget of Ts_core.Budget.breach  (** the {!Ts_core.Budget} guard tripped *)
-  | Search_wall of string
-      (** every revision of the parking order failed within [max_solo]
-          private steps per process; retry with a larger allowance *)
+(** {!Ts_core.Theorem.stop}, re-exported: [Wall] means every revision of
+    the parking order failed within [max_solo] private steps per
+    process; retry with a larger allowance. *)
+type stop = Ts_core.Theorem.stop =
+  | Out_of_budget of Ts_core.Budget.breach
+  | Wall of string
 
-type outcome =
-  | Complete of certificate
-  | Partial of stop * progress
+(** {!Ts_core.Theorem.outcome}, re-exported; this engine's outcomes are
+    [(certificate, progress) outcome]. *)
+type ('c, 'p) outcome = ('c, 'p) Ts_core.Theorem.outcome =
+  | Complete of 'c
+  | Partial of stop * 'p
 
 (** [construct ?faults ?budget ?max_solo proto] runs the revisionist
     adversary from the canonical initial configuration.  Processes named
@@ -92,29 +97,31 @@ val construct :
   ?budget:Ts_core.Budget.t ->
   ?max_solo:int ->
   's Protocol.t ->
-  outcome
+  (certificate, progress) outcome
 
-(** [escalate ?budget ?retries ?faults proto ~initial_solo] is the
-    adaptive wrapper: on {!Search_wall} the private-run allowance doubles
-    (geometric backoff) up to [retries] times (default 4).  [budget]
-    spans all attempts.  Returns the outcome and the last allowance
-    tried. *)
+(** [escalate ?budget ?retries ?faults proto ~initial_solo] is
+    {!Ts_core.Theorem.escalate} over {!construct}: on a [Wall] the
+    private-run allowance doubles up to [retries] times (default 4).
+    [budget] spans all attempts.  Returns the outcome and the last
+    allowance tried. *)
 val escalate :
   ?budget:Ts_core.Budget.t ->
   ?retries:int ->
   ?faults:Fault.plan ->
   's Protocol.t ->
   initial_solo:int ->
-  outcome * int
+  (certificate, progress) outcome * int
 
-(** [witness ?budget ?max_solo proto] is the witness policy every caller
-    shares, the sibling of {!Ts_core.Theorem.witness}: an explicit
-    [max_solo] is a promise (one {!construct} at exactly that private-run
-    allowance), and without one the allowance escalates from [10 * n]
-    ({!escalate} with its default retries).  Returns the outcome and the
-    allowance it came from. *)
+(** [witness ?budget ?max_solo proto] is {!Ts_core.Theorem.policy} over
+    {!construct}, the sibling of {!Ts_core.Theorem.witness}: an explicit
+    [max_solo] is one {!construct} at exactly that private-run allowance,
+    and without one the allowance escalates from [10 * n].  Returns the
+    outcome and the allowance it came from. *)
 val witness :
-  ?budget:Ts_core.Budget.t -> ?max_solo:int -> 's Protocol.t -> outcome * int
+  ?budget:Ts_core.Budget.t ->
+  ?max_solo:int ->
+  's Protocol.t ->
+  (certificate, progress) outcome * int
 
 (** [verify cert proto] independently replays the certificate's schedule
     on a fresh initial configuration and re-checks every claim: the
@@ -124,5 +131,7 @@ val witness :
 val verify : certificate -> 's Protocol.t -> (unit, string) result
 
 val pp_certificate : Format.formatter -> certificate -> unit
+
+(** {!Ts_core.Theorem.pp_stop}. *)
 val pp_stop : Format.formatter -> stop -> unit
 val pp_progress : Format.formatter -> progress -> unit

@@ -63,10 +63,6 @@ let budget_of t (r : Request.t) =
   | None, None -> Budget.unlimited
   | _ -> Budget.create ?deadline ?max_nodes ()
 
-(* The canonical bivalent initial assignment the Theorem-1 construction
-   uses: p1 has input 1, everyone else 0. *)
-let canonical_inputs n = Array.init n (fun p -> Value.int (if p = 1 then 1 else 0))
-
 exception Reject of string * string  (* code, message *)
 
 let max_explore_n = Explore.max_n
@@ -152,20 +148,14 @@ let run ?domains ~budget (r : Request.t) =
       match r.Request.horizon with Some h -> h | None -> 10 * r.Request.n
     in
     let v = Valency.create ~budget proto ~horizon in
-    let inputs = canonical_inputs r.Request.n in
+    let inputs = Theorem.canonical_inputs r.Request.n in
     let i0 = Config.initial proto ~inputs in
     let verdict = Valency.classify v i0 (Pset.all r.Request.n) in
     Classified { inputs; horizon; verdict; stats = Valency.stats v }
   | Request.Analyze -> (
-    match Ts_analysis.Registry.find r.Request.protocol with
-    | None ->
-      raise
-        (Reject
-           ( "unknown-protocol",
-             Printf.sprintf "no registry entry %S (known: %s)"
-               r.Request.protocol
-               (String.concat ", " (Ts_analysis.Registry.names ())) ))
-    | Some entry ->
+    match Ts_analysis.Registry.lookup r.Request.protocol with
+    | Error msg -> raise (Reject ("unknown-protocol", msg))
+    | Ok entry ->
       (* the registry gate's first stage: findings and lint summary *)
       Analyzed (Ts_analysis.Analyze.analyze entry))
   | Request.Ping | Request.Stats | Request.Health ->

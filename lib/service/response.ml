@@ -47,22 +47,22 @@ let witness_to_json ~horizon_used ~verified (cert : Theorem.certificate) =
 let stop_to_json = function
   | Theorem.Out_of_budget b ->
     Json.Obj [ ("reason", Json.Str "budget"); ("breach", breach_to_json b) ]
-  | Theorem.Horizon_wall msg ->
+  | Theorem.Wall msg ->
     Json.Obj [ ("reason", Json.Str "horizon"); ("detail", Json.Str msg) ]
 
-let witness_partial_to_json ~horizon_used stop (p : Theorem.progress) =
+(* A stopped construction of either engine: the engine's head fields
+   between the status and the stop, then its own progress counters. *)
+let partial_to_json head stop progress =
   Json.Obj
+    ((("status", Json.Str "partial") :: head)
+    @ [ ("stop", stop_to_json stop); ("progress", Json.Obj progress) ])
+
+let witness_partial_to_json ~horizon_used stop (p : Theorem.progress) =
+  partial_to_json [ ("horizon", Json.Int horizon_used) ] stop
     [
-      ("status", Json.Str "partial");
-      ("horizon", Json.Int horizon_used);
-      ("stop", stop_to_json stop);
-      ("progress",
-       Json.Obj
-         [
-           ("horizon", Json.Int p.Theorem.horizon);
-           ("searches", Json.Int p.Theorem.searches);
-           ("nodes_expanded", Json.Int p.Theorem.nodes_expanded);
-         ]);
+      ("horizon", Json.Int p.Theorem.horizon);
+      ("searches", Json.Int p.Theorem.searches);
+      ("nodes_expanded", Json.Int p.Theorem.nodes_expanded);
     ]
 
 module Revisionist = Ts_revisionist.Revisionist
@@ -98,28 +98,16 @@ let revisionist_to_json ~max_solo_used ~verified
        | Error msg -> Json.Obj [ ("failed", Json.Str msg) ]);
     ]
 
-let revisionist_stop_to_json = function
-  | Revisionist.Out_of_budget b ->
-    Json.Obj [ ("reason", Json.Str "budget"); ("breach", breach_to_json b) ]
-  | Revisionist.Search_wall msg ->
-    Json.Obj [ ("reason", Json.Str "search-wall"); ("detail", Json.Str msg) ]
-
 let revisionist_partial_to_json ~max_solo_used stop
     (p : Revisionist.progress) =
-  Json.Obj
+  partial_to_json
+    [ ("engine", Json.Str "revisionist"); ("max_solo", Json.Int max_solo_used) ]
+    stop
     [
-      ("status", Json.Str "partial");
-      ("engine", Json.Str "revisionist");
-      ("max_solo", Json.Int max_solo_used);
-      ("stop", revisionist_stop_to_json stop);
-      ("progress",
-       Json.Obj
-         [
-           ("max_solo", Json.Int p.Revisionist.max_solo);
-           ("parked", Json.Int p.Revisionist.parked);
-           ("revisions", Json.Int p.Revisionist.revisions);
-           ("private_steps", Json.Int p.Revisionist.private_steps);
-         ]);
+      ("max_solo", Json.Int p.Revisionist.max_solo);
+      ("parked", Json.Int p.Revisionist.parked);
+      ("revisions", Json.Int p.Revisionist.revisions);
+      ("private_steps", Json.Int p.Revisionist.private_steps);
     ]
 
 let violation_to_json v =

@@ -35,7 +35,8 @@ val witness_to_json :
   Json.t
 
 (** A stopped Theorem-1 construction: status ["partial"] with the stop
-    reason and progress counters. *)
+    and progress counters.  The stop is [{"reason": "budget", "breach":
+    ...}] or [{"reason": "horizon", "detail": ...}], for either engine. *)
 val witness_partial_to_json :
   horizon_used:int -> Theorem.stop -> Theorem.progress -> Json.t
 
@@ -48,11 +49,13 @@ val revisionist_to_json :
   Ts_revisionist.Revisionist.certificate ->
   Json.t
 
-(** A stopped revisionist construction: status ["partial"] with the stop
-    reason and progress counters. *)
+(** A stopped revisionist construction, built as
+    {!witness_partial_to_json} is: status ["partial"], the engine and its
+    allowance, the stop (a [Wall] has reason ["horizon"]) and this
+    engine's progress counters. *)
 val revisionist_partial_to_json :
   max_solo_used:int ->
-  Ts_revisionist.Revisionist.stop ->
+  Theorem.stop ->
   Ts_revisionist.Revisionist.progress ->
   Json.t
 

@@ -196,7 +196,7 @@ let test_theorem1_escalate_gives_up () =
   (* one doubling (2 -> 4) is not enough for racing-3: the retries run
      out at the horizon wall, at the last horizon tried *)
   match Theorem.theorem1_escalate (Racing.make ~n:3) ~initial_horizon:2 ~retries:1 with
-  | Theorem.Partial (Theorem.Horizon_wall _, _), horizon ->
+  | Theorem.Partial (Theorem.Wall _, _), horizon ->
     Alcotest.(check int) "max horizon respected" 4 horizon
   | _ -> Alcotest.fail "expected Partial (Horizon_wall _, _)"
 
@@ -272,7 +272,7 @@ let test_escalation_respects_budget () =
   with
   | Theorem.Partial (Theorem.Out_of_budget _, _), _ -> ()
   | Theorem.Complete _, _ -> Alcotest.fail "5 nodes cannot complete the construction"
-  | Theorem.Partial (Theorem.Horizon_wall _, _), _ ->
+  | Theorem.Partial (Theorem.Wall _, _), _ ->
     Alcotest.fail "budget should trip before the horizon at depth 40"
 
 let test_verify_detects_tampering () =

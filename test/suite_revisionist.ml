@@ -243,7 +243,7 @@ let test_crosscheck_report () =
 let test_comparison_scribbler_diverges () =
   let c = Crosscheck.compare_engines (Broken.scribbler ~n:2) in
   (match (c.Crosscheck.lemmas.Crosscheck.result, c.Crosscheck.revisionist.Crosscheck.result) with
-   | Crosscheck.Walled _, Crosscheck.Completed (_, []) -> ()
+   | Crosscheck.Stopped (Theorem.Wall _), Crosscheck.Completed (_, []) -> ()
    | _ -> Alcotest.fail "expected a walled Lemmas run and an accepted revisionist one");
   match c.Crosscheck.verdict with
   | Crosscheck.Diverged _ -> ()
@@ -259,7 +259,7 @@ let test_comparison_budget_trip_unavailable () =
       (Racing.make ~n:2)
   in
   (match (c.Crosscheck.lemmas.Crosscheck.result, c.Crosscheck.revisionist.Crosscheck.result) with
-   | Crosscheck.Tripped _, Crosscheck.Completed (_, []) -> ()
+   | Crosscheck.Stopped (Theorem.Out_of_budget _), Crosscheck.Completed (_, []) -> ()
    | _ -> Alcotest.fail "expected a tripped Lemmas run and an accepted revisionist one");
   (match c.Crosscheck.verdict with
    | Crosscheck.Unavailable _ -> ()
@@ -267,7 +267,7 @@ let test_comparison_budget_trip_unavailable () =
   (* the mirror case through the rule itself *)
   match
     Crosscheck.verdict c.Crosscheck.revisionist.Crosscheck.result
-      (Crosscheck.Tripped "out of budget")
+      (Crosscheck.Stopped (Theorem.Out_of_budget (Budget.Node_cap 10)))
   with
   | Crosscheck.Unavailable _ -> ()
   | _ -> Alcotest.fail "a revisionist budget trip must leave nothing to compare"
@@ -339,6 +339,48 @@ let prop_complete_implies_verified =
         c.Rev.bound = n - 1 && Rev.verify c proto = Ok ()
       | Rev.Partial _, _ -> false)
 
+(* The witness policy both engines share ([Theorem.policy]): without an
+   allowance it escalates from 10·n and doubles on a wall four times
+   (broken-const at n = 2 stops at 20·2⁴ = 320); an explicit allowance
+   is one attempt at exactly that value; a budget breach ends the
+   escalation at its first allowance. *)
+let test_shared_witness_policy () =
+  let packed name = Result.get_ok (Catalog.find name ~n:2) in
+  let broken_const = packed "broken-const" and racing = packed "racing" in
+  let check_engine engine witness allowance_of =
+    let stops what ?budget ?allowance proto ~stop ~at =
+      match witness budget allowance proto with
+      | Theorem.Partial (s, p), used when stop s ->
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "%s, %s: allowance used, progress allowance" engine what)
+          (at, at) (used, allowance_of p)
+      | Theorem.Partial (s, _), _ ->
+        Alcotest.failf "%s, %s: wrong stop: %a" engine what Theorem.pp_stop s
+      | Theorem.Complete _, _ -> Alcotest.failf "%s, %s: completed" engine what
+    in
+    let wall = function Theorem.Wall _ -> true | Theorem.Out_of_budget _ -> false in
+    stops "broken-const" broken_const ~stop:wall ~at:320;
+    stops "broken-const at 4" ~allowance:4 broken_const ~stop:wall ~at:4;
+    stops "racing, 1 node" ~budget:(Budget.create ~max_nodes:1 ()) racing
+      ~stop:(function
+        | Theorem.Out_of_budget (Budget.Node_cap 1) -> true
+        | _ -> false)
+      ~at:20;
+    match witness None None racing with
+    | Theorem.Complete _, used ->
+      Alcotest.(check int) (engine ^ ", racing: completes at") 20 used
+    | Theorem.Partial (s, _), _ ->
+      Alcotest.failf "%s, racing: stopped: %a" engine Theorem.pp_stop s
+  in
+  check_engine "lemmas"
+    (fun budget horizon (Protocol.Packed proto) ->
+      Theorem.witness ?budget ?horizon proto)
+    (fun p -> p.Theorem.horizon);
+  check_engine "revisionist"
+    (fun budget max_solo (Protocol.Packed proto) ->
+      Rev.witness ?budget ?max_solo proto)
+    (fun p -> p.Rev.max_solo)
+
 let suite =
   ( "revisionist",
     [
@@ -369,4 +411,6 @@ let suite =
         test_comparison_scribbler_diverges;
       Alcotest.test_case "comparison: a budget trip is unavailable" `Quick
         test_comparison_budget_trip_unavailable;
+      Alcotest.test_case "witness policy: shared by both engines" `Quick
+        test_shared_witness_policy;
     ] )
