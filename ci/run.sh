@@ -442,6 +442,9 @@ timeout 300 "$TS" query check --port "$PORT" --protocol broken-lww -n 2 \
 cli_json "$CI_TMP/cli-bw.json" resilient --protocol broken-wait -n 2 -t 1
 timeout 300 "$TS" query resilient --port "$PORT" --protocol broken-wait -n 2 \
   -t 1 > "$CI_TMP/q-bw.json"
+# the served valency answer behind the ledger's slowest witness-miss shape
+timeout 300 "$TS" query valency --port "$PORT" --protocol racing -n 3 \
+  --horizon 60 > "$CI_TMP/q-val3.json"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || true
 grep -q '"certificate"' "$CI_TMP/cli-w3c.json"
@@ -455,6 +458,10 @@ for name in ("w3", "w3c", "lww", "bw"):
     cli = json.dumps(load("cli-%s.json" % name), sort_keys=True)
     served = json.dumps(load("q-%s.json" % name)["result"], sort_keys=True)
     assert cli == served, "CLI --json differs from the served result: " + name
+val = load("q-val3.json")["result"]
+got = (val["class"], val["witness0_length"], val["witness1_length"],
+       val["stats"]["nodes_expanded"], val["stats"]["peak_frontier"])
+assert got == ("bivalent", 28, 28, 17391, 3714), "racing-3 valency answer moved: %r" % (got,)
 EOF
 fi
 

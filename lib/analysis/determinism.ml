@@ -43,7 +43,7 @@ let run ?(max_configs = 1_500) ?(max_depth = 20) proto ~inputs_list =
       | cfg0 ->
         let k = Ckey.pack pk cfg0 in
         if not (Ckey.Tbl.mem visited k) then begin
-          Ckey.Tbl.replace visited k ();
+          Ckey.Tbl.add visited k ();
           Queue.add (cfg0, 0) q
         end
       | exception e ->
@@ -102,7 +102,7 @@ let run ?(max_configs = 1_500) ?(max_depth = 20) proto ~inputs_list =
                  | cfg', _ ->
                    let k = Ckey.pack pk cfg' in
                    if not (Ckey.Tbl.mem visited k) then begin
-                     Ckey.Tbl.replace visited k ();
+                     Ckey.Tbl.add visited k ();
                      Queue.add (cfg', depth + 1) q
                    end
                  | exception _ -> ()))

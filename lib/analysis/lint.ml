@@ -101,7 +101,7 @@ let run ?(max_configs = 4_000) ?(max_depth = 25) claims proto ~inputs_list =
       | cfg0 ->
         let k = Ckey.pack pk cfg0 in
         if not (Ckey.Tbl.mem visited k) then begin
-          Ckey.Tbl.replace visited k ();
+          Ckey.Tbl.add visited k ();
           Queue.add (cfg0, 0) q
         end
       | exception e ->
@@ -127,7 +127,7 @@ let run ?(max_configs = 4_000) ?(max_depth = 25) claims proto ~inputs_list =
                 | cfg', _ ->
                   let k = Ckey.pack pk cfg' in
                   if not (Ckey.Tbl.mem visited k) then begin
-                    Ckey.Tbl.replace visited k ();
+                    Ckey.Tbl.add visited k ();
                     Queue.add (cfg', depth + 1) q
                   end
                 | exception e ->

@@ -118,13 +118,21 @@ type 's probe_node = {
   parent : 's probe_node option;
 }
 
+(* Has a member of the raw mask [mask] decided?  A top-level loop: a
+   closure per dequeued probe node is what [Pset.exists] would cost. *)
+let rec member_decided (procs : _ Config.status array) mask p =
+  mask <> 0
+  && ((mask land 1 <> 0
+       && match procs.(p) with Config.Decided _ -> true | Config.Running _ -> false)
+      || member_decided procs (mask lsr 1) (p + 1))
+
 let record memo key update =
   match Ckey.Salted_tbl.find_opt memo.bounds key with
   | Some b -> update b
   | None ->
     let b = { lo = 0; hi = max_int } in
     update b;
-    Ckey.Salted_tbl.replace memo.bounds key b
+    Ckey.Salted_tbl.add memo.bounds key b
 
 (* Can some process of [ps], with only (undecided) members of [ps] taking
    steps from [cfg], decide within [budget] steps for some resolution of
@@ -151,7 +159,7 @@ let probe_group proto pk cfg ps ~budget ~guard ~memo ~counters =
   let push cfg depth parent =
     let key = Ckey.Salted.make (Ckey.pack_group pk cfg ps) mask in
     if not (Ckey.Salted_tbl.mem visited key) then begin
-      Ckey.Salted_tbl.replace visited key depth;
+      Ckey.Salted_tbl.add visited key depth;
       Queue.add { cfg; key; depth; parent } q
     end
   in
@@ -164,7 +172,7 @@ let probe_group proto pk cfg ps ~budget ~guard ~memo ~counters =
       let n = Queue.pop q in
       counters.probe_nodes <- counters.probe_nodes + 1;
       Budget.charge guard 1;
-      if Pset.exists (fun p -> Config.has_decided n.cfg p <> None) ps then Some (n, 0)
+      if member_decided n.cfg.Config.procs mask 0 then Some (n, 0)
       else if n.depth >= budget then search ()
       else
         let left = budget - n.depth in
@@ -259,7 +267,7 @@ let bfs_reachable proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examin
   let q = Queue.create () in
   Queue.add (cfg0, [], 0) q;
   Obs.access ~loc:visited_loc Obs.Write ~atomic:false;
-  Ckey.Tbl.replace visited (Ckey.pack pk cfg0) ();
+  Ckey.Tbl.add visited (Ckey.pack pk cfg0) ();
   counters.misses <- 1;
   counters.peak <- 1;
   try
@@ -279,7 +287,7 @@ let bfs_reachable proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examin
             else begin
               counters.misses <- counters.misses + 1;
               Obs.access ~loc:visited_loc Obs.Write ~atomic:false;
-              Ckey.Tbl.replace visited key ();
+              Ckey.Tbl.add visited key ();
               Queue.add (cfg', e :: rev_sched, depth + 1) q
             end);
         let frontier = Queue.length q in

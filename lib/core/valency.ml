@@ -69,10 +69,14 @@ let stats t =
 let zero = Value.int 0
 let one = Value.int 1
 
-let decided_here (cfg : _ Config.t) v =
-  Array.exists
-    (function Config.Decided w -> Value.equal v w | Config.Running _ -> false)
-    cfg.procs
+(* Does some process hold decision [v]?  A top-level loop, not
+   [Array.exists]: a closure over [v] would be allocated per node. *)
+let rec decided_from (procs : _ Config.status array) v i =
+  i < Array.length procs
+  && ((match procs.(i) with Config.Decided w -> Value.equal v w | Config.Running _ -> false)
+      || decided_from procs v (i + 1))
+
+let decided_here (cfg : _ Config.t) v = decided_from cfg.procs v 0
 
 (* One breadth-first search over the P-only graph from [cfg] for every
    value in [vs]: each dequeued node is tested against the values still
@@ -98,7 +102,7 @@ let search t cfg ps vs =
   let visited = Ckey.Tbl.create 1024 in
   let q = Queue.create () in
   Queue.add (cfg, [], 0) q;
-  Ckey.Tbl.replace visited (Ckey.pack pk cfg) ();
+  Ckey.Tbl.add visited (Ckey.pack pk cfg) ();
   let wanted = Array.of_list vs in
   let found = Array.make (Array.length wanted) None in
   let missing = ref (Array.length wanted) in
@@ -123,8 +127,10 @@ let search t cfg ps vs =
        if depth < t.horizon then begin
          Execution.iter_successors t.proto cfg ps (fun e cfg' ->
              let key = Ckey.pack pk cfg' in
+             (* [add] after a failed [mem]: one bucket scan, and the
+                cell goes to the bucket head as [replace] would put it *)
              if not (Ckey.Tbl.mem visited key) then begin
-               Ckey.Tbl.replace visited key ();
+               Ckey.Tbl.add visited key ();
                Queue.add (cfg', e :: rev_sched, depth + 1) q
              end);
          let frontier = Queue.length q in

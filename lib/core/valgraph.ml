@@ -32,7 +32,7 @@ let dot t ~inputs ~pset ~depth ~max_nodes =
     | None ->
       let i = !next_id in
       incr next_id;
-      Ckey.Tbl.replace ids key i;
+      Ckey.Tbl.add ids key i;
       i, true
   in
   let buf = Buffer.create 4096 in

@@ -84,21 +84,37 @@ let start pk =
   Ts_obs.Obs.access ~loc:pk.loc Ts_obs.Obs.Write ~atomic:false;
   Buffer.clear pk.buf
 
+(* Loops, not [Array.iter]/[Pset.iter]: a closure over [pk] would be
+   allocated on every packing, and the key (digest and record) is all a
+   packing should allocate. *)
 let finish pk (cfg : _ Config.t) =
-  Array.iter (fun v -> Value.encode pk.buf v) cfg.Config.regs;
+  let regs = cfg.Config.regs in
+  for r = 0 to Array.length regs - 1 do
+    Value.encode pk.buf regs.(r)
+  done;
   of_string (Buffer.contents pk.buf)
 
 let pack pk (cfg : _ Config.t) =
   start pk;
-  Array.iter (add_status pk) cfg.Config.procs;
+  let procs = cfg.Config.procs in
+  for p = 0 to Array.length procs - 1 do
+    add_status pk procs.(p)
+  done;
   finish pk cfg
+
+(* The members of a raw mask in increasing pid order, as [Pset.iter]. *)
+let rec add_members pk procs mask p =
+  if mask <> 0 then begin
+    if mask land 1 <> 0 then add_status pk procs.(p);
+    add_members pk procs (mask lsr 1) (p + 1)
+  end
 
 (* Injective for a fixed [ps]: the member count is fixed, so the same
    self-delimiting argument as [pack] applies.  Keys of different groups
    may coincide; callers salt them with the group's mask. *)
 let pack_group pk (cfg : _ Config.t) ps =
   start pk;
-  Pset.iter (fun p -> add_status pk cfg.Config.procs.(p)) ps;
+  add_members pk cfg.Config.procs (Pset.to_mask ps) 0;
   finish pk cfg
 
 module Tbl = Hashtbl.Make (struct

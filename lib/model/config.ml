@@ -29,32 +29,34 @@ let with_proc cfg p status =
   procs.(p) <- status;
   { cfg with procs }
 
+(* The one transition, shared by [step] and the successor enumeration
+   ([Execution.iter_successors], which has already read [s] and [act]). *)
+let perform (proto : 's Protocol.t) cfg p s act ~coin =
+  match act, coin with
+  | Action.Read r, None -> with_proc cfg p (Running (proto.on_read s cfg.regs.(r)))
+  | Action.Write (r, v), None ->
+    let regs = Array.copy cfg.regs in
+    regs.(r) <- v;
+    { procs = (let a = Array.copy cfg.procs in a.(p) <- Running (proto.on_write s); a);
+      regs }
+  | Action.Swap (r, v), None ->
+    let old = cfg.regs.(r) in
+    let regs = Array.copy cfg.regs in
+    regs.(r) <- v;
+    { procs = (let a = Array.copy cfg.procs in a.(p) <- Running (proto.on_swap s old); a);
+      regs }
+  | Action.Flip, Some b -> with_proc cfg p (Running (proto.on_flip s b))
+  | Action.Decide v, None -> with_proc cfg p (Decided v)
+  | Action.Flip, None -> invalid_arg "Config.step: flip needs a coin"
+  | (Action.Read _ | Action.Write _ | Action.Swap _ | Action.Decide _), Some _ ->
+    invalid_arg "Config.step: coin supplied to a non-flip step"
+
 let step (proto : 's Protocol.t) cfg p ~coin =
   match cfg.procs.(p) with
   | Decided _ -> invalid_arg "Config.step: process has decided"
   | Running s ->
     let act = proto.poised s in
-    let cfg' =
-      match act, coin with
-      | Action.Read r, None -> with_proc cfg p (Running (proto.on_read s cfg.regs.(r)))
-      | Action.Write (r, v), None ->
-        let regs = Array.copy cfg.regs in
-        regs.(r) <- v;
-        { procs = (let a = Array.copy cfg.procs in a.(p) <- Running (proto.on_write s); a);
-          regs }
-      | Action.Swap (r, v), None ->
-        let old = cfg.regs.(r) in
-        let regs = Array.copy cfg.regs in
-        regs.(r) <- v;
-        { procs = (let a = Array.copy cfg.procs in a.(p) <- Running (proto.on_swap s old); a);
-          regs }
-      | Action.Flip, Some b -> with_proc cfg p (Running (proto.on_flip s b))
-      | Action.Decide v, None -> with_proc cfg p (Decided v)
-      | Action.Flip, None -> invalid_arg "Config.step: flip needs a coin"
-      | (Action.Read _ | Action.Write _ | Action.Swap _ | Action.Decide _), Some _ ->
-        invalid_arg "Config.step: coin supplied to a non-flip step"
-    in
-    cfg', act
+    perform proto cfg p s act ~coin, act
 
 let has_decided cfg p =
   match cfg.procs.(p) with Decided v -> Some v | Running _ -> None

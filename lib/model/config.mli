@@ -34,6 +34,15 @@ val poised : 's Protocol.t -> 's t -> pid -> Action.t option
     @raise Invalid_argument if [p] has already decided, or on coin misuse. *)
 val step : 's Protocol.t -> 's t -> pid -> coin:bool option -> 's t * Action.t
 
+(** [perform proto cfg p s act ~coin] is [fst (step proto cfg p ~coin)]
+    for a caller that has already read [p]'s status [Running s] from [cfg]
+    and [act = proto.poised s]: {!step} is [proto.poised], then [perform].
+    The successor enumeration ({!Execution.iter_successors}) uses it to ask
+    the protocol once per member rather than once per successor.
+    @raise Invalid_argument on coin misuse, as {!step}. *)
+val perform :
+  's Protocol.t -> 's t -> pid -> 's -> Action.t -> coin:bool option -> 's t
+
 (** [has_decided cfg p] is the decision of [p] in [cfg], if any. *)
 val has_decided : 's t -> pid -> Value.t option
 

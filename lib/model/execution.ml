@@ -44,20 +44,21 @@ let participants tr =
 
 let coins = function Action.Flip -> [ Some true; Some false ] | _ -> [ None ]
 
-(* Top-level loops over the raw member mask, with no closure allocated:
-   every search calls [iter_successors] once per node. *)
-let rec each_coin proto cfg p f = function
-  | [] -> ()
-  | coin :: rest ->
-    f { pid = p; coin } (fst (Config.step proto cfg p ~coin));
-    each_coin proto cfg p f rest
-
+(* A top-level loop over the raw member mask, with no closure allocated:
+   every search calls [iter_successors] once per node.  Each member's
+   status is read, and its action asked of the protocol, once; every
+   successor is that action performed under one of [coins act]. *)
 let rec each_member proto cfg f mask p =
   if mask <> 0 then begin
     (if mask land 1 <> 0 then
-       match Config.poised proto cfg p with
-       | None -> ()
-       | Some act -> each_coin proto cfg p f (coins act));
+       match cfg.Config.procs.(p) with
+       | Config.Decided _ -> ()
+       | Config.Running s -> (
+         match proto.Protocol.poised s with
+         | Action.Flip as act ->
+           f (flip p true) (Config.perform proto cfg p s act ~coin:(Some true));
+           f (flip p false) (Config.perform proto cfg p s act ~coin:(Some false))
+         | act -> f (ev p) (Config.perform proto cfg p s act ~coin:None)));
     each_member proto cfg f (mask lsr 1) (p + 1)
   end
 

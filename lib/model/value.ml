@@ -47,17 +47,17 @@ let rec hash = function
 
 (* Zigzag varint: a self-delimiting prefix code, so concatenations of
    encoded values decode unambiguously — key packings built from it are
-   injective by construction. *)
-let add_varint buf n =
-  let n = (n lsl 1) lxor (n asr 62) in
-  let rec go n =
-    if n land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
+   injective by construction.  The encoders are top-level recursions that
+   take [buf], so no closure is allocated per call: every search packs a
+   key per successor. *)
+let rec add_groups buf n =
+  if n land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr n)
+  else begin
+    Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
+    add_groups buf (n lsr 7)
+  end
+
+let add_varint buf n = add_groups buf ((n lsl 1) lxor (n asr 62))
 
 let rec encode buf = function
   | Bot -> Buffer.add_char buf '\000'
@@ -72,7 +72,13 @@ let rec encode buf = function
   | List vs ->
     Buffer.add_char buf '\005';
     add_varint buf (List.length vs);
-    List.iter (encode buf) vs
+    encode_list buf vs
+
+and encode_list buf = function
+  | [] -> ()
+  | v :: vs ->
+    encode buf v;
+    encode_list buf vs
 
 let to_int = function
   | Int n -> n

@@ -97,7 +97,7 @@ let search alg ~max_configs =
         | `Ok cfg' ->
           let k = key cfg' in
           if not (Ckey.Tbl.mem visited k) then begin
-            Ckey.Tbl.replace visited k ();
+            Ckey.Tbl.add visited k ();
             Queue.add cfg' q
           end
       done

@@ -217,6 +217,45 @@ let test_explore_wire_digests () =
     (Explore.check_consensus proto ~inputs_list ~max_configs:400
        ~max_depth:d.Request.max_depth ~solo_budget:5 ~check_solo:true)
 
+(* The component encodings under every packed key: zigzag varints at the
+   sign and width edges, one nested value, and the FNV-1a hash that both
+   the search tables and [Cache.shard_of] read.  The initial-config
+   goldens above only reach small non-negative varints. *)
+let varint_goldens =
+  [
+    (0, "00"); (1, "02"); (-1, "01"); (63, "7e"); (-64, "7f"); (64, "8001");
+    (-65, "8101"); (8191, "fe7f"); (8192, "808001");
+    (max_int, "feffffffffffffff7f"); (min_int, "ffffffffffffffff7f");
+  ]
+
+let unhex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let test_component_encodings () =
+  List.iter
+    (fun (n, golden) ->
+      let buf = Buffer.create 16 in
+      Value.add_varint buf n;
+      Alcotest.(check string) (bump_hint ^ Printf.sprintf "varint %d" n) golden
+        (hex (Buffer.contents buf)))
+    varint_goldens;
+  let v =
+    Value.(pair (list [ int 3; bool true; bot; pair (bool false) (int (-300)) ]) (list []))
+  in
+  let buf = Buffer.create 16 in
+  Value.encode buf v;
+  Alcotest.(check string) (bump_hint ^ "nested value encoding")
+    "04050801060200040301d7040500" (hex (Buffer.contents buf));
+  List.iter
+    (fun (digest, golden) ->
+      Alcotest.(check int) (bump_hint ^ "Ckey.hash of " ^ digest) golden
+        (Ckey.hash (Ckey.of_string (unhex digest))))
+    [
+      ("52000053000000000052020053000000000000000000", 2734661414852348557);
+      ("52530052530000", 3506650951000374069);
+    ]
+
 let suite =
   ( "digest-stability",
     [
@@ -236,4 +275,6 @@ let suite =
         test_cert_header_golden;
       Alcotest.test_case "served check/resilient answer bytes" `Quick
         test_explore_wire_digests;
+      Alcotest.test_case "varint, value and key-hash bytes" `Quick
+        test_component_encodings;
     ] )

@@ -239,6 +239,56 @@ let test_iter_successors_contract () =
   Alcotest.(check bool) "configurations compared" true (!compared > 1000);
   Alcotest.(check bool) "some compared configuration poises a flip" true (!flips > 0)
 
+(* The search kernel packs a key per successor, so packing may allocate
+   the key itself (its digest string and record) and nothing else, and a
+   varint into a grown buffer allocates nothing.  A whole search is held
+   to about 170 words per node. *)
+let test_kernel_allocation () =
+  let proto = Ts_protocols.Racing.make ~n:3 in
+  let pk = Ckey.packer proto in
+  let i0 = Config.initial proto ~inputs:[| Value.int 0; Value.int 1; Value.int 0 |] in
+  (* the first 256 configurations of the breadth-first search from [i0] *)
+  let visited = Ckey.Tbl.create 1024 and q = Queue.create () in
+  let cfgs = Array.make 256 i0 and taken = ref 0 in
+  Ckey.Tbl.add visited (Ckey.pack pk i0) ();
+  Queue.add i0 q;
+  while !taken < Array.length cfgs && not (Queue.is_empty q) do
+    let cfg = Queue.pop q in
+    cfgs.(!taken) <- cfg;
+    incr taken;
+    Execution.iter_successors proto cfg (Pset.all 3) (fun _ c ->
+        let k = Ckey.pack pk c in
+        if not (Ckey.Tbl.mem visited k) then begin
+          Ckey.Tbl.add visited k ();
+          Queue.add c q
+        end)
+  done;
+  Alcotest.(check int) "256 configurations reached" 256 !taken;
+  let before = Gc.minor_words () in
+  for i = 0 to Array.length cfgs - 1 do
+    ignore (Sys.opaque_identity (Ckey.pack pk cfgs.(i)))
+  done;
+  let per_pack = (Gc.minor_words () -. before) /. float (Array.length cfgs) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Ckey.pack allocates at most 12 words per call (%.1f)" per_pack)
+    true (per_pack <= 12.0);
+  let buf = Buffer.create 64 in
+  let before = Gc.minor_words () in
+  Value.add_varint buf 8192;
+  Value.add_varint buf (-65);
+  let delta = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "two varints allocate nothing (%.0f words)" delta)
+    true (delta = 0.0);
+  (* one whole search: the joint BFS behind [classify] over 17,391 nodes *)
+  let t = Ts_core.Valency.create proto ~horizon:30 in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Ts_core.Valency.classify t i0 (Pset.all 3)));
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "racing-3 classify allocates at most 3,000,000 words (%.0f)" words)
+    true (words <= 3_000_000.0)
+
 let suite =
   ( "model",
     [
@@ -254,4 +304,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_rng_bounds;
       Alcotest.test_case "step relation: iter_successors contract (catalog, n = 2, 3)" `Quick
         test_iter_successors_contract;
+      Alcotest.test_case "search kernel allocation: packing, varints, classify" `Quick
+        test_kernel_allocation;
     ] )
