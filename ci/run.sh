@@ -445,6 +445,10 @@ timeout 300 "$TS" query resilient --port "$PORT" --protocol broken-wait -n 2 \
 # the served valency answer behind the ledger's slowest witness-miss shape
 timeout 300 "$TS" query valency --port "$PORT" --protocol racing -n 3 \
   --horizon 60 > "$CI_TMP/q-val3.json"
+# a served n = 3 check: the outer search skips commuting steps and most
+# solo probes end at their root, yet every stat is the unpruned search's
+timeout 300 "$TS" query check --port "$PORT" --protocol racing-rand -n 3 \
+  --max-configs 400 > "$CI_TMP/q-check3.json"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || true
 grep -q '"certificate"' "$CI_TMP/cli-w3c.json"
@@ -462,6 +466,12 @@ val = load("q-val3.json")["result"]
 got = (val["class"], val["witness0_length"], val["witness1_length"],
        val["stats"]["nodes_expanded"], val["stats"]["peak_frontier"])
 assert got == ("bivalent", 28, 28, 17391, 3714), "racing-3 valency answer moved: %r" % (got,)
+chk = load("q-check3.json")["result"]
+st = chk["stats"]
+got = (chk["verdict"], st["configs_explored"], st["table_hits"], st["table_misses"],
+       st["peak_frontier"], st["solo_cache_misses"])
+assert got == ("clean", 4230, 5354, 4230, 150, 12690), \
+    "racing-rand-3 check answer moved: %r" % (got,)
 EOF
 fi
 

@@ -200,16 +200,9 @@ let planted ?(domains = 2) () =
   ignore (Par.map_list ~domains bump [ 0; 1; 2; 3 ]);
   check (Obs.stop_accesses ())
 
-let json_of_access a =
-  Json.Obj
-    [
-      "domain", Json.Int a.domain;
-      "loc", Json.Str a.loc;
-      "kind", Json.Str (match a.kind with Obs.Read -> "read" | Obs.Write -> "write");
-      "atomic", Json.Bool a.atomic;
-      "index", Json.Int a.index;
-    ]
-
+(* Which two accesses of a raced location meet first (their domains,
+   kinds and log positions) depends on the scheduler, so only the
+   location is written: the document is the same from run to run. *)
 let to_json r =
   Json.Obj
     [
@@ -218,17 +211,7 @@ let to_json r =
       "locations", Json.Int r.locations;
       "domains", Json.Int r.domains;
       "race_free", Json.Bool (race_free r);
-      ( "races",
-        Json.List
-          (List.map
-             (fun rc ->
-               Json.Obj
-                 [
-                   "loc", Json.Str rc.loc;
-                   "first", json_of_access rc.first;
-                   "second", json_of_access rc.second;
-                 ])
-             r.races) );
+      "races", Json.List (List.map (fun rc -> Json.Obj [ "loc", Json.Str rc.loc ]) r.races);
     ]
 
 let pp_access ppf a =

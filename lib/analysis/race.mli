@@ -56,7 +56,10 @@ val certify_engine : ?domains:int -> unit -> report
     nothing. *)
 val planted : ?domains:int -> unit -> report
 
-(** Machine-readable form of a race report. *)
+(** Machine-readable form of a race report.  A race is written as its
+    location only: which pair of accesses the checker meets first, and
+    where they sit in the log, varies with the scheduler, and
+    {!pp_report} shows them. *)
 val to_json : report -> Json.t
 
 (** Human-readable rendering of a race report. *)

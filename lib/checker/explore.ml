@@ -55,8 +55,8 @@ type result = {
 }
 
 (* Mutable per-search counter block, folded into a [stats] at the end.
-   [probe_nodes] and [memo_hits] go to the profiler only, never to the
-   wire. *)
+   [skipped] (already counted in [hits]), [probe_nodes] and [memo_hits]
+   go to the profiler only, never to the wire. *)
 type counters = {
   mutable explored : int;
   mutable trunc : bool;
@@ -64,13 +64,14 @@ type counters = {
   mutable hits : int;
   mutable misses : int;
   mutable peak : int;
+  mutable skipped : int;
   mutable probes : int;
   mutable probe_nodes : int;
   mutable memo_hits : int;
 }
 
 let fresh_counters () =
-  { explored = 0; trunc = false; deep = 0; hits = 0; misses = 0; peak = 0;
+  { explored = 0; trunc = false; deep = 0; hits = 0; misses = 0; peak = 0; skipped = 0;
     probes = 0; probe_nodes = 0; memo_hits = 0 }
 
 let stats_of_counters c =
@@ -134,25 +135,30 @@ let record memo key update =
     update b;
     Ckey.Salted_tbl.add memo.bounds key b
 
-(* Can some process of [ps], with only (undecided) members of [ps] taking
-   steps from [cfg], decide within [budget] steps for some resolution of
-   the coin flips?  BFS over schedules with a visited set (BFS + visited is
-   complete for "reachable within budget").  [Pset.singleton p] gives the
-   classic solo-termination probe; larger sets give the survivor-group
-   probes of the t-resilience check.
+(* A probe node's fate once dequeued [left] steps short of its budget:
+   [h >= 0] if a member decides within [h] steps, [pruned] if none can,
+   [expand] if only its successors can tell.  Counts the node, charges
+   [guard] and consults [memo]. *)
+let pruned = -1
+let expand = -2
 
-   Non-members never move and the goal test never looks at them, so the
-   answer from a node depends only on its projection onto [ps]: nodes are
-   keyed by [Ckey.pack_group], salted with the mask, and [memo] carries
-   distance bounds from earlier probes of the same search.  A node
-   dequeued at depth [d] answers at once if [hi <= budget - d] and is not
-   expanded if [lo >= budget - d].  A success sets [hi] along the winner's
-   parent chain; a failure sets [lo = budget - d] on every dequeued node
-   (each lies [d] steps from a root that cannot decide within [budget]).
-   A probe stopped by [Budget.Exhausted] records nothing. *)
-let probe_group proto pk cfg ps ~budget ~guard ~memo ~counters =
-  counters.probes <- counters.probes + 1;
-  let mask = Pset.to_mask ps in
+let settle memo counters guard (procs : _ Config.status array) key mask ~left =
+  counters.probe_nodes <- counters.probe_nodes + 1;
+  Budget.charge guard 1;
+  if member_decided procs mask 0 then 0
+  else if left <= 0 then pruned
+  else
+    match Ckey.Salted_tbl.find_opt memo.bounds key with
+    | Some b when b.hi <= left ->
+      counters.memo_hits <- counters.memo_hits + 1;
+      b.hi
+    | Some b when b.lo >= left ->
+      counters.memo_hits <- counters.memo_hits + 1;
+      pruned
+    | _ -> expand
+
+(* The BFS behind a probe whose root [root] settled as [expand]. *)
+let search_group proto pk root ps mask ~budget ~guard ~memo ~counters =
   (* node key -> depth; a failed probe has dequeued every entry *)
   let visited = Ckey.Salted_tbl.create 64 in
   let q = Queue.create () in
@@ -163,35 +169,29 @@ let probe_group proto pk cfg ps ~budget ~guard ~memo ~counters =
       Queue.add { cfg; key; depth; parent } q
     end
   in
-  push cfg 0 None;
-  Obs.access ~loc:memo.loc Obs.Read ~atomic:false;
+  (* the memo may prune a dequeued node, so no commuting step is skipped *)
+  let successors n =
+    let depth = n.depth + 1 and parent = Some n in
+    ignore
+      (Execution.iter_successors proto n.cfg ps ~after:Execution.root (fun _ _ cfg' ->
+           push cfg' depth parent))
+  in
+  Ckey.Salted_tbl.add visited root.key 0;
+  successors root;
   (* [Some (n, h)]: a member decides within [h] steps of node [n] *)
   let rec search () =
     if Queue.is_empty q then None
     else begin
       let n = Queue.pop q in
-      counters.probe_nodes <- counters.probe_nodes + 1;
-      Budget.charge guard 1;
-      if member_decided n.cfg.Config.procs mask 0 then Some (n, 0)
-      else if n.depth >= budget then search ()
-      else
-        let left = budget - n.depth in
-        match Ckey.Salted_tbl.find_opt memo.bounds n.key with
-        | Some b when b.hi <= left ->
-          counters.memo_hits <- counters.memo_hits + 1;
-          Some (n, b.hi)
-        | Some b when b.lo >= left ->
-          counters.memo_hits <- counters.memo_hits + 1;
-          search ()
-        | _ ->
-          let depth = n.depth + 1 and parent = Some n in
-          Execution.iter_successors proto n.cfg ps (fun _ cfg' -> push cfg' depth parent);
-          search ()
+      let h = settle memo counters guard n.cfg.Config.procs n.key mask ~left:(budget - n.depth) in
+      if h >= 0 then Some (n, h)
+      else begin
+        if h = expand then successors n;
+        search ()
+      end
     end
   in
-  let outcome = search () in
-  Obs.access ~loc:memo.loc Obs.Write ~atomic:false;
-  match outcome with
+  match search () with
   | Some (winner, h) ->
     let total = winner.depth + h in
     let rec up = function
@@ -210,6 +210,42 @@ let probe_group proto pk cfg ps ~budget ~guard ~memo ~counters =
         if depth < budget then record memo key (fun b -> b.lo <- max b.lo (budget - depth)))
       visited;
     false
+
+(* Can some process of [ps], with only (undecided) members of [ps] taking
+   steps from [cfg], decide within [budget] steps for some resolution of
+   the coin flips?  BFS over schedules with a visited set (BFS + visited is
+   complete for "reachable within budget").  [Pset.singleton p] gives the
+   classic solo-termination probe; larger sets give the survivor-group
+   probes of the t-resilience check.
+
+   Non-members never move and the goal test never looks at them, so the
+   answer from a node depends only on its projection onto [ps]: nodes are
+   keyed by [Ckey.pack_group], salted with the mask, and [memo] carries
+   distance bounds from earlier probes of the same search.  A node
+   dequeued at depth [d] answers at once if [hi <= budget - d] and is not
+   expanded if [lo >= budget - d].  A success sets [hi] along the winner's
+   parent chain; a failure sets [lo = budget - d] on every dequeued node
+   (each lies [d] steps from a root that cannot decide within [budget]).
+   A probe stopped by [Budget.Exhausted] records nothing.
+
+   The root is settled before any search is built: most probes end there,
+   on a decided member or a memo bound, and such a probe records nothing
+   in the search either (its winner has no parent, and a pruned root's
+   [lo] already covers the budget). *)
+let probe_group proto pk cfg ps ~budget ~guard ~memo ~counters =
+  counters.probes <- counters.probes + 1;
+  let mask = Pset.to_mask ps in
+  let key = Ckey.Salted.make (Ckey.pack_group pk cfg ps) mask in
+  Obs.access ~loc:memo.loc Obs.Read ~atomic:false;
+  let h = settle memo counters guard cfg.Config.procs key mask ~left:budget in
+  let answer =
+    if h <> expand then h >= 0
+    else
+      search_group proto pk { cfg; key; depth = 0; parent = None } ps mask ~budget ~guard
+        ~memo ~counters
+  in
+  Obs.access ~loc:memo.loc Obs.Write ~atomic:false;
+  answer
 
 (* A self-contained probe context outside any search: replay and the
    differential tests. *)
@@ -238,10 +274,12 @@ let observe_vector sp counters verdict =
   Obs.set_int sp "deepest" counters.deep;
   Obs.set_bool sp "truncated" counters.trunc;
   Obs.set_bool sp "violation" (Result.is_error verdict);
+  Obs.set_int sp "skipped" counters.skipped;
   Obs.close sp;
   Obs.Metrics.incr "explore.vectors";
   Obs.Metrics.incr ~by:counters.explored "explore.configs_explored";
   Obs.Metrics.incr ~by:counters.hits "explore.table_hits";
+  Obs.Metrics.incr ~by:counters.skipped "explore.steps_skipped";
   Obs.Metrics.incr ~by:counters.misses "explore.table_misses";
   Obs.Metrics.incr ~by:counters.probes "explore.solo_cache_misses";
   Obs.Metrics.incr ~by:counters.probe_nodes "explore.probe_nodes";
@@ -254,7 +292,11 @@ let observe_vector sp counters verdict =
    is called on every dequeued configuration and raises [Found] to stop
    with a violation.  This is the unit of parallelism — runs of different
    input vectors share nothing, so fanning them out over domains produces
-   bit-identical verdicts and stats. *)
+   bit-identical verdicts and stats.  Each queued node keeps its arrival
+   step, so its expansion skips the successors the commuting-step rule
+   proves already visited ([Execution.iter_successors]) and counts them
+   as table hits: the FIFO order and every stat are the unpruned
+   search's. *)
 let bfs_reachable proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examine =
   let pk = Ckey.packer proto in
   let visited = Ckey.Tbl.create (table_size ~max_configs) in
@@ -263,16 +305,26 @@ let bfs_reachable proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examin
   let visited_loc = Obs.fresh_loc "explore.visited" in
   let cfg0 = Config.initial proto ~inputs in
   let everyone = Pset.all proto.Protocol.num_processes in
-  (* queue holds (config, reversed schedule, depth) *)
+  (* queue holds (config, reversed schedule, arrival step) *)
   let q = Queue.create () in
-  Queue.add (cfg0, [], 0) q;
+  Queue.add (cfg0, [], Execution.root) q;
   Obs.access ~loc:visited_loc Obs.Write ~atomic:false;
   Ckey.Tbl.add visited (Ckey.pack pk cfg0) ();
   counters.misses <- 1;
   counters.peak <- 1;
+  let level = ref (-1) and level_left = ref 0 in
   try
     while not (Queue.is_empty q) do
-      let cfg, rev_sched, depth = Queue.pop q in
+      (* FIFO order dequeues each level whole before the next: when a
+         level is used up, the queue holds exactly the next one, so a
+         queued node needs no depth of its own *)
+      if !level_left = 0 then begin
+        incr level;
+        level_left := Queue.length q
+      end;
+      decr level_left;
+      let depth = !level in
+      let cfg, rev_sched, after = Queue.pop q in
       counters.explored <- counters.explored + 1;
       Budget.charge guard 1;
       if depth > counters.deep then counters.deep <- depth;
@@ -280,16 +332,21 @@ let bfs_reachable proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examin
       if depth >= max_depth || counters.explored >= max_configs then
         counters.trunc <- true
       else begin
-        Execution.iter_successors proto cfg everyone (fun e cfg' ->
-            let key = Ckey.pack pk cfg' in
-            Obs.access ~loc:visited_loc Obs.Read ~atomic:false;
-            if Ckey.Tbl.mem visited key then counters.hits <- counters.hits + 1
-            else begin
-              counters.misses <- counters.misses + 1;
-              Obs.access ~loc:visited_loc Obs.Write ~atomic:false;
-              Ckey.Tbl.add visited key ();
-              Queue.add (cfg', e :: rev_sched, depth + 1) q
-            end);
+        (* a skipped commuting step is a table hit the rule proves *)
+        let skipped =
+          Execution.iter_successors proto cfg everyone ~after (fun e step cfg' ->
+              let key = Ckey.pack pk cfg' in
+              Obs.access ~loc:visited_loc Obs.Read ~atomic:false;
+              if Ckey.Tbl.mem visited key then counters.hits <- counters.hits + 1
+              else begin
+                counters.misses <- counters.misses + 1;
+                Obs.access ~loc:visited_loc Obs.Write ~atomic:false;
+                Ckey.Tbl.add visited key ();
+                Queue.add (cfg', e :: rev_sched, step) q
+              end)
+        in
+        counters.hits <- counters.hits + skipped;
+        counters.skipped <- counters.skipped + skipped;
         let frontier = Queue.length q in
         if frontier > counters.peak then counters.peak <- frontier
       end

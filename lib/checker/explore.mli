@@ -52,6 +52,26 @@
     keys (the outer search the whole packed configuration, a probe the
     group projection below), tables and counters.
 
+    {b Commuting steps.}  The outer search keeps each queued node's
+    arrival step and expands it with [~after] that step, so it skips the
+    successors {!Ts_model.Execution.iter_successors}'s commuting-step
+    rule proves already visited, and counts each as a table hit.  Let X
+    be first reached from P by p's step a, and let q < p be poised at b
+    in X with b and a commuting.  P's expansion handled P·b before P·a,
+    so the node Y holding P·b was queued before X at a depth at most X's,
+    and it is dequeued first.  [examine], [max_depth], [max_configs] and
+    the guard spare Y whenever they spare X: [max_depth] because Y's
+    depth is at most X's, [max_configs] because fewer configurations were
+    dequeued before Y, and a violation or a tripped guard ends the whole
+    search.  So Y was expanded, and it produced Y·a = P·b·a = P·a·b = X·b;
+    where P skipped b or Y skipped a, the same argument one expansion
+    earlier puts that configuration in the table, so the claim holds by
+    induction over expansion order.  The FIFO order, every violation
+    schedule and every [stats] field are therefore those of the unpruned
+    search; [stats.table_hits] counts skipped steps as hits.  Probes do
+    not skip: their memo answers or prunes dequeued nodes, so the node
+    holding P·b may never be expanded.
+
     {b Probe memo.}  Every solo/group-termination probe is a BFS over the
     configurations reachable by steps of the group's members alone.  The
     probes of one input vector's search share a memo of distance bounds,
@@ -77,7 +97,14 @@
     [stats.solo_cache_misses] counts the probes issued.  One caveat: a
     protocol whose step function raises may raise at fewer configurations
     than a plain per-probe BFS would, since answered and pruned nodes are
-    not expanded. *)
+    not expanded.
+
+    {b Probe roots.}  A probe settles its root before it builds a visited
+    table or a queue: a decided member answers yes, a budget of 0 no, and
+    a memo entry with [hi] or [lo] within the budget answers as it would
+    at the root's dequeue.  Only an unsettled root starts a search, so
+    the counters and the memo's contents are those of the search it
+    replaces. *)
 
 open Ts_model
 open Ts_core
@@ -100,7 +127,9 @@ type stats = {
   configs_explored : int;
   truncated : bool;  (** true if max_configs, max_depth or the budget stopped a search *)
   deepest : int;  (** depth of the deepest configuration explored *)
-  table_hits : int;  (** successor already in a visited table *)
+  table_hits : int;
+      (** successor already in a visited table, including the steps the
+          commuting-step rule skips as provably visited *)
   table_misses : int;  (** fresh configurations inserted *)
   peak_frontier : int;  (** high-water mark of the BFS queue *)
   solo_cache_hits : int;

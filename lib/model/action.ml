@@ -24,6 +24,18 @@ let accessed_register = function
   | Read r | Write (r, _) | Swap (r, _) -> Some r
   | Flip | Decide _ -> None
 
+(* 0 for a step that accesses no register; otherwise the register in the
+   high bits and the access kind in the low two: 1 a read, 2 a write (a
+   swap reads too, but its write is what makes it conflict). *)
+let footprint = function
+  | Read r -> (r lsl 2) lor 1
+  | Write (r, _) | Swap (r, _) -> (r lsl 2) lor 2
+  | Flip | Decide _ -> 0
+
+let independent f g = f = 0 || g = 0 || f asr 2 <> g asr 2 || (f lor g) land 2 = 0
+
+let commute a b = independent (footprint a) (footprint b)
+
 let is_write = function Write _ -> true | Read _ | Swap _ | Flip | Decide _ -> false
 let is_swap = function Swap _ -> true | Read _ | Write _ | Flip | Decide _ -> false
 let is_read = function Read _ -> true | Write _ | Swap _ | Flip | Decide _ -> false

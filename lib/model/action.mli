@@ -27,6 +27,28 @@ val written_register : t -> reg option
 (** [accessed_register a] is [Some r] iff [a] reads or writes [r]. *)
 val accessed_register : t -> reg option
 
+(** {2 Commuting steps}
+
+    Two steps taken by different processes commute unless one of them
+    writes ([Write] or [Swap]) a register the other accesses.  A step
+    depends only on its process's state and the register it accesses
+    ({!Config.perform}), so from any configuration in which both can be
+    taken, either order reaches the same configuration.  [Flip] and
+    [Decide] access no register and commute with every step. *)
+
+(** [commute a b] holds iff neither [a] nor [b] writes a register the
+    other accesses: [a] and [b], taken by two different processes, commute. *)
+val commute : t -> t -> bool
+
+(** [footprint a] is [a]'s register access as an immediate int: [0] if
+    [a] accesses no register, otherwise the register and whether [a]
+    writes it.  The searches store it per queued node instead of the
+    action itself. *)
+val footprint : t -> int
+
+(** [independent (footprint a) (footprint b)] is [commute a b]. *)
+val independent : int -> int -> bool
+
 val is_write : t -> bool
 val is_swap : t -> bool
 val is_read : t -> bool

@@ -44,25 +44,42 @@ let participants tr =
 
 let coins = function Action.Flip -> [ Some true; Some false ] | _ -> [ None ]
 
+(* An arrival step packs its pid into the low [pid_bits] bits (Pset's
+   pids are below 63) and the action's [Action.footprint] above them. *)
+let pid_bits = 6
+let pid_mask = (1 lsl pid_bits) - 1
+let root = 0
+
 (* A top-level loop over the raw member mask, with no closure allocated:
    every search calls [iter_successors] once per node.  Each member's
    status is read, and its action asked of the protocol, once; every
-   successor is that action performed under one of [coins act]. *)
-let rec each_member proto cfg f mask p =
-  if mask <> 0 then begin
-    (if mask land 1 <> 0 then
-       match cfg.Config.procs.(p) with
-       | Config.Decided _ -> ()
-       | Config.Running s -> (
-         match proto.Protocol.poised s with
-         | Action.Flip as act ->
-           f (flip p true) (Config.perform proto cfg p s act ~coin:(Some true));
-           f (flip p false) (Config.perform proto cfg p s act ~coin:(Some false))
-         | act -> f (ev p) (Config.perform proto cfg p s act ~coin:None)));
-    each_member proto cfg f (mask lsr 1) (p + 1)
-  end
+   successor is that action performed under one of [coins act].  A member
+   below the arrival's pid [below] whose step is independent of the
+   arrival's footprint [fa] is counted in [skipped], not performed. *)
+let rec each_member proto cfg f mask p below fa skipped =
+  if mask = 0 then skipped
+  else if mask land 1 = 0 then each_member proto cfg f (mask lsr 1) (p + 1) below fa skipped
+  else
+    match cfg.Config.procs.(p) with
+    | Config.Decided _ -> each_member proto cfg f (mask lsr 1) (p + 1) below fa skipped
+    | Config.Running s ->
+      let act = proto.Protocol.poised s in
+      let fp = Action.footprint act in
+      if p < below && Action.independent fp fa then
+        each_member proto cfg f (mask lsr 1) (p + 1) below fa
+          (skipped + match act with Action.Flip -> 2 | _ -> 1)
+      else begin
+        let step = (fp lsl pid_bits) lor p in
+        (match act with
+         | Action.Flip ->
+           f (flip p true) step (Config.perform proto cfg p s act ~coin:(Some true));
+           f (flip p false) step (Config.perform proto cfg p s act ~coin:(Some false))
+         | act -> f (ev p) step (Config.perform proto cfg p s act ~coin:None));
+        each_member proto cfg f (mask lsr 1) (p + 1) below fa skipped
+      end
 
-let iter_successors proto cfg ps f = each_member proto cfg f (Pset.to_mask ps) 0
+let iter_successors proto cfg ps ~after f =
+  each_member proto cfg f (Pset.to_mask ps) 0 (after land pid_mask) (after asr pid_bits) 0
 
 let solo proto cfg p ~flips ~budget =
   let rec go cfg acc nflip fuel =

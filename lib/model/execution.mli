@@ -58,14 +58,63 @@ val schedule_of_trace : trace -> event list
     otherwise. *)
 val coins : Action.t -> bool option list
 
-(** [iter_successors proto cfg ps f] calls [f e cfg'] once for every step
-    [e] a member of [ps] can take from [cfg], with [cfg'] its result.
-    Members step in increasing pid order, each over {!coins} of its
-    poised action (a flip yields coin [true], then [false]); a decided
-    member yields nothing.  Exceptions from the protocol or from [f]
+(** {3 Arrival steps and the commuting-step rule}
+
+    A breadth-first search that expands nodes in FIFO order and keeps a
+    visited table of whole configurations can skip every successor it
+    has provably generated before (Godefroid's sleep sets, restricted to
+    a node's arrival step).  Let node X be first reached from node P by
+    member p's step a, and let member q < p be poised at b in X, with
+    [Action.commute a b].  Then X·b is already in the visited table when
+    X is expanded:
+
+    - q's state is the same in P and in X, so P's expansion, in pid
+      order, handled P·b before P·a: the node Y holding P·b was queued
+      before X, and its depth is at most X's;
+    - Y is therefore expanded before X.  Every stop condition that
+      spares Y (a depth or node bound, a found value, a violation, a
+      tripped budget) also spares X, since those bounds only tighten
+      along the FIFO order and a stopped search expands nothing more;
+    - p's state is the same in Y as in P, so p is poised at a in Y, and
+      b writes no register a accesses.  So Y·a = P·b·a = P·a·b = X·b.
+
+    If P skipped b, or Y skipped a, the same argument applied to that
+    earlier expansion puts the configuration in the table: the claim
+    holds by induction over expansion order.  A step that would raise is
+    never skipped either: b raised at P's expansion first.  The rule is
+    sound only for such searches; one that may leave a queued node
+    unexpanded while expanding later ones (a probe whose memo prunes
+    nodes) or that must emit every edge (the valency graph) passes
+    {!root}. *)
+
+(** The arrival step of a node no step reached — a search's root.
+    Nothing is skipped after it. *)
+val root : int
+
+(** [iter_successors proto cfg ps ~after f] calls [f e step cfg'] for
+    every step [e] a member of [ps] can take from [cfg] and that the
+    commuting-step rule does not skip, with [cfg'] its result and [step]
+    its arrival step (an immediate int packing [e]'s pid and the
+    {!Action.footprint} of the action taken), which the caller stores
+    with [cfg'] and passes as [~after] when it expands [cfg'].  Members
+    step in increasing pid order, each over {!coins} of its poised action
+    (a flip yields coin [true], then [false]); a decided member yields
+    nothing.
+
+    [after] is the arrival step by which the search first reached [cfg]
+    with this same [ps], or {!root}.  Each member below [after]'s pid
+    whose step commutes with [after]'s action is skipped, and the result
+    is the number of steps skipped (a skipped flip counts two).  With
+    [~after:root] nothing is skipped and the result is 0: that is the
+    whole relation.  Exceptions from the protocol or from [f]
     propagate. *)
 val iter_successors :
-  's Protocol.t -> 's Config.t -> Pset.t -> (event -> 's Config.t -> unit) -> unit
+  's Protocol.t ->
+  's Config.t ->
+  Pset.t ->
+  after:int ->
+  (event -> int -> 's Config.t -> unit) ->
+  int
 
 (** [solo proto cfg p ~flips ~budget] runs [p] alone until it decides or the
     step budget is exhausted, resolving the [i]-th coin flip with

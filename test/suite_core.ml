@@ -419,6 +419,96 @@ let test_reference_counts () =
   Alcotest.(check int) "reference searches" 23 s.Valency.searches;
   Alcotest.(check int) "reference nodes" 20_798 s.Valency.nodes_expanded
 
+(* An independent reference for the valency oracle: a FIFO BFS over the
+   unpruned relation [Valency.successors_within] with a visited table of
+   packed configurations, as [classify]'s joint search is specified.  Each
+   dequeued node is tested for a decider of each value still wanted, and
+   the first dequeued decider of a value gives its witness; the search
+   stops once both are found or the frontier empties; a node at depth
+   [horizon] is not expanded; the frontier's peak is read after each
+   expansion.  No node's successors are skipped. *)
+let reference_classify proto ~horizon cfg ps =
+  let pk = Ckey.packer proto in
+  let visited = Ckey.Tbl.create 1024 in
+  let q = Queue.create () in
+  Queue.add (cfg, [], 0) q;
+  Ckey.Tbl.replace visited (Ckey.pack pk cfg) ();
+  let found = [| None; None |] in
+  let nodes = ref 0 and peak = ref 1 in
+  let decided cfg v =
+    Array.exists
+      (function Config.Decided w -> Value.equal v w | Config.Running _ -> false)
+      cfg.Config.procs
+  in
+  let rec go () =
+    match Queue.take_opt q with
+    | None -> ()
+    | Some (cfg, rev_sched, depth) ->
+      incr nodes;
+      List.iteri
+        (fun i v -> if found.(i) = None && decided cfg v then found.(i) <- Some (List.rev rev_sched))
+        [ Valency.zero; Valency.one ];
+      if found.(0) = None || found.(1) = None then begin
+        if depth < horizon then begin
+          List.iter
+            (fun (e, c) ->
+              let k = Ckey.pack pk c in
+              if not (Ckey.Tbl.mem visited k) then begin
+                Ckey.Tbl.replace visited k ();
+                Queue.add (c, e :: rev_sched, depth + 1) q
+              end)
+            (Valency.successors_within proto cfg ps);
+          peak := max !peak (Queue.length q)
+        end;
+        go ()
+      end
+  in
+  let outcome =
+    match go () with
+    | () -> Ok (found.(0), found.(1))
+    | exception e -> Error (Printexc.to_string e)
+  in
+  outcome, !nodes, !peak
+
+(* [Valency.classify] on a fresh oracle against [reference_classify]: the
+   same verdict, witness schedules, node count and peak frontier (or the
+   same exception) from every registry protocol's initial configurations,
+   for every non-empty participant set, at horizon 10·n. *)
+let test_classify_matches_plain_bfs () =
+  let compared = ref 0 and expanded = ref 0 in
+  List.iter
+    (fun (entry : Ts_analysis.Registry.entry) ->
+      let (Protocol.Packed proto) = entry.protocol in
+      let n = proto.Protocol.num_processes in
+      let horizon = 10 * n in
+      List.iter
+        (fun inputs ->
+          let cfg = Config.initial proto ~inputs in
+          for m = 1 to (1 lsl n) - 1 do
+            let ps = Pset.filter (fun p -> m land (1 lsl p) <> 0) (Pset.all n) in
+            let t = Valency.create proto ~horizon in
+            let outcome =
+              match Valency.classify t cfg ps with
+              | Valency.Bivalent (w0, w1) -> Ok (Some w0, Some w1)
+              | Valency.Univalent (v, w) ->
+                Ok (if Value.to_int v = 0 then (Some w, None) else (None, Some w))
+              | Valency.Blocked -> Ok (None, None)
+              | exception e -> Error (Printexc.to_string e)
+            in
+            let s = Valency.stats t in
+            let got = outcome, s.Valency.nodes_expanded, s.Valency.peak_frontier in
+            incr compared;
+            expanded := !expanded + s.Valency.nodes_expanded;
+            if got <> reference_classify proto ~horizon cfg ps then
+              Alcotest.failf "%s inputs %a %a: classify differs from the plain BFS"
+                entry.cli_name
+                Fmt.(array ~sep:(any ",") Value.pp) inputs Pset.pp ps
+          done)
+        entry.inputs_list)
+    (Ts_analysis.Registry.all ());
+  Alcotest.(check bool) "participant sets compared" true (!compared > 100);
+  Alcotest.(check bool) "nodes expanded" true (!expanded > 10_000)
+
 let suite =
   ( "core-engine",
     [
@@ -457,4 +547,6 @@ let suite =
       Alcotest.test_case "yes/no answers = P-wide reference (differential)" `Quick
         test_boolean_answers_match_reference;
       Alcotest.test_case "reference does the P-wide work" `Quick test_reference_counts;
+      Alcotest.test_case "classify = unpruned plain BFS (registry, horizon 10n)" `Quick
+        test_classify_matches_plain_bfs;
     ] )

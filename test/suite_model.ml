@@ -139,14 +139,14 @@ let prop_rng_bounds =
       let v = Rng.int r bound in
       v >= 0 && v < bound)
 
-(* The step relation against a test-local expansion: on every catalog
-   protocol at n = 2 and 3, for every non-empty member set,
-   [Execution.iter_successors] yields the same events in the same order
-   (pid ascending, coin true before false) and the same successors.  The
-   configurations are those reachable within 6 steps of each binary input
-   vector, plus those of one round-robin run from each: racing-rand first
-   poises a flip after a counter tie, deeper than 6 steps, and the test
-   insists some compared configuration has a flip poised. *)
+(* The configurations the step-relation tests run at: on every catalog
+   protocol at n = 2 and 3, those reachable within 6 steps of each binary
+   input vector, plus those of one round-robin run from each (heads on
+   every flip): racing-rand first poises a flip after a counter tie,
+   deeper than 6 steps.  [v.instance name proto] sets up one instance and
+   returns the check to run at each of its configurations. *)
+type visitor = { instance : 's. string -> 's Protocol.t -> 's Config.t -> unit }
+
 let local_successors proto cfg ps =
   List.concat_map
     (fun p ->
@@ -159,37 +159,16 @@ let local_successors proto cfg ps =
       | Some _ -> [ (Execution.ev p, fst (Config.step proto cfg p ~coin:None)) ])
     (Pset.to_list ps)
 
-let test_iter_successors_contract () =
-  let compared = ref 0 and flips = ref 0 in
-  let check_instance name (Protocol.Packed proto) =
+let flipping proto cfg p =
+  match Config.poised proto cfg p with Some Action.Flip -> true | _ -> false
+
+let attempt f = match f () with l -> Ok l | exception e -> Error (Printexc.to_string e)
+
+let each_catalog_configuration v =
+  let visit name (Protocol.Packed proto) =
     let n = proto.Protocol.num_processes in
+    let at = v.instance name proto in
     let pk = Ckey.packer proto in
-    let attempt f = match f () with l -> Ok l | exception e -> Error (Printexc.to_string e) in
-    let keyed = Result.map (List.map (fun (e, c) -> (e, Ckey.to_hex (Ckey.pack pk c)))) in
-    let iterated cfg ps () =
-      let acc = ref [] in
-      Execution.iter_successors proto cfg ps (fun e c -> acc := (e, c) :: !acc);
-      List.rev !acc
-    in
-    let sets =
-      List.init ((1 lsl n) - 1) (fun m ->
-          Pset.filter (fun p -> (m + 1) land (1 lsl p) <> 0) (Pset.all n))
-    in
-    let flipping cfg p =
-      match Config.poised proto cfg p with Some Action.Flip -> true | _ -> false
-    in
-    let compare_at cfg =
-      if List.exists (flipping cfg) (List.init n Fun.id) then incr flips;
-      List.iter
-        (fun ps ->
-          incr compared;
-          if keyed (attempt (fun () -> local_successors proto cfg ps))
-             <> keyed (attempt (iterated cfg ps))
-          then
-            Alcotest.failf "%s: iter_successors differs from the local expansion for %a" name
-              Pset.pp ps)
-        sets
-    in
     let inputs_list =
       List.init (1 lsl n) (fun m -> Array.init n (fun p -> Value.int ((m lsr p) land 1)))
     in
@@ -206,7 +185,7 @@ let test_iter_successors_contract () =
     List.iter (fun inputs -> Option.iter (fun c -> add c 0) (initial inputs)) inputs_list;
     while not (Queue.is_empty q) do
       let cfg, depth = Queue.pop q in
-      compare_at cfg;
+      at cfg;
       if depth < 6 then
         match local_successors proto cfg (Pset.all n) with
         | succs -> List.iter (fun (_, c) -> add c (depth + 1)) succs
@@ -218,8 +197,8 @@ let test_iter_successors_contract () =
       if steps > 0 then
         if Config.has_decided cfg p <> None then walk cfg (steps - 1) next
         else begin
-          compare_at cfg;
-          let coin = if flipping cfg p then Some true else None in
+          at cfg;
+          let coin = if flipping proto cfg p then Some true else None in
           match Config.step proto cfg p ~coin with
           | cfg', _ -> walk cfg' (steps - 1) next
           | exception _ -> ()
@@ -232,12 +211,92 @@ let test_iter_successors_contract () =
       List.iter
         (fun n ->
           match Ts_protocols.Catalog.find name ~n with
-          | Ok packed -> check_instance (Printf.sprintf "%s-%d" name n) packed
+          | Ok packed -> visit (Printf.sprintf "%s-%d" name n) packed
           | Error _ -> ())
         [ 2; 3 ])
-    (Ts_protocols.Catalog.names ());
+    (Ts_protocols.Catalog.names ())
+
+(* The step relation against a test-local expansion: at every catalog
+   configuration above, for every non-empty member set,
+   [Execution.iter_successors] from a root yields the same events in the
+   same order (pid ascending, coin true before false) and the same
+   successors; the test insists some compared configuration has a flip
+   poised. *)
+let test_iter_successors_contract () =
+  let compared = ref 0 and flips = ref 0 in
+  let check_instance name proto =
+    let n = proto.Protocol.num_processes in
+    let pk = Ckey.packer proto in
+    let keyed = Result.map (List.map (fun (e, c) -> (e, Ckey.to_hex (Ckey.pack pk c)))) in
+    let iterated cfg ps () =
+      let acc = ref [] in
+      ignore
+        (Execution.iter_successors proto cfg ps ~after:Execution.root (fun e _ c ->
+             acc := (e, c) :: !acc));
+      List.rev !acc
+    in
+    let sets =
+      List.init ((1 lsl n) - 1) (fun m ->
+          Pset.filter (fun p -> (m + 1) land (1 lsl p) <> 0) (Pset.all n))
+    in
+    fun cfg ->
+      if List.exists (flipping proto cfg) (List.init n Fun.id) then incr flips;
+      List.iter
+        (fun ps ->
+          incr compared;
+          if keyed (attempt (fun () -> local_successors proto cfg ps))
+             <> keyed (attempt (iterated cfg ps))
+          then
+            Alcotest.failf "%s: iter_successors differs from the local expansion for %a" name
+              Pset.pp ps)
+        sets
+  in
+  each_catalog_configuration { instance = check_instance };
   Alcotest.(check bool) "configurations compared" true (!compared > 1000);
   Alcotest.(check bool) "some compared configuration poises a flip" true (!flips > 0)
+
+(* The commuting-step rule the searches prune by: at every catalog
+   configuration above, for every pair of running processes p < q whose
+   poised steps [Action.commute] calls commuting, and every coin outcome
+   of each, p then q and q then p reach the same packed key (or raise
+   alike).  Some pair the rule calls conflicting must reach different
+   keys, so a rule that calls every pair commuting fails here. *)
+let test_commute_rule () =
+  let commuting = ref 0 and witnessed_conflict = ref 0 in
+  let check_instance name proto =
+    let n = proto.Protocol.num_processes in
+    let pk = Ckey.packer proto in
+    let step cfg p coin = fst (Config.step proto cfg p ~coin) in
+    let both cfg (p, cp) (q, cq) =
+      ( attempt (fun () -> Ckey.to_hex (Ckey.pack pk (step (step cfg p cp) q cq))),
+        attempt (fun () -> Ckey.to_hex (Ckey.pack pk (step (step cfg q cq) p cp))) )
+    in
+    fun cfg ->
+      for p = 0 to n - 1 do
+        for q = p + 1 to n - 1 do
+          match Config.poised proto cfg p, Config.poised proto cfg q with
+          | Some a, Some b ->
+            List.iter
+              (fun cp ->
+                List.iter
+                  (fun cq ->
+                    let pq, qp = both cfg (p, cp) (q, cq) in
+                    if Action.commute a b then begin
+                      incr commuting;
+                      if pq <> qp then
+                        Alcotest.failf "%s: p%d %a and p%d %a commute by the rule but not in fact"
+                          name p Action.pp a q Action.pp b
+                    end
+                    else if pq <> qp then incr witnessed_conflict)
+                  (Execution.coins b))
+              (Execution.coins a)
+          | _ -> ()
+        done
+      done
+  in
+  each_catalog_configuration { instance = check_instance };
+  Alcotest.(check bool) "commuting pairs checked" true (!commuting > 1000);
+  Alcotest.(check bool) "some conflicting pair's orders differ" true (!witnessed_conflict > 0)
 
 (* The search kernel packs a key per successor, so packing may allocate
    the key itself (its digest string and record) and nothing else, and a
@@ -256,12 +315,13 @@ let test_kernel_allocation () =
     let cfg = Queue.pop q in
     cfgs.(!taken) <- cfg;
     incr taken;
-    Execution.iter_successors proto cfg (Pset.all 3) (fun _ c ->
-        let k = Ckey.pack pk c in
-        if not (Ckey.Tbl.mem visited k) then begin
-          Ckey.Tbl.add visited k ();
-          Queue.add c q
-        end)
+    ignore
+      (Execution.iter_successors proto cfg (Pset.all 3) ~after:Execution.root (fun _ _ c ->
+           let k = Ckey.pack pk c in
+           if not (Ckey.Tbl.mem visited k) then begin
+             Ckey.Tbl.add visited k ();
+             Queue.add c q
+           end))
   done;
   Alcotest.(check int) "256 configurations reached" 256 !taken;
   let before = Gc.minor_words () in
@@ -306,4 +366,6 @@ let suite =
         test_iter_successors_contract;
       Alcotest.test_case "search kernel allocation: packing, varints, classify" `Quick
         test_kernel_allocation;
+      Alcotest.test_case "commute rule: both orders reach one key (catalog, n = 2, 3)" `Quick
+        test_commute_rule;
     ] )
