@@ -217,6 +217,8 @@ let store_stats_to_json (s : Ts_store.Store.stats) =
       ("recovered", Json.Int s.Ts_store.Store.recovered);
       ("torn_truncations", Json.Int s.Ts_store.Store.torn_truncations);
       ("torn_bytes", Json.Int s.Ts_store.Store.torn_bytes);
+      ("recovery_ms", Json.Float s.Ts_store.Store.recovery_ms);
+      ("recovery_bytes", Json.Int s.Ts_store.Store.recovery_bytes);
       ("lookups", Json.Int s.Ts_store.Store.lookups);
       ("hits", Json.Int s.Ts_store.Store.hits);
       ("syncs", Json.Int s.Ts_store.Store.syncs);

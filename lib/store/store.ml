@@ -28,7 +28,6 @@ type t = {
   loc : string;  (* race-detector location of the log + index *)
   index : (int * int) Ckey.Tbl.t;  (* key -> value offset, value length *)
   fsync : fsync;
-  scratch : Buffer.t;  (* record assembly, reused across appends *)
   mutable size : int;  (* current file size = append offset *)
   mutable dirty : bool;  (* appended since the last sync *)
   mutable last_sync : float;
@@ -39,16 +38,18 @@ type t = {
   mutable recovered : int;
   mutable torn_truncations : int;
   mutable torn_bytes : int;
+  mutable recovery_ms : float;
+  mutable recovery_bytes : int;
   mutable lookups : int;
   mutable hits : int;
   mutable syncs : int;
 }
 
-let u32_to buf n =
-  Buffer.add_char buf (Char.chr (n land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff))
+let put_u32 b off n =
+  Bytes.set b off (Char.chr (n land 0xff));
+  Bytes.set b (off + 1) (Char.chr ((n lsr 8) land 0xff));
+  Bytes.set b (off + 2) (Char.chr ((n lsr 16) land 0xff));
+  Bytes.set b (off + 3) (Char.chr ((n lsr 24) land 0xff))
 
 let u32_of b off =
   Char.code (Bytes.get b off)
@@ -57,32 +58,28 @@ let u32_of b off =
   lor (Char.code (Bytes.get b (off + 3)) lsl 24)
 
 let header_bytes =
-  let buf = Buffer.create header_len in
-  Buffer.add_string buf magic;
-  u32_to buf store_version;
-  u32_to buf 0;
-  Buffer.contents buf
+  let b = Bytes.make header_len '\000' in
+  Bytes.blit_string magic 0 b 0 (String.length magic);
+  put_u32 b 8 store_version;
+  Bytes.unsafe_to_string b
 
-let record_crc ~key ~value =
-  let lens = Buffer.create 8 in
-  u32_to lens (String.length key);
-  u32_to lens (String.length value);
-  let crc = Crc32.update_string Crc32.init (Buffer.contents lens) 0 8 in
-  let crc = Crc32.update_string crc key 0 (String.length key) in
-  let crc = Crc32.update_string crc value 0 (String.length value) in
-  Int32.to_int (Crc32.finish crc) land 0xffffffff
+(* A finished checksum as the u32 a record header stores. *)
+let crc_bits crc = Int32.to_int (Crc32.finish crc) land 0xffffffff
 
-let add_record buf ~key ~value =
-  u32_to buf (String.length key);
-  u32_to buf (String.length value);
-  u32_to buf (record_crc ~key ~value);
-  Buffer.add_string buf key;
-  Buffer.add_string buf value
+(* The record's bytes, assembled in place: the CRC covers the 8 length
+   bytes and the key and value bytes that follow the CRC field. *)
+let encode_record ~key ~value =
+  let klen = String.length key and vlen = String.length value in
+  let b = Bytes.create (record_header_len + klen + vlen) in
+  put_u32 b 0 klen;
+  put_u32 b 4 vlen;
+  Bytes.blit_string key 0 b record_header_len klen;
+  Bytes.blit_string value 0 b (record_header_len + klen) vlen;
+  let crc = Crc32.update Crc32.init b 0 8 in
+  put_u32 b 8 (crc_bits (Crc32.update crc b record_header_len (klen + vlen)));
+  b
 
-let record_bytes ~key ~value =
-  let buf = Buffer.create (record_header_len + String.length key + String.length value) in
-  add_record buf ~key ~value;
-  Buffer.contents buf
+let record_bytes ~key ~value = Bytes.unsafe_to_string (encode_record ~key ~value)
 
 (* ---- low-level file I/O (caller holds the lock) ---------------------- *)
 
@@ -95,8 +92,9 @@ let write_all fd b off len =
   in
   go off len
 
-(* [read_exact] returns how many bytes it actually got; a short count is
-   how recovery detects a torn tail without raising. *)
+(* [read_upto] returns how many bytes it actually got; a short count is
+   how [open_] and [find] see a file shorter than expected without
+   raising. *)
 let read_upto fd b off len =
   let rec go off len got =
     if len = 0 then got
@@ -118,39 +116,59 @@ let gauge_records t =
   Obs.Metrics.gauge "store.records" (Ckey.Tbl.length t.index);
   Obs.Metrics.gauge "store.bytes" t.size
 
+(* Fold the next [left] bytes of [ic] into [crc], a chunk at a time. *)
+let rec crc_input ic chunk crc left =
+  if left = 0 then crc
+  else begin
+    let n = min left (Bytes.length chunk) in
+    really_input ic chunk 0 n;
+    crc_input ic chunk (Crc32.update crc chunk 0 n) (left - n)
+  end
+
 (* Scan the record region, indexing every intact record; the first damaged
-   one marks the torn tail.  Returns the last valid end offset. *)
+   one marks the torn tail.  The scan reads the region front to back
+   through one stdlib channel on the store's fd (its buffer is 64 KiB) and
+   one reused chunk of [max_key_bytes]: each record's key and the start of
+   its value are read into the chunk together and checked there, a longer
+   value is checked a chunk at a time, and only the key is copied out.
+   The channel is never closed: that would close the store's fd.  Returns
+   the last valid end offset and the bytes of the file read, header
+   included. *)
 let recover t file_size =
-  let hdr = Bytes.create record_header_len in
-  let rec scan off =
-    if off >= file_size then off
-    else begin
-      ignore (Unix.lseek t.fd off Unix.SEEK_SET);
-      if read_upto t.fd hdr 0 record_header_len <> record_header_len then off
-      else
-        let klen = u32_of hdr 0 and vlen = u32_of hdr 4 and crc = u32_of hdr 8 in
-        if
-          klen < 1 || klen > max_key_bytes || vlen < 0 || vlen > max_value_bytes
-          || off + record_header_len + klen + vlen > file_size
-        then off
-        else begin
-          let payload = Bytes.create (klen + vlen) in
-          if read_upto t.fd payload 0 (klen + vlen) <> klen + vlen then off
-          else begin
-            let key = Bytes.sub_string payload 0 klen in
-            let value = Bytes.sub_string payload klen vlen in
-            if record_crc ~key ~value <> crc then off
-            else begin
-              Ckey.Tbl.replace t.index (Ckey.of_string key)
-                (off + record_header_len + klen, vlen);
-              t.recovered <- t.recovered + 1;
-              scan (off + record_header_len + klen + vlen)
-            end
-          end
-        end
-    end
-  in
-  scan header_len
+  if file_size < header_len + record_header_len then (header_len, header_len)
+  else begin
+    ignore (Unix.lseek t.fd header_len Unix.SEEK_SET);
+    let ic = Unix.in_channel_of_descr t.fd in
+    let hdr = Bytes.create record_header_len in
+    let chunk = Bytes.create max_key_bytes in
+    let good = ref header_len and intact = ref true in
+    (try
+       while !intact && !good + record_header_len <= file_size do
+         really_input ic hdr 0 record_header_len;
+         let klen = u32_of hdr 0 and vlen = u32_of hdr 4 in
+         let next = !good + record_header_len + klen + vlen in
+         if
+           klen < 1 || klen > max_key_bytes || vlen < 0 || vlen > max_value_bytes
+           || next > file_size
+         then intact := false
+         else begin
+           (* the chunk holds the whole key: klen <= max_key_bytes *)
+           let first = min (klen + vlen) max_key_bytes in
+           really_input ic chunk 0 first;
+           let key = Bytes.sub_string chunk 0 klen in
+           let crc = Crc32.update (Crc32.update Crc32.init hdr 0 8) chunk 0 first in
+           if crc_bits (crc_input ic chunk crc (klen + vlen - first)) <> u32_of hdr 8
+           then intact := false
+           else begin
+             Ckey.Tbl.replace t.index (Ckey.of_string key) (next - vlen, vlen);
+             t.recovered <- t.recovered + 1;
+             good := next
+           end
+         end
+       done
+     with End_of_file -> (* the file shrank under the scan *) ());
+    (!good, pos_in ic)
+  end
 
 let open_ ?(fsync = Always) path =
   match Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644 with
@@ -172,7 +190,6 @@ let open_ ?(fsync = Always) path =
         loc = Obs.fresh_loc "store.log";
         index = Ckey.Tbl.create 1024;
         fsync;
-        scratch = Buffer.create 4096;
         size = 0;
         dirty = false;
         last_sync = Unix.gettimeofday ();
@@ -182,6 +199,8 @@ let open_ ?(fsync = Always) path =
         recovered = 0;
         torn_truncations = 0;
         torn_bytes = 0;
+        recovery_ms = 0.;
+        recovery_bytes = 0;
         lookups = 0;
         hits = 0;
         syncs = 0;
@@ -198,6 +217,7 @@ let open_ ?(fsync = Always) path =
     else if file_size < header_len then
       fail (Printf.sprintf "witness store %s: truncated file header" path)
     else begin
+      let started = Unix.gettimeofday () in
       let hdr = Bytes.create header_len in
       ignore (Unix.lseek fd 0 Unix.SEEK_SET);
       if read_upto fd hdr 0 header_len <> header_len then
@@ -213,7 +233,7 @@ let open_ ?(fsync = Always) path =
                 (recompute the corpus or migrate the log)"
                path version store_version)
         else begin
-          let good_end = recover t file_size in
+          let good_end, read = recover t file_size in
           if good_end < file_size then begin
             (* torn tail: drop it so the next append starts on a clean
                record boundary *)
@@ -224,6 +244,8 @@ let open_ ?(fsync = Always) path =
           end;
           t.size <- good_end;
           ignore (Unix.lseek fd good_end Unix.SEEK_SET);
+          t.recovery_ms <- (Unix.gettimeofday () -. started) *. 1000.;
+          t.recovery_bytes <- read;
           gauge_records t;
           Ok t
         end
@@ -294,10 +316,8 @@ let append t ~key ~value =
   locked t @@ fun () ->
   if Ckey.Tbl.mem t.index key then false
   else begin
-    Buffer.clear t.scratch;
-    add_record t.scratch ~key:kraw ~value;
-    let len = Buffer.length t.scratch in
-    let b = Buffer.to_bytes t.scratch in
+    let b = encode_record ~key:kraw ~value in
+    let len = Bytes.length b in
     ignore (Unix.lseek t.fd t.size Unix.SEEK_SET);
     crash_write t b 0 len;
     Ckey.Tbl.replace t.index key
@@ -386,6 +406,8 @@ type stats = {
   recovered : int;
   torn_truncations : int;
   torn_bytes : int;
+  recovery_ms : float;
+  recovery_bytes : int;
   lookups : int;
   hits : int;
   syncs : int;
@@ -403,6 +425,8 @@ let stats t =
     recovered = t.recovered;
     torn_truncations = t.torn_truncations;
     torn_bytes = t.torn_bytes;
+    recovery_ms = t.recovery_ms;
+    recovery_bytes = t.recovery_bytes;
     lookups = t.lookups;
     hits = t.hits;
     syncs = t.syncs;
@@ -411,7 +435,7 @@ let stats t =
 let pp_stats ppf s =
   Format.fprintf ppf
     "%d record%s, %d bytes (%d appended, %d recovered%s), %d/%d lookup hit%s, \
-     %d fsync%s"
+     %d fsync%s, recovery scan read %d bytes in %.2f ms"
     s.records
     (if s.records = 1 then "" else "s")
     s.bytes s.appends s.recovered
@@ -422,3 +446,4 @@ let pp_stats ppf s =
     (if s.hits = 1 then "" else "s")
     s.syncs
     (if s.syncs = 1 then "" else "s")
+    s.recovery_bytes s.recovery_ms

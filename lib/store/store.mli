@@ -25,11 +25,14 @@
       vlen bytes  the serialized answer (compact JSON)
     v}
 
-    {b Recovery.}  Open scans the log record by record.  The first record
-    that is truncated, oversized or checksum-damaged marks the torn tail:
-    the file is truncated back to the last valid record boundary and the
-    scan's survivors form the in-memory index.  A crash mid-append
-    therefore loses at most the record being appended, never an earlier
+    {b Recovery.}  Open scans the log record by record, in one sequential
+    pass through bounded buffers (a 64 KiB channel buffer and one reused
+    64 KiB chunk, in which each record's key and value are checked),
+    copying out only the keys.  The first record that is truncated,
+    oversized or checksum-damaged marks the torn tail: the file is
+    truncated back to the last valid record boundary and the scan's
+    survivors form the in-memory index.  A crash mid-append therefore
+    loses at most the record being appended, never an earlier
     one — replay-from-log recovery in the Aspnes logging discipline.
 
     {b Durability.}  [Always] fsyncs after every append (the default:
@@ -162,6 +165,12 @@ type stats = {
   recovered : int;  (** records replayed from disk at open *)
   torn_truncations : int;  (** torn tails cut at open (0 or 1) *)
   torn_bytes : int;  (** bytes discarded by the truncation *)
+  recovery_ms : float;
+      (** wall time of the open's recovery scan (header check, record
+          scan, truncation); 0 for a fresh log *)
+  recovery_bytes : int;
+      (** bytes of the log that scan read, header included; 0 for a
+          fresh log *)
   lookups : int;  (** [find]/[mem] calls *)
   hits : int;  (** lookups that found their key *)
   syncs : int;  (** fsyncs issued *)

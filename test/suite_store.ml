@@ -421,6 +421,221 @@ let prop_mutated_log_recovers_a_prefix =
             Store.close t;
             ok))
 
+(* ---- CRC-32 and the recovery scan ------------------------------------ *)
+
+module Crc32 = Ts_store.Crc32
+
+(* The checksum bit by bit, without tables: the reference the
+   slicing-by-8 code must agree with. *)
+let crc_reference crc b off len =
+  let c = ref (Int32.to_int crc land 0xffffffff) in
+  for i = off to off + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 1 to 8 do
+      c := if !c land 1 <> 0 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  Int32.of_int !c
+
+let test_crc_known_answers () =
+  Alcotest.(check int32) "CRC-32 of \"123456789\"" 0xCBF43926l (Crc32.string "123456789");
+  Alcotest.(check int32) "CRC-32 of the empty string" 0l (Crc32.string "");
+  let rng = Random.State.make [| 2026 |] in
+  let buf = Bytes.init 72 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  for off = 0 to 7 do
+    for len = 0 to 64 do
+      Alcotest.(check int32)
+        (Printf.sprintf "update at offset %d, length %d" off len)
+        (crc_reference Crc32.init buf off len)
+        (Crc32.update Crc32.init buf off len)
+    done
+  done
+
+(* Any split of the input gives the one-shot checksum, from [update] and
+   [update_string] alike. *)
+let prop_crc_chaining =
+  QCheck.Test.make ~name:"crc32: chained updates at any split points equal one shot"
+    ~count:200
+    QCheck.(pair (string_of_size (Gen.int_bound 300)) (small_list small_nat))
+    (fun (s, cuts) ->
+      let n = String.length s in
+      let cuts = List.sort compare (List.map (fun c -> if n = 0 then 0 else c mod (n + 1)) cuts) in
+      let b = Bytes.of_string s in
+      let chained_string, chained_bytes, last =
+        List.fold_left
+          (fun (cs, cb, from) cut ->
+            ( Crc32.update_string cs s from (cut - from),
+              Crc32.update cb b from (cut - from),
+              cut ))
+          (Crc32.init, Crc32.init, 0) cuts
+      in
+      let finish c = Crc32.finish (Crc32.update_string c s last (n - last)) in
+      let one_shot = Crc32.string s in
+      Int32.equal (finish chained_string) one_shot
+      && Int32.equal (Crc32.finish (Crc32.update chained_bytes b last (n - last))) one_shot
+      && Int32.equal (Crc32.update_string Crc32.init s 0 n) (Crc32.update Crc32.init b 0 n))
+
+(* The checksum loop allocates nothing: over 1 MB, only the boxed int32
+   result (3 words). *)
+let test_crc_allocation () =
+  let b = Bytes.init (1 lsl 20) (fun i -> Char.chr (i * 31 land 0xff)) in
+  ignore (Crc32.update Crc32.init b 0 16);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Crc32.update Crc32.init b 0 (Bytes.length b)));
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "update over 1 MB allocates at most its boxed result (%.0f words)" words)
+    true (words <= 3.0)
+
+(* A log whose records straddle the 64 KiB read buffers, one value larger
+   than a buffer among them, and two small records last.  Returns the
+   file's bytes and each record's (key, value, start offset). *)
+let straddling_log path =
+  let rng = Random.State.make [| 27 |] in
+  let sizes =
+    List.init 60 (fun i -> if i = 25 then 70_000 else Random.State.int rng 3_000) @ [ 40; 90 ]
+  in
+  let t = open_ok ~fsync:Store.Never path in
+  let records =
+    List.mapi
+      (fun i size ->
+        let key = Printf.sprintf "rec-%02d" i in
+        let value = String.init size (fun j -> Char.chr (((i * 7) + j) land 0xff)) in
+        let start = (Store.stats t).Store.bytes in
+        ignore (Store.append t ~key:(key_of key) ~value);
+        (key, value, start))
+      sizes
+  in
+  Store.close t;
+  (In_channel.with_open_bin path In_channel.input_all, Array.of_list records)
+
+let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+(* Reopen a damaged log whose first [survivors] records are intact and end
+   at [good_end]: exactly those records come back, the rest of the file is
+   cut and counted, and the next append lands at [good_end]. *)
+let check_recovery path records ~damaged_size ~survivors ~good_end =
+  let t = open_ok ~fsync:Store.Never path in
+  let s = Store.stats t in
+  let what = Printf.sprintf "file of %d bytes" damaged_size in
+  Alcotest.(check int) (what ^ ": recovered") survivors s.Store.recovered;
+  Alcotest.(check int) (what ^ ": torn bytes") (damaged_size - good_end) s.Store.torn_bytes;
+  Alcotest.(check int) (what ^ ": truncations")
+    (if damaged_size > good_end then 1 else 0)
+    s.Store.torn_truncations;
+  Alcotest.(check int) (what ^ ": size") good_end s.Store.bytes;
+  Alcotest.(check bool) (what ^ ": scan read the good prefix, no more than the file") true
+    (s.Store.recovery_bytes >= good_end && s.Store.recovery_bytes <= damaged_size);
+  Array.iteri
+    (fun i (key, _, _) ->
+      if Store.mem t (key_of key) <> (i < survivors) then
+        Alcotest.failf "%s: record %d %s" what i
+          (if i < survivors then "lost" else "survived its damage"))
+    records;
+  if survivors > 0 then begin
+    let key, value, _ = records.(survivors - 1) in
+    Alcotest.(check (option string)) (what ^ ": last survivor") (Some value)
+      (Store.find t (key_of key))
+  end;
+  ignore (Store.append t ~key:(key_of "next") ~value:"after the damage");
+  Alcotest.(check int) (what ^ ": next append at the good end")
+    (good_end + String.length (Store.record_bytes ~key:"next" ~value:"after the damage"))
+    (Store.stats t).Store.bytes;
+  Alcotest.(check (option string)) (what ^ ": next append served") (Some "after the damage")
+    (Store.find t (key_of "next"));
+  Store.close t;
+  Alcotest.(check int) (what ^ ": file size") (Store.stats t).Store.bytes (file_size path)
+
+let test_recovery_every_cut () =
+  with_log @@ fun path ->
+  let bytes, records = straddling_log path in
+  let n = Array.length records in
+  let full = String.length bytes in
+  let t = open_ok ~fsync:Store.Never path in
+  Alcotest.(check int) "a clean scan reads the whole file" full
+    (Store.stats t).Store.recovery_bytes;
+  Store.close t;
+  let ends =
+    Array.map
+      (fun (key, value, start) -> start + String.length (Store.record_bytes ~key ~value))
+      records
+  in
+  let _, _, first_cut = records.(n - 2) in
+  for cut = first_cut to full - 1 do
+    write_file path (String.sub bytes 0 cut);
+    let survivors = Array.fold_left (fun k e -> if e <= cut then k + 1 else k) 0 ends in
+    let good_end = if survivors = 0 then String.length Store.header_bytes else ends.(survivors - 1) in
+    check_recovery path records ~damaged_size:cut ~survivors ~good_end
+  done
+
+let test_recovery_crc_flips () =
+  with_log @@ fun path ->
+  let bytes, records = straddling_log path in
+  let middle = 30 in
+  let _, _, start = records.(middle) in
+  for i = 8 to 11 do
+    let b = Bytes.of_string bytes in
+    Bytes.set b (start + i) (Char.chr (Char.code (Bytes.get b (start + i)) lxor 0xff));
+    write_file path (Bytes.to_string b);
+    check_recovery path records ~damaged_size:(String.length bytes) ~survivors:middle
+      ~good_end:start
+  done
+
+(* Whatever follows a valid file header, open returns [Ok] without raising
+   and keeps exactly the longest prefix of intact records, checked here
+   with the bitwise reference CRC. *)
+let reference_prefix s =
+  let b = Bytes.of_string s and n = String.length s in
+  let u32 o = Bytes.get_int32_le b o |> Int32.to_int |> ( land ) 0xffffffff in
+  let rec go off count =
+    if off + Store.record_header_len > n then (off, count)
+    else
+      let klen = u32 off and vlen = u32 (off + 4) in
+      let next = off + Store.record_header_len + klen + vlen in
+      if klen < 1 || klen > Store.max_key_bytes || vlen > Store.max_value_bytes || next > n then
+        (off, count)
+      else
+        let crc = crc_reference (crc_reference Crc32.init b off 8) b (off + 12) (klen + vlen) in
+        if Int32.to_int (Crc32.finish crc) land 0xffffffff <> u32 (off + 8) then (off, count)
+        else go next (count + 1)
+  in
+  go (String.length Store.header_bytes) 0
+
+let prop_random_tail =
+  let segment =
+    QCheck.Gen.(
+      oneof
+        [
+          map2 (fun k v -> Store.record_bytes ~key:k ~value:v)
+            (string_size (int_range 1 20)) (string_size (int_bound 200));
+          string_size (int_bound 40);
+          (* a plausible header with small lengths and a wrong CRC *)
+          map2 (fun (k, v) body -> Store.record_bytes ~key:k ~value:v |> fun r ->
+                 String.sub r 0 8 ^ "\xde\xad\xbe\xef" ^ String.sub r 12 (String.length r - 12) ^ body)
+            (pair (string_size (int_range 1 8)) (string_size (int_bound 30)))
+            (string_size (int_bound 10));
+        ])
+  in
+  let gen = QCheck.Gen.(map (String.concat "") (list_size (int_bound 6) segment)) in
+  QCheck.Test.make ~name:"store: random bytes after a valid header open to a record boundary"
+    ~count:300 (QCheck.make ~print:String.escaped gen) (fun tail ->
+      let bytes = Store.header_bytes ^ tail in
+      let good_end, count = reference_prefix bytes in
+      let path = tmp_path () in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          write_file path bytes;
+          match Store.open_ ~fsync:Store.Never path with
+          | exception e -> QCheck.Test.fail_reportf "open_ raised %s" (Printexc.to_string e)
+          | Error msg -> QCheck.Test.fail_reportf "open_ refused: %s" msg
+          | Ok t ->
+            let s = Store.stats t in
+            Store.close t;
+            s.Store.recovered = count && s.Store.bytes = good_end
+            && file_size path = good_end
+            && s.Store.torn_bytes = String.length bytes - good_end))
+
 let suite =
   ( "store",
     [
@@ -448,4 +663,14 @@ let suite =
       QCheck_alcotest.to_alcotest prop_interval_presync_survives;
       QCheck_alcotest.to_alcotest prop_replay_recovers;
       QCheck_alcotest.to_alcotest prop_mutated_log_recovers_a_prefix;
+      Alcotest.test_case "crc32: known answers and the bitwise reference" `Quick
+        test_crc_known_answers;
+      QCheck_alcotest.to_alcotest prop_crc_chaining;
+      Alcotest.test_case "crc32: update allocates only its result" `Quick
+        test_crc_allocation;
+      Alcotest.test_case "recovery: every cut inside the last two records" `Quick
+        test_recovery_every_cut;
+      Alcotest.test_case "recovery: each flipped CRC byte of a middle record" `Quick
+        test_recovery_crc_flips;
+      QCheck_alcotest.to_alcotest prop_random_tail;
     ] )
