@@ -157,16 +157,16 @@ let e7 () =
         (fun run ->
           let r = run ~n in
           Format.printf "%-18s %4d %10d %10d %14d %12d %10s@."
-            r.Ts_perturb.Adversary.object_name n r.Ts_perturb.Adversary.distinct_covered
-            r.Ts_perturb.Adversary.jtt_bound r.Ts_perturb.Adversary.probe_accesses
-            r.Ts_perturb.Adversary.probe_steps
-            (if r.Ts_perturb.Adversary.hidden_invisible && r.Ts_perturb.Adversary.completed_visible
+            r.Ts_lecture.Adversary.object_name n r.Ts_lecture.Adversary.distinct_covered
+            r.Ts_lecture.Adversary.jtt_bound r.Ts_lecture.Adversary.probe_accesses
+            r.Ts_lecture.Adversary.probe_steps
+            (if r.Ts_lecture.Adversary.hidden_invisible && r.Ts_lecture.Adversary.completed_visible
              then "ok"
              else "FAILED"))
         [
-          Ts_perturb.Adversary.run_counter;
-          Ts_perturb.Adversary.run_maxreg;
-          Ts_perturb.Adversary.run_snapshot;
+          Ts_lecture.Adversary.run_counter;
+          Ts_lecture.Adversary.run_maxreg;
+          Ts_lecture.Adversary.run_snapshot;
         ])
     [ 2; 4; 8; 16 ]
 
@@ -178,13 +178,13 @@ let e8 () =
   List.iter
     (fun n ->
       let order = Array.init n Fun.id in
-      let cost alg = (Ts_mutex.Arena.serial alg ~order).Ts_mutex.Arena.cost in
-      let contended = (Ts_mutex.Arena.contended (Ts_mutex.Tournament.make ~n)).Ts_mutex.Arena.cost in
+      let cost alg = (Ts_lecture.Arena.serial alg ~order).Ts_lecture.Arena.cost in
+      let contended = (Ts_lecture.Arena.contended (Ts_lecture.Tournament.make ~n)).Ts_lecture.Arena.cost in
       Format.printf "%4d %12d %10d %12d %10d %14.0f %16d@." n
-        (cost (Ts_mutex.Peterson.make ~n))
-        (cost (Ts_mutex.Bakery.make ~n))
-        (cost (Ts_mutex.Tournament.make ~n))
-        (cost (Ts_mutex.Tas_lock.make ~n))
+        (cost (Ts_lecture.Peterson.make ~n))
+        (cost (Ts_lecture.Bakery.make ~n))
+        (cost (Ts_lecture.Tournament.make ~n))
+        (cost (Ts_lecture.Tas_lock.make ~n))
         (Bounds.fan_lynch_cost n) contended)
     [ 2; 4; 8; 16; 32; 64 ]
 
@@ -195,14 +195,14 @@ let e9 () =
     "cost(serial)" "bits(cont.)" "roundtrip";
   List.iter
     (fun n ->
-      let alg = Ts_mutex.Tournament.make ~n in
+      let alg = Ts_lecture.Tournament.make ~n in
       let order = Rng.permutation (Rng.create (n + 1)) n in
-      let o = Ts_mutex.Arena.serial alg ~order in
-      let oc = Ts_mutex.Arena.contended alg in
-      match Ts_encoder.Codec.round_trip alg o, Ts_encoder.Codec.round_trip alg oc with
+      let o = Ts_lecture.Arena.serial alg ~order in
+      let oc = Ts_lecture.Arena.contended alg in
+      match Ts_lecture.Codec.round_trip alg o, Ts_lecture.Codec.round_trip alg oc with
       | Ok e, Ok ec ->
-        Format.printf "%4d %14d %12.1f %12d %12d %10s@." n (snd e.Ts_encoder.Codec.bits)
-          (Bounds.log2_factorial n) o.Ts_mutex.Arena.cost (snd ec.Ts_encoder.Codec.bits) "ok"
+        Format.printf "%4d %14d %12.1f %12d %12d %10s@." n (snd e.Ts_lecture.Codec.bits)
+          (Bounds.log2_factorial n) o.Ts_lecture.Arena.cost (snd ec.Ts_lecture.Codec.bits) "ok"
       | Error e, _ | _, Error e -> Format.printf "%4d round trip FAILED: %s@." n e)
     [ 2; 4; 8; 16; 32; 64 ]
 
@@ -213,11 +213,11 @@ let e10 () =
     "GHHW-O(logn)" "consensus" "Zhu n-1";
   List.iter
     (fun n ->
-      let impl = Ts_leader.Election.make ~n in
-      let s = Ts_objects.Runner.create impl in
-      ignore (Ts_objects.Runner.op s 0 Ts_leader.Election.Elect);
-      Format.printf "%4d %16d %16d %14d %12d %12d@." n impl.Ts_objects.Impl.num_registers
-        (List.length (Ts_objects.Runner.op_accesses s 0))
+      let impl = Ts_lecture.Election.make ~n in
+      let s = Ts_lecture.Runner.create impl in
+      ignore (Ts_lecture.Runner.op s 0 Ts_lecture.Election.Elect);
+      Format.printf "%4d %16d %16d %14d %12d %12d@." n impl.Ts_lecture.Impl.num_registers
+        (List.length (Ts_lecture.Runner.op_accesses s 0))
         (Bounds.leader_election_space n) (2 * n) (Bounds.zhu_space n))
     [ 2; 4; 8; 16; 32; 64 ];
   (* a second sub-consensus task from the same splitters: one-shot renaming *)
@@ -226,22 +226,22 @@ let e10 () =
   List.iter
     (fun n ->
       let rng = Rng.create (3 * n) in
-      let s = Ts_objects.Runner.create (Ts_leader.Renaming.make ~n) in
+      let s = Ts_lecture.Runner.create (Ts_lecture.Renaming.make ~n) in
       for p = 0 to n - 1 do
-        Ts_objects.Runner.invoke s p Ts_leader.Renaming.Rename
+        Ts_lecture.Runner.invoke s p Ts_lecture.Renaming.Rename
       done;
       let names = ref [] in
       let pending = ref (List.init n Fun.id) in
       while !pending <> [] do
         let p = List.nth !pending (Rng.int rng (List.length !pending)) in
-        match Ts_objects.Runner.step s p with
+        match Ts_lecture.Runner.step s p with
         | `Returned v ->
           names := Value.to_int v :: !names;
           pending := List.filter (fun q -> q <> p) !pending
         | `Continues -> ()
       done;
-      Format.printf "%4d %14d %16d %14d@." n (Ts_leader.Renaming.name_space n)
-        (Ts_leader.Renaming.make ~n).Ts_objects.Impl.num_registers
+      Format.printf "%4d %14d %16d %14d@." n (Ts_lecture.Renaming.name_space n)
+        (Ts_lecture.Renaming.make ~n).Ts_lecture.Impl.num_registers
         (List.length (List.sort_uniq compare !names)))
     [ 2; 4; 8; 16 ]
 
@@ -276,15 +276,15 @@ let e11 () =
       let unanimous = ref 0 in
       for seed = 1 to trials do
         let rng = Rng.create (seed * 389) in
-        let s = Ts_objects.Runner.create (Ts_objects.Shared_coin.make ~n ~k:3) in
+        let s = Ts_lecture.Runner.create (Ts_lecture.Shared_coin.make ~n ~k:3) in
         for p = 0 to n - 1 do
-          Ts_objects.Runner.invoke s p (Ts_objects.Shared_coin.Toss { seed = seed + (p * 101) })
+          Ts_lecture.Runner.invoke s p (Ts_lecture.Shared_coin.Toss { seed = seed + (p * 101) })
         done;
         let outs = ref [] in
         let pending = ref (List.init n Fun.id) in
         while !pending <> [] do
           let p = List.nth !pending (Rng.int rng (List.length !pending)) in
-          match Ts_objects.Runner.step s p with
+          match Ts_lecture.Runner.step s p with
           | `Returned v ->
             outs := Value.to_bool v :: !outs;
             pending := List.filter (fun q -> q <> p) !pending
@@ -295,16 +295,17 @@ let e11 () =
       Format.printf "  n=%2d: %d/%d trials unanimous@." n !unanimous trials)
     [ 2; 3; 4 ]
 
-(* E12: multicore validation. *)
+(* E12: multicore validation.  Step totals and wall time depend on how
+   the domains interleave, so only the trial, failure and timeout counts
+   are printed. *)
 let e12 () =
   header "E12" "Multicore: the same protocol code on OCaml 5 atomics and domains";
   List.iter
     (fun (proto, trials) ->
-      let s =
-        Ts_runtime.Atomic_run.run proto ~trials ~seed:2026 ~step_budget:1_000_000
-          ~mixed_inputs:true
-      in
-      Format.printf "  %a@." Ts_runtime.Atomic_run.pp_stats s)
+      let module A = Ts_lecture.Atomic_run in
+      let s = A.run proto ~trials ~seed:2026 ~step_budget:1_000_000 ~mixed_inputs:true in
+      Format.printf "  %s: %d trials, %d agreement failures, %d validity failures, %d timeouts@."
+        s.A.protocol s.A.trials s.A.agreement_failures s.A.validity_failures s.A.timeouts)
     [ Racing.make ~n:2, 60; Racing.make ~n:3, 40; Racing.make ~n:4, 25;
       Racing.make_randomized ~n:3, 25 ]
 
@@ -316,8 +317,8 @@ let e13 () =
     (fun n ->
       let order = Array.init n Fun.id in
       Format.printf "%4d %22d %22d@." n
-        (Ts_mutex.Arena.serial (Ts_mutex.Tas_lock.make ~n) ~order).Ts_mutex.Arena.cost
-        (Ts_mutex.Arena.serial (Ts_mutex.Tournament.make ~n) ~order).Ts_mutex.Arena.cost)
+        (Ts_lecture.Arena.serial (Ts_lecture.Tas_lock.make ~n) ~order).Ts_lecture.Arena.cost
+        (Ts_lecture.Arena.serial (Ts_lecture.Tournament.make ~n) ~order).Ts_lecture.Arena.cost)
     [ 2; 8; 32; 64 ];
   Format.printf
     "  one swap register replaces Ω(n) read/write registers — the FHS Ω(sqrt n)@.\
@@ -385,19 +386,19 @@ let e16 () =
   Format.printf "%-16s %4s %14s %12s %12s %12s@." "lock" "n" "best-covered" "registers"
     "configs" "exhaustive";
   List.iter
-    (fun (Ts_mutex.Algorithm.Packed alg) ->
-      let r = Ts_mutex.Covering_search.search alg ~max_configs:120_000 in
-      Format.printf "%-16s %4d %14d %12d %12d %12b@." r.Ts_mutex.Covering_search.algorithm
-        r.Ts_mutex.Covering_search.n r.Ts_mutex.Covering_search.best_covered
-        alg.Ts_mutex.Algorithm.num_registers r.Ts_mutex.Covering_search.configs_explored
-        (not r.Ts_mutex.Covering_search.truncated))
+    (fun (Ts_lecture.Algorithm.Packed alg) ->
+      let r = Ts_lecture.Covering_search.search alg ~max_configs:120_000 in
+      Format.printf "%-16s %4d %14d %12d %12d %12b@." r.Ts_lecture.Covering_search.algorithm
+        r.Ts_lecture.Covering_search.n r.Ts_lecture.Covering_search.best_covered
+        alg.Ts_lecture.Algorithm.num_registers r.Ts_lecture.Covering_search.configs_explored
+        (not r.Ts_lecture.Covering_search.truncated))
     [
-      Ts_mutex.Algorithm.Packed (Ts_mutex.Peterson.make ~n:2);
-      Ts_mutex.Algorithm.Packed (Ts_mutex.Peterson.make ~n:3);
-      Ts_mutex.Algorithm.Packed (Ts_mutex.Tournament.make ~n:2);
-      Ts_mutex.Algorithm.Packed (Ts_mutex.Tournament.make ~n:3);
-      Ts_mutex.Algorithm.Packed (Ts_mutex.Bakery.make ~n:2);
-      Ts_mutex.Algorithm.Packed (Ts_mutex.Tas_lock.make ~n:4);
+      Ts_lecture.Algorithm.Packed (Ts_lecture.Peterson.make ~n:2);
+      Ts_lecture.Algorithm.Packed (Ts_lecture.Peterson.make ~n:3);
+      Ts_lecture.Algorithm.Packed (Ts_lecture.Tournament.make ~n:2);
+      Ts_lecture.Algorithm.Packed (Ts_lecture.Tournament.make ~n:3);
+      Ts_lecture.Algorithm.Packed (Ts_lecture.Bakery.make ~n:2);
+      Ts_lecture.Algorithm.Packed (Ts_lecture.Tas_lock.make ~n:4);
     ];
   Format.printf
     "  BL93: a deadlock-free n-process register lock admits n covered registers;@.  \  the swap lock concentrates on one — historyless primitives evade covering.@."
@@ -440,14 +441,15 @@ let e17 () =
    steps and revisions.  Each row is one run of the two-engine comparison
    the registry gate runs, so both witnesses are accepted (replay,
    certificate replay, micro-checker) before the row reports a bound; the
-   schedule and effort columns come from the engines' own certificates. *)
+   schedule and effort columns come from the engines' own certificates.
+   The ledger's micro.e1_theorem1_racing2_us and
+   micro.e26_revisionist_racing2_us rows time the two engines. *)
 let e26 () =
   header "E26" "Two engines, one bound: Lemmas 1-4 vs revisionist simulations";
   let module X = Ts_analysis.Crosscheck in
   let module Rev = Ts_revisionist.Revisionist in
-  Format.printf "%-14s %4s %6s | %12s %9s %8s | %12s %9s %8s@." "protocol" "n"
-    "agree" "lemmas-sched" "searches" "ms" "rev-sched" "revisions" "ms";
-  let ms (side : _ X.side) = Int64.to_float side.X.ns /. 1e6 in
+  Format.printf "%-14s %4s %6s | %12s %9s | %12s %9s@." "protocol" "n" "agree"
+    "lemmas-sched" "searches" "rev-sched" "revisions";
   List.iter
     (fun (Protocol.Packed proto) ->
       let n = proto.Protocol.num_processes in
@@ -459,12 +461,11 @@ let e26 () =
           | X.Agreed b -> string_of_int b
           | X.Diverged _ | X.Unavailable _ -> "DIVERGE"
         in
-        Format.printf "%-14s %4d %6s | %12d %9d %8.1f | %12d %9d %8.1f@."
-          proto.Protocol.name n agree
+        Format.printf "%-14s %4d %6s | %12d %9d | %12d %9d@." proto.Protocol.name n agree
           (List.length l.Theorem.schedule)
-          l.Theorem.oracle_searches (ms c.X.lemmas)
+          l.Theorem.oracle_searches
           (List.length r.Rev.schedule)
-          r.Rev.revisions (ms c.X.revisionist)
+          r.Rev.revisions
       | _ ->
         Format.printf "%-14s %4d %6s@." proto.Protocol.name n
           "(an engine stopped)")

@@ -696,7 +696,7 @@ let serve_cmd =
          & info [ "cache-capacity" ] ~docv:"C" ~doc:"Result-cache entries.")
   in
   let deadline =
-    Arg.(value & opt (some float) (Some 30.)
+    Arg.(value & opt (some float) (Some Request.daemon_deadline)
          & info [ "deadline" ] ~docv:"SECS"
              ~doc:"Default per-request wall-clock budget (requests may carry \
                    their own).")
@@ -823,7 +823,10 @@ let query_cmd =
   let timeout_ms =
     Arg.(value & opt int 10_000
          & info [ "timeout-ms" ] ~docv:"MS"
-             ~doc:"Per-attempt deadline in milliseconds; 0 disables it.")
+             ~doc:"Per-attempt read timeout in milliseconds; 0 disables it.  \
+                   An engine op waits at least its deadline (else the \
+                   daemon's 30 s) plus 5 s, so that the daemon's \
+                   out-of-budget answer ends a slow request.")
   in
   let certificate =
     Arg.(value & flag

@@ -42,11 +42,25 @@ dune build @all
 echo "== dune runtest (20 min cap) =="
 timeout 1200 dune runtest
 
-echo "== bench smoke (experiment tables; 5 min cap) =="
-timeout 300 dune exec bench/main.exe > /dev/null
+echo "== bench smoke (experiment tables = bench/expected.txt; 5 min cap) =="
+# the tables print no timings, so every run prints the same bytes; a
+# change that moves a table regenerates the file on purpose with
+# `dune exec bench/main.exe > bench/expected.txt`
+timeout 300 dune exec bench/main.exe > "$CI_TMP/bench.out"
+if ! cmp -s bench/expected.txt "$CI_TMP/bench.out"; then
+  echo "ci: bench/main.exe no longer prints bench/expected.txt:" >&2
+  diff bench/expected.txt "$CI_TMP/bench.out" >&2 || true
+  exit 1
+fi
 
-echo "== fault-injection smoke (crash storm + t-resilience; 5 min cap) =="
-timeout 300 dune exec examples/crash_storm.exe > /dev/null
+echo "== examples (each must exit 0; 5 min cap each) =="
+for ex in quickstart space_witness mutex_showdown perturbation multicore_race \
+          valency_atlas crash_storm; do
+  timeout 300 dune exec "examples/$ex.exe" > "$CI_TMP/example.out" || {
+    echo "ci: examples/$ex.exe failed" >&2; cat "$CI_TMP/example.out" >&2; exit 1; }
+done
+
+echo "== fault-injection smoke (t-resilience; 5 min cap) =="
 timeout 300 dune exec bin/tightspace.exe -- resilient --protocol racing -n 3 -t 2 \
   --max-configs 2000 --max-depth 12 > /dev/null
 # the non-resilient control must be caught (exit 1) and its witness replay

@@ -7,7 +7,7 @@
      dune exec examples/multicore_race.exe
 *)
 open Ts_protocols
-open Ts_runtime
+open Ts_lecture
 
 let () =
   Format.printf "Racing-counters consensus on OCaml 5 domains (Atomic registers)@.";

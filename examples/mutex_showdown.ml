@@ -9,7 +9,7 @@
      dune exec examples/mutex_showdown.exe
 *)
 open Ts_model
-open Ts_mutex
+open Ts_lecture
 
 let () =
   Format.printf "Canonical executions in the state-change cost model@.";
@@ -36,15 +36,15 @@ let () =
   let alg = Tournament.make ~n in
   let order = Rng.permutation (Rng.create 17) n in
   let oserial = Arena.serial alg ~order in
-  (match Ts_encoder.Codec.round_trip alg oserial with
+  (match Ts_lecture.Codec.round_trip alg oserial with
    | Ok enc ->
-     let o' = Ts_encoder.Codec.decode (Tournament.make ~n) enc in
+     let o' = Ts_lecture.Codec.decode (Tournament.make ~n) enc in
      Format.printf
        "@.encoded a canonical execution for order %a@.\
         into %d bits (entropy floor log2(%d!) = %.1f);@.\
         decoder replayed it and recovered the order %a@."
        Fmt.(Dump.list int) (Array.to_list order)
-       (snd enc.Ts_encoder.Codec.bits) n
+       (snd enc.Ts_lecture.Codec.bits) n
        (Ts_core.Bounds.log2_factorial n)
        Fmt.(Dump.list int) o'.Arena.cs_order
    | Error e -> Format.printf "round trip failed: %s@." e);

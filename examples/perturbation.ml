@@ -8,7 +8,7 @@
 
      dune exec examples/perturbation.exe
 *)
-open Ts_perturb
+open Ts_lecture
 
 let narrate run name ~n =
   let r = run ~n in

@@ -25,7 +25,6 @@ val v : protocol:string -> pass:string -> code:string -> severity -> string -> t
 (** The [Error]-severity subset. *)
 val errors : t list -> t list
 
-val severity_to_string : severity -> string
 val to_json : t -> Json.t
 val pp : Format.formatter -> t -> unit
 

@@ -54,36 +54,26 @@ type result = {
   stopped : Budget.breach option;
 }
 
-(* Mutable per-search counter block, folded into a [stats] at the end.
-   [skipped] (already counted in [hits]), [probe_nodes] and [memo_hits]
-   go to the profiler only, never to the wire. *)
+(* Mutable probe counters of one search, for the profiler only: the
+   outer search's own counts come from [Execution.bfs]. *)
 type counters = {
-  mutable explored : int;
-  mutable trunc : bool;
-  mutable deep : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable peak : int;
-  mutable skipped : int;
   mutable probes : int;
   mutable probe_nodes : int;
   mutable memo_hits : int;
 }
 
-let fresh_counters () =
-  { explored = 0; trunc = false; deep = 0; hits = 0; misses = 0; peak = 0; skipped = 0;
-    probes = 0; probe_nodes = 0; memo_hits = 0 }
+let fresh_counters () = { probes = 0; probe_nodes = 0; memo_hits = 0 }
 
-let stats_of_counters c =
+let stats_of (c : Execution.counts) ~stopped counters =
   {
-    configs_explored = c.explored;
-    truncated = c.trunc;
-    deepest = c.deep;
+    configs_explored = c.nodes;
+    truncated = c.truncated || stopped;
+    deepest = c.deepest;
     table_hits = c.hits;
     table_misses = c.misses;
-    peak_frontier = c.peak;
+    peak_frontier = c.peak_frontier;
     solo_cache_hits = 0;
-    solo_cache_misses = c.probes;
+    solo_cache_misses = counters.probes;
   }
 
 (* --- group-termination probes ------------------------------------------ *)
@@ -172,9 +162,7 @@ let search_group proto pk root ps mask ~budget ~guard ~memo ~counters =
   (* the memo may prune a dequeued node, so no commuting step is skipped *)
   let successors n =
     let depth = n.depth + 1 and parent = Some n in
-    ignore
-      (Execution.iter_successors proto n.cfg ps ~after:Execution.root (fun _ _ cfg' ->
-           push cfg' depth parent))
+    Execution.iter_successors proto n.cfg ps (fun _ cfg' -> push cfg' depth parent)
   in
   Ckey.Salted_tbl.add visited root.key 0;
   successors root;
@@ -266,110 +254,53 @@ let group_can_decide t cfg ps ~budget =
 
 exception Found of violation
 
-(* Close one finished per-vector search into the profiler: span attributes
-   for the phase table, counter increments for the bench metrics blob.
-   The span is entered by [observed_bfs] around [bfs_reachable]. *)
-let observe_vector sp counters verdict =
-  Obs.set_int sp "configs" counters.explored;
-  Obs.set_int sp "deepest" counters.deep;
-  Obs.set_bool sp "truncated" counters.trunc;
+(* One input vector's search ([Execution.bfs] over every process's steps
+   from the vector's initial configuration) in an ["explore.vector"] span,
+   self-contained: its own packer [pk] (shared with its probes), tables,
+   budget and counters.  [visit] is called on every dequeued
+   configuration and raises [Found] to stop with a violation.  This is
+   the unit of parallelism — runs of
+   different input vectors share nothing, so fanning them out over
+   domains produces bit-identical verdicts and stats.  A raising protocol
+   callback must not leak the span (its close runs on this domain's
+   parent stack). *)
+let search_vector proto pk ~inputs ~max_configs ~max_depth ~guard ~counters ~visit =
+  let sp = Obs.enter ~cat:"explore" "explore.vector" in
+  let c, stop =
+    Execution.bfs pk proto (Config.initial proto ~inputs)
+      (Pset.all proto.Protocol.num_processes)
+      ~max_depth ~max_nodes:max_configs ~table_size:(table_size ~max_configs)
+      ~loc:"explore.visited"
+      ~charge:(fun () -> Budget.charge guard 1)
+      ~visit
+  in
+  let verdict, stopped =
+    match stop with
+    | None -> Ok (), None
+    | Some (Found v) -> Error v, None
+    | Some (Budget.Exhausted b) -> Ok (), Some b
+    | Some e ->
+      Obs.close sp;
+      raise e
+  in
+  let stats = stats_of c ~stopped:(stopped <> None) counters in
+  Obs.set_int sp "configs" stats.configs_explored;
+  Obs.set_int sp "deepest" stats.deepest;
+  Obs.set_bool sp "truncated" stats.truncated;
   Obs.set_bool sp "violation" (Result.is_error verdict);
-  Obs.set_int sp "skipped" counters.skipped;
+  Obs.set_int sp "skipped" c.skipped;
   Obs.close sp;
   Obs.Metrics.incr "explore.vectors";
-  Obs.Metrics.incr ~by:counters.explored "explore.configs_explored";
-  Obs.Metrics.incr ~by:counters.hits "explore.table_hits";
-  Obs.Metrics.incr ~by:counters.skipped "explore.steps_skipped";
-  Obs.Metrics.incr ~by:counters.misses "explore.table_misses";
+  Obs.Metrics.incr ~by:stats.configs_explored "explore.configs_explored";
+  Obs.Metrics.incr ~by:stats.table_hits "explore.table_hits";
+  Obs.Metrics.incr ~by:c.skipped "explore.steps_skipped";
+  Obs.Metrics.incr ~by:stats.table_misses "explore.table_misses";
   Obs.Metrics.incr ~by:counters.probes "explore.solo_cache_misses";
   Obs.Metrics.incr ~by:counters.probe_nodes "explore.probe_nodes";
   Obs.Metrics.incr ~by:counters.memo_hits "explore.probe_memo_hits";
-  Obs.Metrics.gauge_max "explore.peak_frontier" counters.peak;
-  Obs.Metrics.gauge_max "explore.deepest" counters.deep
-
-(* The shared BFS over one input vector's reachable configurations,
-   self-contained: its own packer, tables, budget and counters.  [examine]
-   is called on every dequeued configuration and raises [Found] to stop
-   with a violation.  This is the unit of parallelism — runs of different
-   input vectors share nothing, so fanning them out over domains produces
-   bit-identical verdicts and stats.  Each queued node keeps its arrival
-   step, so its expansion skips the successors the commuting-step rule
-   proves already visited ([Execution.iter_successors]) and counts them
-   as table hits: the FIFO order and every stat are the unpruned
-   search's. *)
-let bfs_reachable proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examine =
-  let pk = Ckey.packer proto in
-  let visited = Ckey.Tbl.create (table_size ~max_configs) in
-  (* each search owns its visited table; a distinct location per table
-     lets the race detector prove no cross-domain sharing ever happens *)
-  let visited_loc = Obs.fresh_loc "explore.visited" in
-  let cfg0 = Config.initial proto ~inputs in
-  let everyone = Pset.all proto.Protocol.num_processes in
-  (* queue holds (config, reversed schedule, arrival step) *)
-  let q = Queue.create () in
-  Queue.add (cfg0, [], Execution.root) q;
-  Obs.access ~loc:visited_loc Obs.Write ~atomic:false;
-  Ckey.Tbl.add visited (Ckey.pack pk cfg0) ();
-  counters.misses <- 1;
-  counters.peak <- 1;
-  let level = ref (-1) and level_left = ref 0 in
-  try
-    while not (Queue.is_empty q) do
-      (* FIFO order dequeues each level whole before the next: when a
-         level is used up, the queue holds exactly the next one, so a
-         queued node needs no depth of its own *)
-      if !level_left = 0 then begin
-        incr level;
-        level_left := Queue.length q
-      end;
-      decr level_left;
-      let depth = !level in
-      let cfg, rev_sched, after = Queue.pop q in
-      counters.explored <- counters.explored + 1;
-      Budget.charge guard 1;
-      if depth > counters.deep then counters.deep <- depth;
-      examine pk cfg rev_sched;
-      if depth >= max_depth || counters.explored >= max_configs then
-        counters.trunc <- true
-      else begin
-        (* a skipped commuting step is a table hit the rule proves *)
-        let skipped =
-          Execution.iter_successors proto cfg everyone ~after (fun e step cfg' ->
-              let key = Ckey.pack pk cfg' in
-              Obs.access ~loc:visited_loc Obs.Read ~atomic:false;
-              if Ckey.Tbl.mem visited key then counters.hits <- counters.hits + 1
-              else begin
-                counters.misses <- counters.misses + 1;
-                Obs.access ~loc:visited_loc Obs.Write ~atomic:false;
-                Ckey.Tbl.add visited key ();
-                Queue.add (cfg', e :: rev_sched, step) q
-              end)
-        in
-        counters.hits <- counters.hits + skipped;
-        counters.skipped <- counters.skipped + skipped;
-        let frontier = Queue.length q in
-        if frontier > counters.peak then counters.peak <- frontier
-      end
-    done;
-    Ok (), None
-  with
-  | Found v -> Error v, None
-  | Budget.Exhausted b ->
-    counters.trunc <- true;
-    Ok (), Some b
-
-(* [bfs_reachable] wrapped in an ["explore.vector"] span; a raising
-   protocol callback must not leak the span (its close runs on this
-   domain's parent stack). *)
-let observed_bfs proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examine =
-  let sp = Obs.enter ~cat:"explore" "explore.vector" in
-  match bfs_reachable proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examine with
-  | verdict, stopped ->
-    observe_vector sp counters verdict;
-    verdict, stopped
-  | exception e ->
-    Obs.close sp;
-    raise e
+  Obs.Metrics.gauge_max "explore.peak_frontier" stats.peak_frontier;
+  Obs.Metrics.gauge_max "explore.deepest" stats.deepest;
+  { verdict; stats; stopped }
 
 (* One input vector's consensus-property search. *)
 let check_from proto ~k ~inputs ~max_configs ~max_depth ~solo_budget ~check_solo ~guard =
@@ -377,7 +308,8 @@ let check_from proto ~k ~inputs ~max_configs ~max_depth ~solo_budget ~check_solo
   let memo =
     create_memo ~size:(if check_solo then table_size ~max_configs else 1) "explore.solo_memo"
   in
-  let examine pk cfg rev_sched =
+  let pk = Ckey.packer proto in
+  let visit cfg rev_sched =
     let schedule () = List.rev rev_sched in
     let decided = Config.decided_values cfg in
     List.iter
@@ -394,12 +326,10 @@ let check_from proto ~k ~inputs ~max_configs ~max_depth ~solo_budget ~check_solo
                 (probe_group proto pk cfg (Pset.singleton p) ~budget:solo_budget ~guard
                    ~memo ~counters)
         then raise (Found (Solo_stuck { inputs; schedule = schedule (); pid = p }))
-      done
+      done;
+    true
   in
-  let verdict, stopped =
-    observed_bfs proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examine
-  in
-  { verdict; stats = stats_of_counters counters; stopped }
+  search_vector proto pk ~inputs ~max_configs ~max_depth ~guard ~counters ~visit
 
 (* Fan one self-contained per-vector search out over the input vectors and
    reassemble.  The fold walks the per-vector outcomes in input order and
@@ -474,7 +404,8 @@ let check_resilient_from proto ~t ~inputs ~max_configs ~max_depth ~solo_budget ~
   let crash_sets = subsets_of_size n t in
   let counters = fresh_counters () in
   let memo = create_memo ~size:(table_size ~max_configs) "explore.group_memo" in
-  let examine pk cfg rev_sched =
+  let pk = Ckey.packer proto in
+  let visit cfg rev_sched =
     List.iter
       (fun f ->
         let survivors = Pset.diff (Pset.all n) f in
@@ -490,12 +421,10 @@ let check_resilient_from proto ~t ~inputs ~max_configs ~max_depth ~solo_budget ~
                     crashed = Pset.to_list f;
                     survivors = Pset.to_list survivors;
                   })))
-      crash_sets
+      crash_sets;
+    true
   in
-  let verdict, stopped =
-    observed_bfs proto ~inputs ~max_configs ~max_depth ~guard ~counters ~examine
-  in
-  { verdict; stats = stats_of_counters counters; stopped }
+  search_vector proto pk ~inputs ~max_configs ~max_depth ~guard ~counters ~visit
 
 let check_t_resilient ?(domains = 1) ?(budget = Budget.unlimited) ~t proto ~inputs_list
     ~max_configs ~max_depth ~solo_budget =

@@ -44,33 +44,18 @@
     is charged once per configuration the outer search dequeues and once
     per node a solo/group probe dequeues.
 
-    {b One step relation.}  Both kinds of search expand a node through
-    {!Ts_model.Execution.iter_successors}, the relation the valency oracle
-    walks too: the outer search with every process a member, in pid order
-    and a flip heads before tails, which fixes the violation schedules and
-    [stats]; a probe with the group's members only.  They keep their own
-    keys (the outer search the whole packed configuration, a probe the
-    group projection below), tables and counters.
-
-    {b Commuting steps.}  The outer search keeps each queued node's
-    arrival step and expands it with [~after] that step, so it skips the
-    successors {!Ts_model.Execution.iter_successors}'s commuting-step
-    rule proves already visited, and counts each as a table hit.  Let X
-    be first reached from P by p's step a, and let q < p be poised at b
-    in X with b and a commuting.  P's expansion handled P·b before P·a,
-    so the node Y holding P·b was queued before X at a depth at most X's,
-    and it is dequeued first.  [examine], [max_depth], [max_configs] and
-    the guard spare Y whenever they spare X: [max_depth] because Y's
-    depth is at most X's, [max_configs] because fewer configurations were
-    dequeued before Y, and a violation or a tripped guard ends the whole
-    search.  So Y was expanded, and it produced Y·a = P·b·a = P·a·b = X·b;
-    where P skipped b or Y skipped a, the same argument one expansion
-    earlier puts that configuration in the table, so the claim holds by
-    induction over expansion order.  The FIFO order, every violation
-    schedule and every [stats] field are therefore those of the unpruned
-    search; [stats.table_hits] counts skipped steps as hits.  Probes do
-    not skip: their memo answers or prunes dequeued nodes, so the node
-    holding P·b may never be expanded.
+    {b One step relation.}  Each input vector's outer search is one
+    {!Ts_model.Execution.bfs} with every process a member, [max_depth] as
+    its depth bound and [max_configs] as its node bound: in pid order and
+    a flip heads before tails, which fixes the violation schedules and
+    [stats].  It skips the successors the commuting-step rule proves
+    already visited (the soundness argument is in execution.mli), and
+    [stats.table_hits] counts each skipped step as a hit, so every
+    violation schedule and [stats] field is the unpruned search's.  A
+    probe walks {!Ts_model.Execution.iter_successors} with the group's
+    members only and skips nothing: its memo answers or prunes dequeued
+    nodes.  It keeps its own keys (the group projection below), tables
+    and counters.
 
     {b Probe memo.}  Every solo/group-termination probe is a BFS over the
     configurations reachable by steps of the group's members alone.  The

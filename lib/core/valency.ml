@@ -78,10 +78,11 @@ let rec decided_from (procs : _ Config.status array) v i =
 
 let decided_here (cfg : _ Config.t) v = decided_from cfg.procs v 0
 
-(* One breadth-first search over the P-only graph from [cfg] for every
-   value in [vs]: each dequeued node is tested against the values still
-   wanted, and the first dequeued decider of each is recorded.  The search
-   stops once every wanted value is found or the frontier is exhausted.
+(* One breadth-first search ([Execution.bfs]) over the P-only graph from
+   [cfg] for every value in [vs]: each dequeued node is tested against the
+   values still wanted, and the first dequeued decider of each is
+   recorded.  The search stops once every wanted value is found or the
+   frontier is exhausted, and expands no node at depth [horizon].
 
    BFS visits every configuration at its shortest P-only distance, so
    together with the visited table the search is *complete* for executions
@@ -91,90 +92,51 @@ let decided_here (cfg : _ Config.t) v = decided_from cfg.procs v 0
    for [v] is the one a search for [v] alone returns, and a search for
    several values dequeues the max, not the sum, of their node counts.
 
-   Each queued node keeps its arrival step, so its expansion skips the
-   successors the commuting-step rule proves already visited
-   ([Execution.iter_successors]): the FIFO order, every node count and
-   every witness are those of the unpruned search.
-
-   Effect-free on [t]'s mutable fields — it builds its own packer and
-   visited table, keyed by packed configurations — so counters come back
-   as data and are folded into [t] by [record]. *)
+   Effect-free on [t]'s mutable fields — it builds its own packer, and
+   the kernel its visited table — so counters come back as data and are
+   folded into [t] by [record].  An exception (a tripped budget, a
+   raising protocol step) comes back too, not raised: the span must
+   close and [record] must account this search's work first. *)
 let search t cfg ps vs =
   (* explicit enter/close (not with_span): this is the engine's hottest
      entry point and the closure must not allocate while disarmed *)
   let sp = Obs.enter ~cat:"valency" "valency.search" in
-  let pk = Ckey.packer t.proto in
-  let visited = Ckey.Tbl.create 1024 in
-  let q = Queue.create () in
-  Queue.add (cfg, [], Execution.root) q;
-  Ckey.Tbl.add visited (Ckey.pack pk cfg) ();
   let wanted = Array.of_list vs in
   let found = Array.make (Array.length wanted) None in
   let missing = ref (Array.length wanted) in
-  let nodes = ref 0 in
-  let peak = ref 1 in
-  let skipped = ref 0 in
-  let level = ref (-1) and level_left = ref 0 in
-  (* an exception (a tripped budget, a raising protocol step) is captured,
-     not raised: the span must close and the caller's [record] must
-     account this search's work first *)
-  let stop = ref None in
-  (try
-     while not (Queue.is_empty q) do
-       (* FIFO order dequeues each level whole before the next: when a
-          level is used up, the queue holds exactly the next one, so a
-          queued node needs no depth of its own *)
-       if !level_left = 0 then begin
-         incr level;
-         level_left := Queue.length q
-       end;
-       decr level_left;
-       let cfg, rev_sched, after = Queue.pop q in
-       incr nodes;
-       Budget.charge t.budget 1;
-       for i = 0 to Array.length wanted - 1 do
-         if Option.is_none found.(i) && decided_here cfg wanted.(i) then begin
-           found.(i) <- Some (List.rev rev_sched);
-           decr missing
-         end
-       done;
-       if !missing = 0 then raise Exit;
-       if !level < t.horizon then begin
-         skipped :=
-           !skipped
-           + Execution.iter_successors t.proto cfg ps ~after (fun e step cfg' ->
-                 let key = Ckey.pack pk cfg' in
-                 (* [add] after a failed [mem]: one bucket scan, and the
-                    cell goes to the bucket head as [replace] would put it *)
-                 if not (Ckey.Tbl.mem visited key) then begin
-                   Ckey.Tbl.add visited key ();
-                   Queue.add (cfg', e :: rev_sched, step) q
-                 end);
-         let frontier = Queue.length q in
-         if frontier > !peak then peak := frontier
-       end
-     done
-   with
-   | Exit -> ()
-   | e -> stop := Some e);
+  let visit cfg rev_sched =
+    for i = 0 to Array.length wanted - 1 do
+      if Option.is_none found.(i) && decided_here cfg wanted.(i) then begin
+        found.(i) <- Some (List.rev rev_sched);
+        decr missing
+      end
+    done;
+    !missing > 0
+  in
+  let c, stop =
+    Execution.bfs (Ckey.packer t.proto) t.proto cfg ps ~max_depth:t.horizon ~max_nodes:max_int
+      ~table_size:1024 ~loc:"valency.visited"
+      ~charge:(fun () -> Budget.charge t.budget 1)
+      ~visit
+  in
   if Obs.tracing () then
     Obs.set_str sp "targets"
       (String.concat "," (List.map (fun v -> string_of_int (Value.to_int v)) vs));
-  Obs.set_int sp "nodes" !nodes;
-  Obs.set_int sp "peak_frontier" !peak;
-  Obs.set_int sp "skipped" !skipped;
+  Obs.set_int sp "nodes" c.nodes;
+  Obs.set_int sp "peak_frontier" c.peak_frontier;
+  Obs.set_int sp "skipped" c.skipped;
   Obs.set_bool sp "decided" (!missing < Array.length wanted);
   Obs.close sp;
-  found, !nodes, !peak, !skipped, !stop
+  found, c, stop
 
-let record t (found, nodes, peak, skipped, stop) =
+let record t (found, (c : Execution.counts), stop) =
   t.searches <- t.searches + 1;
-  t.nodes_expanded <- t.nodes_expanded + nodes;
-  if peak > t.peak_frontier then t.peak_frontier <- peak;
+  t.nodes_expanded <- t.nodes_expanded + c.nodes;
+  if c.peak_frontier > t.peak_frontier then t.peak_frontier <- c.peak_frontier;
   Obs.Metrics.incr "valency.searches";
-  Obs.Metrics.incr ~by:nodes "valency.nodes_expanded";
-  Obs.Metrics.incr ~by:skipped "valency.steps_skipped";
-  Obs.Metrics.gauge_max "valency.peak_frontier" peak;
+  Obs.Metrics.incr ~by:c.nodes "valency.nodes_expanded";
+  Obs.Metrics.incr ~by:c.skipped "valency.steps_skipped";
+  Obs.Metrics.gauge_max "valency.peak_frontier" c.peak_frontier;
   (* an aborted search has no trustworthy answer: re-raise (after the
      accounting above) and never memoize it *)
   match stop with Some e -> raise e | None -> found
@@ -279,9 +241,7 @@ let univalent_value t cfg ps =
    micro row (ledger/micro.ml) and the tests' reference BFSs. *)
 let successors_within proto cfg ps =
   let acc = ref [] in
-  ignore
-    (Execution.iter_successors proto cfg ps ~after:Execution.root (fun e _ cfg' ->
-         acc := (e, cfg') :: !acc));
+  Execution.iter_successors proto cfg ps (fun e cfg' -> acc := (e, cfg') :: !acc);
   List.rev !acc
 
 let pp_stats ppf (s : stats) =

@@ -21,24 +21,12 @@
     outcomes are explored — which matches Zhu's "nondeterministic solo
     terminating" protocol class.
 
-    {b Commuting steps.}  A search keeps each queued node's arrival step
-    (one immediate int) and expands the node through
-    {!Ts_model.Execution.iter_successors} with [~after] that step, which
-    skips member q's step b when q precedes the arriving member p and b
-    commutes with p's step a.  Such a successor is always already
-    visited.  Let X be first reached from P by a.  P's expansion, in pid
-    order, handled P·b before P·a, so the node Y holding P·b was queued
-    before X, at a depth at most X's.  Y is dequeued first, and it is
-    expanded: its depth is below the horizon if X's is, and a search that
-    has found every wanted value (or stopped on the budget or a raising
-    step) expands nothing more, X included.  Y's expansion produces
-    Y·a = P·b·a = P·a·b = X·b.  If P skipped b, or Y skipped a, the same
-    argument one expansion earlier puts that configuration in the table:
-    by induction over expansion order, every skipped successor is a
-    visited one.  So the FIFO order, every witness, [nodes_expanded] and
-    [peak_frontier] are the unpruned search's; only the successors built,
-    packed and looked up fall.  {!successors_within} is the unpruned
-    relation. *)
+    {b One search.}  Every search of the oracle is one
+    {!Ts_model.Execution.bfs} with the horizon as its depth bound, so it
+    skips the successors the commuting-step rule proves already visited;
+    the soundness argument is in execution.mli.  The FIFO order, every
+    witness, [nodes_expanded] and [peak_frontier] are the unpruned
+    search's.  {!successors_within} is the unpruned relation. *)
 
 open Ts_model
 
@@ -126,11 +114,11 @@ val stats : 's t -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
 (** [successors_within proto cfg ps] lists every P-only successor
-    {!Ts_model.Execution.iter_successors} enumerates from a root, in its
-    order: members of [ps] ascending, a coin flip resolved heads before
-    tails.  Every search of this oracle expands a node through that one
-    relation, skipping what the commuting-step rule proves visited; this
-    list skips nothing.  The benchmark ledger's
+    {!Ts_model.Execution.iter_successors} enumerates, in its order:
+    members of [ps] ascending, a coin flip resolved heads before tails.
+    Every search of this oracle expands a node through that one relation,
+    skipping what the commuting-step rule proves visited; this list skips
+    nothing.  The benchmark ledger's
     [micro.valency_successors_ns] row ([ledger/micro.ml]) calls this to
     time one node's expansion on its own, and the tests' reference BFSs
     (for [Explore] in [test/suite_checker.ml], for {!classify} in

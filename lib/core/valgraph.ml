@@ -72,18 +72,16 @@ let dot t ~inputs ~pset ~depth ~max_nodes =
        let cfg, i, d = Queue.pop q in
        (* every edge is emitted, so no commuting step is skipped *)
        if d < depth then
-         ignore
-           (Execution.iter_successors proto cfg everyone ~after:Execution.root
-              (fun e _ cfg' ->
-                let j, fresh = id_of cfg' in
-                if fresh then begin
-                  if !nodes >= max_nodes then raise Exit;
-                  emit_node j cfg';
-                  Queue.add (cfg', j, d + 1) q
-                end;
-                incr edges;
-                Buffer.add_string buf
-                  (Printf.sprintf "  c%d -> c%d [label=\"%s\"];\n" i j (edge_label e))))
+         Execution.iter_successors proto cfg everyone (fun e cfg' ->
+             let j, fresh = id_of cfg' in
+             if fresh then begin
+               if !nodes >= max_nodes then raise Exit;
+               emit_node j cfg';
+               Queue.add (cfg', j, d + 1) q
+             end;
+             incr edges;
+             Buffer.add_string buf
+               (Printf.sprintf "  c%d -> c%d [label=\"%s\"];\n" i j (edge_label e)))
      done
    with Exit -> ());
   Buffer.add_string buf "}\n";

@@ -1,5 +1,3 @@
-open Ts_mutex
-
 type encoding = {
   bits : string * int;
   events : int;

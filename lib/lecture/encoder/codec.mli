@@ -8,7 +8,7 @@
     encoding has at least [log2 n!] bits; because the encoding's length is
     tied to the execution's cost, some execution costs Ω(n log n).
 
-    This module implements the encode/decode pair over {!Ts_mutex.Arena}
+    This module implements the encode/decode pair over {!Arena}
     executions.  The schedule is encoded run-length style: each event is a
     process picked by a move-to-front code (recently active processes are
     cheap) followed by how many consecutive steps it takes.  The decoder
@@ -21,8 +21,6 @@
     unit of cost, but preserves both directions that the experiment needs:
     the decoder demonstrably extracts π (so ≥ log2 n! bits are necessary
     for some π), and measured bits track the execution's length/cost. *)
-
-open Ts_mutex
 
 type encoding = {
   bits : string * int;  (** packed data and exact bit length *)

@@ -49,7 +49,7 @@ let finish_scan st s_own s_riv my_own my_riv =
   else if s_riv > s_own then { st with pref = 1 - st.pref; phase = Incr (my_riv + 1) }
   else { st with phase = Incr (my_own + 1) }
 
-let make ~n : (state, op) Ts_objects.Impl.t =
+let make ~n : (state, op) Impl.t =
   if n < 1 then invalid_arg "Election.make: n >= 1";
   let leaves = leaves_for n 1 in
   {
@@ -66,11 +66,11 @@ let make ~n : (state, op) Ts_objects.Impl.t =
     poised =
       (fun st ->
         match st.phase with
-        | Scan { step; _ } -> Ts_objects.Impl.Read (scan_target st step)
+        | Scan { step; _ } -> Impl.Read (scan_target st step)
         | Incr c ->
           let node, side = node_side st in
-          Ts_objects.Impl.Write (reg node st.pref side, Value.int c)
-        | Ret b -> Ts_objects.Impl.Return (Value.bool b));
+          Impl.Write (reg node st.pref side, Value.int c)
+        | Ret b -> Impl.Return (Value.bool b));
     on_read =
       (fun st v ->
         match st.phase with

@@ -23,7 +23,7 @@ type op = Elect
 
 type state
 
-val make : n:int -> (state, op) Ts_objects.Impl.t
+val make : n:int -> (state, op) Impl.t
 
 (** Registers of the consensus match at heap node [node] ([>= 1]):
     [reg node v side] is value-[v]'s slot for the party on [side]. *)

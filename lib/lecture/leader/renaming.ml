@@ -30,7 +30,7 @@ let move st ~down =
     invalid_arg "Renaming: fell off the grid (more than n processes?)"
   else { st with row; diag; phase = Write_x }
 
-let make ~n : (state, op) Ts_objects.Impl.t =
+let make ~n : (state, op) Impl.t =
   if n < 1 then invalid_arg "Renaming.make: n >= 1";
   {
     name = Printf.sprintf "ma-renaming-%d" n;
@@ -42,11 +42,11 @@ let make ~n : (state, op) Ts_objects.Impl.t =
       (fun st ->
         let b = base ~row:st.row ~diag:st.diag in
         match st.phase with
-        | Write_x -> Ts_objects.Impl.Write (b, Value.int st.me)
-        | Read_y -> Ts_objects.Impl.Read (b + 1)
-        | Write_y -> Ts_objects.Impl.Write (b + 1, Value.bool true)
-        | Read_x -> Ts_objects.Impl.Read b
-        | Ret name -> Ts_objects.Impl.Return (Value.int name));
+        | Write_x -> Impl.Write (b, Value.int st.me)
+        | Read_y -> Impl.Read (b + 1)
+        | Write_y -> Impl.Write (b + 1, Value.bool true)
+        | Read_x -> Impl.Read b
+        | Ret name -> Impl.Return (Value.int name));
     on_read =
       (fun st v ->
         match st.phase with

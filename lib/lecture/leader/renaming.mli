@@ -19,7 +19,7 @@ type op = Rename
 
 type state
 
-val make : n:int -> (state, op) Ts_objects.Impl.t
+val make : n:int -> (state, op) Impl.t
 
 (** [name_of ~row ~diag] is the name assigned at grid position
     (row, diag-row); exposed for tests. *)

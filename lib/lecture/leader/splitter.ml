@@ -22,7 +22,7 @@ type state =
   | Read_x of int
   | Ret of int
 
-let make ~n : (state, op) Ts_objects.Impl.t =
+let make ~n : (state, op) Impl.t =
   {
     name = "splitter";
     description = "one-shot splitter from two registers";
@@ -31,11 +31,11 @@ let make ~n : (state, op) Ts_objects.Impl.t =
     begin_op = (fun ~pid Split -> Write_x pid);
     poised =
       (function
-        | Write_x me -> Ts_objects.Impl.Write (0, Value.int me)
-        | Read_y _ -> Ts_objects.Impl.Read 1
-        | Write_y _ -> Ts_objects.Impl.Write (1, Value.bool true)
-        | Read_x _ -> Ts_objects.Impl.Read 0
-        | Ret r -> Ts_objects.Impl.Return (Value.int r));
+        | Write_x me -> Impl.Write (0, Value.int me)
+        | Read_y _ -> Impl.Read 1
+        | Write_y _ -> Impl.Write (1, Value.bool true)
+        | Read_x _ -> Impl.Read 0
+        | Ret r -> Impl.Return (Value.int r));
     on_read =
       (fun st v ->
         match st with

@@ -29,4 +29,4 @@ val outcome_of_value : Value.t -> outcome
 
 type state
 
-val make : n:int -> (state, op) Ts_objects.Impl.t
+val make : n:int -> (state, op) Impl.t

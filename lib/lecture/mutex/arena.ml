@@ -176,9 +176,4 @@ let start_proc s p = start s p
 let active s p = s.states.(p) <> None
 let step_proc s p = step s p
 
-let last_step_charged s =
-  match s.log_rev with
-  | Stepped (_, charged) :: _ -> charged
-  | Started _ :: _ | [] -> invalid_arg "Arena.last_step_charged: no step taken yet"
-
 let session_outcome s = outcome s

@@ -74,7 +74,4 @@ val active : 's session -> int -> bool
 
 val step_proc : 's session -> int -> [ `Continues | `Done ]
 
-(** Whether the most recent step was charged in the state-change model. *)
-val last_step_charged : 's session -> bool
-
 val session_outcome : 's session -> outcome

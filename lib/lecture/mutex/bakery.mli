@@ -19,6 +19,3 @@
 type state
 
 val make : n:int -> state Algorithm.t
-
-val choosing_reg : n:int -> int -> int
-val ticket_reg : n:int -> int -> int

@@ -66,7 +66,7 @@ let step alg cfg p =
 (* Lock snapshots have no protocol-supplied encoder; key them by their
    structural serialization (still a full-width hash, unlike the truncated
    polymorphic one). *)
-let key cfg = Ckey.of_marshal cfg
+let key cfg = Ckey.of_string (Marshal.to_string cfg [])
 
 let search alg ~max_configs =
   let sp = Ts_obs.Obs.enter ~cat:"covering" "covering_search" in

@@ -16,8 +16,3 @@
 type state
 
 val make : n:int -> state Algorithm.t
-
-(** Register indices, exposed for tests. *)
-val level_reg : n:int -> int -> int
-
-val waiting_reg : n:int -> int -> int

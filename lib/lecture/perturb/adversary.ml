@@ -1,5 +1,4 @@
 open Ts_model
-open Ts_objects
 
 type report = {
   object_name : string;

@@ -27,7 +27,6 @@
     perturbation must change. *)
 
 open Ts_model
-open Ts_objects
 
 type report = {
   object_name : string;

@@ -30,16 +30,16 @@ let process_body (proto : 's Protocol.t) regs pid input rng budget =
   in
   go (proto.Protocol.init ~pid ~input) 0
 
+(* One domain per process: [Par.map_list] runs process 0 on the calling
+   domain and each other on a domain of its own. *)
 let run_trial proto ~inputs ~seed ~step_budget =
   let n = proto.Protocol.num_processes in
   let regs = Array.init (max 1 proto.Protocol.num_registers) (fun _ -> Atomic.make Value.bot) in
-  let domains =
-    Array.init n (fun pid ->
-        Domain.spawn (fun () ->
-            let rng = Rng.create (seed + (pid * 7919)) in
-            process_body proto regs pid inputs.(pid) rng step_budget))
-  in
-  Array.map Domain.join domains
+  Par.map_list ~domains:n
+    (fun pid ->
+      let rng = Rng.create (seed + (pid * 7919)) in
+      process_body proto regs pid inputs.(pid) rng step_budget)
+    (List.init n Fun.id)
 
 let run proto ~trials ~seed ~step_budget ~mixed_inputs =
   let n = proto.Protocol.num_processes in
@@ -57,7 +57,7 @@ let run proto ~trials ~seed ~step_budget ~mixed_inputs =
     in
     let results = run_trial proto ~inputs ~seed:(seed + (trial * 65537)) ~step_budget in
     let decisions = ref [] in
-    Array.iter
+    List.iter
       (fun (decision, steps) ->
         total_steps := !total_steps + steps;
         if steps > !max_process_steps then max_process_steps := steps;

@@ -32,7 +32,6 @@ let to_raw t = t.digest
 let equal a b = a.hash = b.hash && String.equal a.digest b.digest
 let hash t = t.hash
 let compare a b = String.compare a.digest b.digest
-let digest_bytes t = String.length t.digest
 
 let to_hex t =
   let n = String.length t.digest in
@@ -45,11 +44,9 @@ let to_hex t =
   done;
   Bytes.unsafe_to_string out
 
-(* Fallback for states (and whole foreign configurations, e.g. the mutex
-   lock snapshots) without a packed encoder.  Marshal frames carry their
-   own length, so the output is self-delimiting too. *)
+(* Fallback for states without a packed encoder.  Marshal frames carry
+   their own length, so the output is self-delimiting too. *)
 let marshal_to buf v = Buffer.add_string buf (Marshal.to_string v [])
-let of_marshal v = of_string (Marshal.to_string v [])
 
 (* A packer owns a scratch buffer, so one search (one domain) reuses the
    allocation across millions of packings.  Packers are not shareable

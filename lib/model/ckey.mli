@@ -26,9 +26,6 @@ val equal : t -> t -> bool
 val hash : t -> int
 val compare : t -> t -> int
 
-(** Number of bytes in the packed digest (observability/testing). *)
-val digest_bytes : t -> int
-
 (** Lowercase hexadecimal rendering of the packed digest.  Two keys render
     identically iff they are {!equal}, so the rendering is a stable,
     printable cache-key/fingerprint form: the service layer keys its result
@@ -36,11 +33,6 @@ val digest_bytes : t -> int
     of it.  Changing any component encoding changes these strings — bump
     the service cache version when that happens. *)
 val to_hex : t -> string
-
-(** [of_marshal v] keys an arbitrary plain-data value by its structural
-    serialization — the fallback for state spaces without a packed encoder
-    (e.g. the mutex lock snapshots). *)
-val of_marshal : 'a -> t
 
 (** A packer owns a scratch buffer reused across packings.  Packers are not
     shareable across domains: create one per search. *)

@@ -1,3 +1,5 @@
+module Obs = Ts_obs.Obs
+
 type pid = int
 
 type event = {
@@ -45,17 +47,20 @@ let participants tr =
 let coins = function Action.Flip -> [ Some true; Some false ] | _ -> [ None ]
 
 (* An arrival step packs its pid into the low [pid_bits] bits (Pset's
-   pids are below 63) and the action's [Action.footprint] above them. *)
+   pids are below 63) and the action's [Action.footprint] above them.
+   The root's, 0, has pid 0: no member is below it, so nothing is
+   skipped after it. *)
 let pid_bits = 6
 let pid_mask = (1 lsl pid_bits) - 1
-let root = 0
+let root_arrival = 0
 
 (* A top-level loop over the raw member mask, with no closure allocated:
-   every search calls [iter_successors] once per node.  Each member's
-   status is read, and its action asked of the protocol, once; every
-   successor is that action performed under one of [coins act].  A member
-   below the arrival's pid [below] whose step is independent of the
-   arrival's footprint [fa] is counted in [skipped], not performed. *)
+   every search expands each node through it.  Each member's status is
+   read, and its action asked of the protocol, once; every successor is
+   that action performed under one of [coins act] and handed to [f] with
+   its arrival step.  A member below the arrival's pid [below] whose step
+   is independent of the arrival's footprint [fa] is counted in
+   [skipped], not performed. *)
 let rec each_member proto cfg f mask p below fa skipped =
   if mask = 0 then skipped
   else if mask land 1 = 0 then each_member proto cfg f (mask lsr 1) (p + 1) below fa skipped
@@ -78,8 +83,93 @@ let rec each_member proto cfg f mask p below fa skipped =
         each_member proto cfg f (mask lsr 1) (p + 1) below fa skipped
       end
 
-let iter_successors proto cfg ps ~after f =
-  each_member proto cfg f (Pset.to_mask ps) 0 (after land pid_mask) (after asr pid_bits) 0
+let iter_successors proto cfg ps f =
+  ignore (each_member proto cfg (fun e _ cfg' -> f e cfg') (Pset.to_mask ps) 0 0 0 0)
+
+type counts = {
+  nodes : int;
+  deepest : int;
+  peak_frontier : int;
+  hits : int;
+  misses : int;
+  skipped : int;
+  truncated : bool;
+}
+
+exception Stop
+
+let bfs pk proto root ps ~max_depth ~max_nodes ~table_size ~loc ~charge ~visit =
+  let visited = Ckey.Tbl.create table_size in
+  (* each search owns its visited table; a distinct location per table
+     lets the race detector prove no cross-domain sharing ever happens *)
+  let loc = Obs.fresh_loc loc in
+  (* the queue holds (configuration, reversed schedule, arrival step) *)
+  let q = Queue.create () in
+  (* [rev] is the reversed schedule of the node being expanded, so that
+     [offer] is built once per search, not once per node *)
+  let rev = ref [] and hits = ref 0 and misses = ref 1 in
+  let offer e step cfg' =
+    let key = Ckey.pack pk cfg' in
+    Obs.access ~loc Obs.Read ~atomic:false;
+    (* [add] after a failed [mem]: one bucket scan, and the cell goes to
+       the bucket head as [replace] would put it *)
+    if Ckey.Tbl.mem visited key then incr hits
+    else begin
+      incr misses;
+      Obs.access ~loc Obs.Write ~atomic:false;
+      Ckey.Tbl.add visited key ();
+      Queue.add (cfg', e :: !rev, step) q
+    end
+  in
+  let mask = Pset.to_mask ps in
+  Queue.add (root, [], root_arrival) q;
+  Obs.access ~loc Obs.Write ~atomic:false;
+  Ckey.Tbl.add visited (Ckey.pack pk root) ();
+  let nodes = ref 0 and deepest = ref 0 and peak = ref 1 and skipped = ref 0 in
+  let truncated = ref false in
+  let level = ref (-1) and level_left = ref 0 in
+  let stop =
+    try
+      while not (Queue.is_empty q) do
+        (* FIFO order dequeues each level whole before the next: when a
+           level is used up, the queue holds exactly the next one, so a
+           queued node needs no depth of its own *)
+        if !level_left = 0 then begin
+          incr level;
+          level_left := Queue.length q
+        end;
+        decr level_left;
+        let depth = !level in
+        let cfg, rev_sched, after = Queue.pop q in
+        incr nodes;
+        charge ();
+        if depth > !deepest then deepest := depth;
+        if not (visit cfg rev_sched) then raise Stop;
+        if depth >= max_depth || !nodes >= max_nodes then truncated := true
+        else begin
+          rev := rev_sched;
+          skipped :=
+            each_member proto cfg offer mask 0 (after land pid_mask) (after asr pid_bits)
+              !skipped;
+          let frontier = Queue.length q in
+          if frontier > !peak then peak := frontier
+        end
+      done;
+      None
+    with
+    | Stop -> None
+    | e -> Some e
+  in
+  ( {
+      nodes = !nodes;
+      deepest = !deepest;
+      peak_frontier = !peak;
+      hits = !hits + !skipped;
+      misses = !misses;
+      skipped = !skipped;
+      truncated = !truncated;
+    },
+    stop )
 
 let solo proto cfg p ~flips ~budget =
   let rec go cfg acc nflip fuel =

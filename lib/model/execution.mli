@@ -49,72 +49,103 @@ val schedule_of_trace : trace -> event list
 
 (** {2 The step relation}
 
-    Every configuration search (the valency oracle, the checker, the
-    valency graph, the static analyzers) enumerates successors through
-    {!iter_successors}, so they all walk one transition relation. *)
+    The valency oracle's searches, the checker's outer search and its
+    probes, and the valency graph enumerate successors through
+    {!iter_successors} (the first two through {!bfs}), so they walk one
+    transition relation.  Three walks step on their own: [Lint] and
+    [Determinism] step each poised process through {!Config.step} and its
+    {!coins}, so that they can report a transition that raises, and the
+    mutex covering search steps lock algorithms, which are not protocols. *)
 
 (** [coins act] is the coin outcomes of a step poised at [act], in
     enumeration order: [[Some true; Some false]] for a flip, [[None]]
     otherwise. *)
 val coins : Action.t -> bool option list
 
-(** {3 Arrival steps and the commuting-step rule}
+(** [iter_successors proto cfg ps f] calls [f e cfg'] for every step [e]
+    a member of [ps] can take from [cfg], with [cfg'] its result.  Members
+    step in increasing pid order, each over {!coins} of its poised action
+    (a flip yields coin [true], then [false]); a decided member yields
+    nothing.  Exceptions from the protocol or from [f] propagate. *)
+val iter_successors :
+  's Protocol.t -> 's Config.t -> Pset.t -> (event -> 's Config.t -> unit) -> unit
 
-    A breadth-first search that expands nodes in FIFO order and keeps a
-    visited table of whole configurations can skip every successor it
-    has provably generated before (Godefroid's sleep sets, restricted to
-    a node's arrival step).  Let node X be first reached from node P by
-    member p's step a, and let member q < p be poised at b in X, with
+(** {2 The pruned breadth-first search}
+
+    {!bfs} is the one breadth-first search over configurations with a
+    visited table of whole packed configurations: the valency oracle's
+    and the checker's outer search.  It expands nodes in FIFO order, each
+    through the step relation of {!iter_successors}, and skips every
+    successor it has provably generated before (Godefroid's sleep sets,
+    restricted to a node's arrival step).
+
+    {b The commuting-step rule.}  Let node X be first reached from node P
+    by member p's step a, and let member q < p be poised at b in X, with
     [Action.commute a b].  Then X·b is already in the visited table when
     X is expanded:
 
     - q's state is the same in P and in X, so P's expansion, in pid
       order, handled P·b before P·a: the node Y holding P·b was queued
       before X, and its depth is at most X's;
-    - Y is therefore expanded before X.  Every stop condition that
-      spares Y (a depth or node bound, a found value, a violation, a
-      tripped budget) also spares X, since those bounds only tighten
-      along the FIFO order and a stopped search expands nothing more;
+    - Y is therefore expanded before X.  The search applies its two
+      bounds itself, and both spare Y whenever they spare X: the depth
+      bound because Y's depth is at most X's, the node bound because
+      fewer nodes were dequeued before Y.  A visit can only end the whole
+      search, by returning [false] or raising, so nothing is expanded
+      after it either;
     - p's state is the same in Y as in P, so p is poised at a in Y, and
       b writes no register a accesses.  So Y·a = P·b·a = P·a·b = X·b.
 
     If P skipped b, or Y skipped a, the same argument applied to that
     earlier expansion puts the configuration in the table: the claim
     holds by induction over expansion order.  A step that would raise is
-    never skipped either: b raised at P's expansion first.  The rule is
-    sound only for such searches; one that may leave a queued node
-    unexpanded while expanding later ones (a probe whose memo prunes
-    nodes) or that must emit every edge (the valency graph) passes
-    {!root}. *)
+    never skipped either: b raised at P's expansion first.  So the FIFO
+    order, every visit and every count but [skipped] and [hits] are the
+    unpruned search's; a skipped step is a table hit the rule proves.
 
-(** The arrival step of a node no step reached — a search's root.
-    Nothing is skipped after it. *)
-val root : int
+    The rule is sound only for such a search.  A search that may leave a
+    queued node unexpanded while expanding later ones (a probe whose memo
+    prunes nodes) or that must emit every edge (the valency graph) walks
+    {!iter_successors}, which skips nothing. *)
 
-(** [iter_successors proto cfg ps ~after f] calls [f e step cfg'] for
-    every step [e] a member of [ps] can take from [cfg] and that the
-    commuting-step rule does not skip, with [cfg'] its result and [step]
-    its arrival step (an immediate int packing [e]'s pid and the
-    {!Action.footprint} of the action taken), which the caller stores
-    with [cfg'] and passes as [~after] when it expands [cfg'].  Members
-    step in increasing pid order, each over {!coins} of its poised action
-    (a flip yields coin [true], then [false]); a decided member yields
-    nothing.
+(** The work of one {!bfs}. *)
+type counts = {
+  nodes : int;  (** configurations dequeued *)
+  deepest : int;  (** depth of the deepest configuration [charge] accepted *)
+  peak_frontier : int;  (** high-water mark of the queue *)
+  hits : int;  (** successors already in the visited table, skipped ones included *)
+  misses : int;  (** configurations inserted, the root included *)
+  skipped : int;  (** steps the commuting-step rule skipped (a flip counts two) *)
+  truncated : bool;  (** some dequeued configuration went unexpanded for a bound *)
+}
 
-    [after] is the arrival step by which the search first reached [cfg]
-    with this same [ps], or {!root}.  Each member below [after]'s pid
-    whose step commutes with [after]'s action is skipped, and the result
-    is the number of steps skipped (a skipped flip counts two).  With
-    [~after:root] nothing is skipped and the result is 0: that is the
-    whole relation.  Exceptions from the protocol or from [f]
-    propagate. *)
-val iter_successors :
+(** [bfs pk proto root ps ~max_depth ~max_nodes ~table_size ~loc ~charge
+    ~visit] searches the configurations [ps]-only steps reach from [root].
+    Each dequeued configuration is counted, then [charge ()] is called,
+    then [visit cfg rev_sched] with [rev_sched] the reversed schedule that
+    first reached [cfg] from [root].  Unless the visit returned [false],
+    which ends the search, the configuration is expanded if its depth is
+    below [max_depth] and fewer than [max_nodes] configurations, itself
+    included, have been dequeued; otherwise it marks the search
+    truncated.  The visited
+    table, of [table_size] initial buckets, keys by [pk]'s packing and
+    logs its accesses to the race detector under [Obs.fresh_loc loc].
+
+    The result is the search's counts and the exception that stopped it,
+    if [charge], [visit] or a protocol step raised; the counts then cover
+    the work done before the raise. *)
+val bfs :
+  's Ckey.packer ->
   's Protocol.t ->
   's Config.t ->
   Pset.t ->
-  after:int ->
-  (event -> int -> 's Config.t -> unit) ->
-  int
+  max_depth:int ->
+  max_nodes:int ->
+  table_size:int ->
+  loc:string ->
+  charge:(unit -> unit) ->
+  visit:('s Config.t -> event list -> bool) ->
+  counts * exn option
 
 (** [solo proto cfg p ~flips ~budget] runs [p] alone until it decides or the
     step budget is exhausted, resolving the [i]-th coin flip with
@@ -129,5 +160,4 @@ val solo :
   's Config.t * trace * Value.t option
 
 val pp_event : Format.formatter -> event -> unit
-val pp_step : Format.formatter -> step_record -> unit
 val pp_trace : Format.formatter -> trace -> unit

@@ -1,10 +1,10 @@
-(* Minimal domain fan-out for the search engine (same Domain.spawn/join
-   pattern as Ts_runtime.Atomic_run, but dependency-free so the checker and
-   core layers can use it).  Workers share nothing mutable: each returns
-   its (index, result) pairs and the parent reassembles them in order, so
-   parallel runs are observationally identical to serial ones.  Workers
-   catch everything and every spawned domain is joined before the parent
-   returns or re-raises, so a raising item never leaks a domain.
+(* Minimal domain fan-out over a list of work items, for the search
+   engine and for Ts_lecture.Atomic_run's real-domain runs.  Workers share
+   nothing mutable: each returns its (index, result) pairs and the parent
+   reassembles them in order, so parallel runs are observationally
+   identical to serial ones.  Workers catch everything and every spawned
+   domain is joined before the parent returns or re-raises, so a raising
+   item never leaks a domain.
 
    Every spawn/join edge and every touch of the shared reassembly array is
    logged through Obs when access tracing is armed, so the analysis layer's

@@ -1,8 +1,6 @@
-(** Minimal domain fan-out for the search engine.
-
-    Same [Domain.spawn]/[join] pattern as [Ts_runtime.Atomic_run], but
-    dependency-free so the checker and core layers can use it.  Workers
-    share no mutable state; results are reassembled in input order, so a
+(** Minimal domain fan-out over a list of work items, for the search
+    engine and for the lecture's real-domain runs
+    ([Ts_lecture.Atomic_run]).  Workers share no mutable state; results are reassembled in input order, so a
     parallel run is observationally identical to a serial one.  Workers
     catch everything and every spawned domain is joined before control
     returns, so a raising item never leaks a domain. *)

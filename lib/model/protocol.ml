@@ -26,7 +26,6 @@ type 's t = {
 
 type packed = Packed : 's t -> packed
 
-let name_of_packed (Packed p) = p.name
 
 let no_flip _ _ =
   invalid_arg "Protocol.no_flip: deterministic protocol asked to flip a coin"

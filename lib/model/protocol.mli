@@ -44,8 +44,6 @@ type 's t = {
 (** Protocols with hidden state type, for registries and CLIs. *)
 type packed = Packed : 's t -> packed
 
-val name_of_packed : packed -> string
-
 (** [no_flip] is a convenience [on_flip] for deterministic protocols; it
     raises if ever invoked. *)
 val no_flip : 's -> bool -> 's

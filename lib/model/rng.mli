@@ -25,10 +25,6 @@ val int : t -> int -> int
     [bound <= 0]. *)
 
 val bool : t -> bool
-val bits64 : t -> int64
-
-(** [shuffle t arr] permutes [arr] in place (Fisher–Yates). *)
-val shuffle : t -> 'a array -> unit
 
 (** [permutation t n] is a uniform permutation of [0..n-1]. *)
 val permutation : t -> int -> int array

@@ -40,10 +40,6 @@ type classes = {
   throttle : bool;
 }
 
-val all_classes : classes
-
-val no_classes : classes
-
 (** [classes_of_string "reset,corrupt"] enables the named classes
     (names: [reset], [truncate], [corrupt], [delay], [throttle]; [all]
     and [none] as shorthands).  [Error] on an unknown name. *)

@@ -51,15 +51,13 @@ let connect_exn ?host ~port () =
 let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
 (* [set_deadline] arms SO_RCVTIMEO/SO_SNDTIMEO so a stalled peer turns
-   into a tagged "timeout" error instead of a hung client. *)
+   into a tagged "timeout" error instead of a hung client; 0 disarms them. *)
 let set_deadline c ~ms =
-  if ms > 0 then begin
-    let s = float_of_int ms /. 1000. in
-    try
-      Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO s;
-      Unix.setsockopt_float c.fd Unix.SO_SNDTIMEO s
-    with Unix.Unix_error _ -> ()
-  end
+  let s = float_of_int (max 0 ms) /. 1000. in
+  try
+    Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO s;
+    Unix.setsockopt_float c.fd Unix.SO_SNDTIMEO s
+  with Unix.Unix_error _ -> ()
 
 let recv c =
   match Frame.read c.fd with
@@ -115,6 +113,22 @@ let default_policy =
     breaker_cooldown_ms = 500;
     seed = 2026;
   }
+
+(* Past the daemon's deadline, the time it takes to stop the engine and
+   answer. *)
+let deadline_margin_ms = 5_000
+
+let attempt_timeout_ms policy doc =
+  let op = Option.bind (Json.member "op" doc) Json.to_str_opt in
+  match Option.bind op Request.op_of_string with
+  | Some (Request.Ping | Request.Stats | Request.Health) -> policy.timeout_ms
+  | _ when policy.timeout_ms = 0 -> 0
+  | _ ->
+    let deadline =
+      Option.value ~default:Request.daemon_deadline
+        (Option.bind (Json.member "deadline" doc) Json.to_float_opt)
+    in
+    max policy.timeout_ms (int_of_float (Float.ceil (deadline *. 1000.)) + deadline_margin_ms)
 
 type breaker_state =
   | Closed
@@ -181,8 +195,6 @@ let make ?(host = "127.0.0.1") ?(policy = default_policy) ~port () =
     s_breaker_opens = 0;
   }
 
-let breaker_state cl = cl.state
-
 let stats cl =
   {
     calls = cl.s_calls;
@@ -214,7 +226,6 @@ let get_conn cl =
     match connect ~host:cl.host ~port:cl.cport () with
     | Error _ as e -> e
     | Ok c ->
-      set_deadline c ~ms:cl.policy.timeout_ms;
       cl.connects <- cl.connects + 1;
       cl.conn <- Some c;
       Ok c)
@@ -293,6 +304,7 @@ let retry_hint doc =
 
 let call cl doc =
   cl.s_calls <- cl.s_calls + 1;
+  let timeout_ms = attempt_timeout_ms cl.policy doc in
   let fail_after msg =
     Error
       (Printf.sprintf "exhausted: %d attempt(s) failed; last error: %s"
@@ -311,6 +323,7 @@ let call cl doc =
         if i < cl.policy.attempts then backoff_sleep cl i;
         attempt (i + 1) e
       | Ok c -> (
+        set_deadline c ~ms:timeout_ms;
         match rpc c doc with
         | Error e ->
           (* any transport failure poisons request/response pairing on

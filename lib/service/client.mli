@@ -104,7 +104,9 @@ type policy = {
   attempts : int;  (** total tries per {!call}, >= 1 *)
   backoff_ms : int;  (** first backoff step *)
   backoff_max_ms : int;  (** backoff ceiling *)
-  timeout_ms : int;  (** per-request deadline; 0 = none *)
+  timeout_ms : int;
+      (** per-attempt read timeout; 0 = none.  An engine request waits at
+          least its deadline plus a margin ({!attempt_timeout_ms}). *)
   breaker_threshold : int;  (** consecutive failures to open; 0 = off *)
   breaker_cooldown_ms : int;  (** how long an open breaker rests *)
   seed : int;  (** jitter determinism *)
@@ -118,20 +120,22 @@ type client
 
 val make : ?host:string -> ?policy:policy -> port:int -> unit -> client
 
-(** [call client doc] sends [doc] with retries per the policy.  [Ok]
+(** [attempt_timeout_ms policy doc] is the read timeout of one attempt
+    at sending [doc].  Ping, stats and health get [policy.timeout_ms].
+    Any other request (an engine op) gets at least its ["deadline"]
+    field, else {!Request.daemon_deadline}, plus a fixed 5 s margin, so
+    that the daemon's [out-of-budget] answer, not a client timeout, ends
+    a slow request.  A [timeout_ms] of 0 stays 0 (no timeout). *)
+val attempt_timeout_ms : policy -> Json.t -> int
+
+(** [call client doc] sends [doc] with retries per the policy, each
+    attempt under {!attempt_timeout_ms}.  [Ok]
     responses (including non-retryable failure envelopes) come back
     as-is; [Error "exhausted: ..."] after the final attempt fails. *)
 val call : client -> Json.t -> (Json.t, string) result
 
 (** Close the underlying connection (the next {!call} reconnects). *)
 val shutdown : client -> unit
-
-type breaker_state =
-  | Closed
-  | Open
-  | Half_open
-
-val breaker_state : client -> breaker_state
 
 type stats = {
   calls : int;

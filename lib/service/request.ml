@@ -67,6 +67,8 @@ let defaults =
     max_nodes = None;
   }
 
+let daemon_deadline = 30.
+
 (* Bounds and budgets are counts.  A negative one yields a complete but
    meaningless answer that the cache and the store would keep, and since
    Dispatch.cache_key packs an absent horizon as -1, "horizon": -1 would

@@ -38,6 +38,11 @@ type t = {
   max_nodes : int option;  (** per-request search-node budget *)
 }
 
+(** The wall-clock deadline, in seconds (30), that the daemon applies to
+    a request carrying none unless [tightspace serve --deadline] sets
+    another. *)
+val daemon_deadline : float
+
 (** The defaults of an absent field.  The CLI's engine flags take their
     defaults from here too, so a daemon query and a one-shot CLI run of
     the same operation compute the same answer. *)

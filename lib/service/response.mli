@@ -21,10 +21,6 @@ module Json := Ts_analysis.Json
     arrays. *)
 val value_to_json : Value.t -> Json.t
 
-(** A tripped budget limit: [{"limit": "deadline"|"nodes"|"heap",
-    "allowance": ...}]. *)
-val breach_to_json : Budget.breach -> Json.t
-
 (** Theorem-1 outcome.  [verified] is the caller's independent
     {!Ts_core.Theorem.verify} replay of the certificate (run it before
     serializing — a service must never cache an unreplayed witness). *)

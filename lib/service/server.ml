@@ -22,7 +22,7 @@ let default_config =
     workers = 4;
     queue_cap = 64;
     cache_capacity = 4096;
-    request_deadline = Some 30.;
+    request_deadline = Some Request.daemon_deadline;
     max_nodes = None;
     store_path = None;
     store_fsync = Store.Always;

@@ -1,6 +1,6 @@
 (* The bakery lock, splitter-grid renaming, and the weak shared coin. *)
 open Ts_model
-open Ts_mutex
+open Ts_lecture
 
 let test_bakery_serial () =
   List.iter
@@ -62,8 +62,6 @@ let test_bakery_covering () =
   Alcotest.(check bool) "no exclusion violation" false r.Covering_search.exclusion_violated
 
 (* --- renaming --- *)
-open Ts_objects
-open Ts_leader
 
 let run_renaming ~n ~seed =
   let rng = Rng.create seed in

@@ -1,7 +1,6 @@
 (* Bit streams and the Fan–Lynch codec. *)
 open Ts_model
-open Ts_mutex
-open Ts_encoder
+open Ts_lecture
 
 let test_bits_roundtrip_bits () =
   let w = Bits.writer () in

@@ -80,34 +80,34 @@ let test_covering_search_register_locks_cover_n () =
   (* BL93 measured: the register-only locks admit configurations covering
      n distinct registers *)
   List.iter
-    (fun (Ts_mutex.Algorithm.Packed alg, expect_at_least) ->
-      let r = Ts_mutex.Covering_search.search alg ~max_configs:60_000 in
+    (fun (Ts_lecture.Algorithm.Packed alg, expect_at_least) ->
+      let r = Ts_lecture.Covering_search.search alg ~max_configs:60_000 in
       Alcotest.(check bool)
-        (Printf.sprintf "%s covers >= %d" r.Ts_mutex.Covering_search.algorithm expect_at_least)
+        (Printf.sprintf "%s covers >= %d" r.Ts_lecture.Covering_search.algorithm expect_at_least)
         true
-        (r.Ts_mutex.Covering_search.best_covered >= expect_at_least);
+        (r.Ts_lecture.Covering_search.best_covered >= expect_at_least);
       Alcotest.(check bool) "exclusion holds" false
-        r.Ts_mutex.Covering_search.exclusion_violated)
+        r.Ts_lecture.Covering_search.exclusion_violated)
     [
-      Ts_mutex.Algorithm.Packed (Ts_mutex.Peterson.make ~n:2), 2;
-      Ts_mutex.Algorithm.Packed (Ts_mutex.Peterson.make ~n:3), 3;
-      Ts_mutex.Algorithm.Packed (Ts_mutex.Tournament.make ~n:2), 2;
-      Ts_mutex.Algorithm.Packed (Ts_mutex.Tournament.make ~n:3), 3;
+      Ts_lecture.Algorithm.Packed (Ts_lecture.Peterson.make ~n:2), 2;
+      Ts_lecture.Algorithm.Packed (Ts_lecture.Peterson.make ~n:3), 3;
+      Ts_lecture.Algorithm.Packed (Ts_lecture.Tournament.make ~n:2), 2;
+      Ts_lecture.Algorithm.Packed (Ts_lecture.Tournament.make ~n:3), 3;
     ]
 
 let test_covering_search_swap_covers_one () =
   (* the swap-based lock concentrates everything on one register: the
      covering technique (and hence BL93) has nothing to grab *)
   let r =
-    Ts_mutex.Covering_search.search (Ts_mutex.Tas_lock.make ~n:4) ~max_configs:60_000
+    Ts_lecture.Covering_search.search (Ts_lecture.Tas_lock.make ~n:4) ~max_configs:60_000
   in
-  Alcotest.(check int) "tas covers exactly 1" 1 r.Ts_mutex.Covering_search.best_covered;
-  Alcotest.(check bool) "exhaustive" false r.Ts_mutex.Covering_search.truncated
+  Alcotest.(check int) "tas covers exactly 1" 1 r.Ts_lecture.Covering_search.best_covered;
+  Alcotest.(check bool) "exhaustive" false r.Ts_lecture.Covering_search.truncated
 
 let test_covering_search_exhaustive_small () =
-  let r = Ts_mutex.Covering_search.search (Ts_mutex.Peterson.make ~n:2) ~max_configs:10_000 in
-  Alcotest.(check bool) "peterson-2 graph is finite" false r.Ts_mutex.Covering_search.truncated;
-  Alcotest.(check bool) "explored something" true (r.Ts_mutex.Covering_search.configs_explored > 20)
+  let r = Ts_lecture.Covering_search.search (Ts_lecture.Peterson.make ~n:2) ~max_configs:10_000 in
+  Alcotest.(check bool) "peterson-2 graph is finite" false r.Ts_lecture.Covering_search.truncated;
+  Alcotest.(check bool) "explored something" true (r.Ts_lecture.Covering_search.configs_explored > 20)
 
 let suite =
   ( "extras",

@@ -1,7 +1,6 @@
 (* Splitter and tournament leader election. *)
 open Ts_model
-open Ts_objects
-open Ts_leader
+open Ts_lecture
 
 let run_splitter_interleaving ~n ~seed =
   let rng = Rng.create seed in

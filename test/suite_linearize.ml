@@ -1,6 +1,6 @@
 (* The linearizability checker itself, on hand-crafted histories. *)
 open Ts_model
-open Ts_objects
+open Ts_lecture
 
 let inv p op = History.Inv (p, op)
 let res p v = History.Res (p, v)

@@ -230,9 +230,7 @@ let test_iter_successors_contract () =
     let keyed = Result.map (List.map (fun (e, c) -> (e, Ckey.to_hex (Ckey.pack pk c)))) in
     let iterated cfg ps () =
       let acc = ref [] in
-      ignore
-        (Execution.iter_successors proto cfg ps ~after:Execution.root (fun e _ c ->
-             acc := (e, c) :: !acc));
+      Execution.iter_successors proto cfg ps (fun e c -> acc := (e, c) :: !acc);
       List.rev !acc
     in
     let sets =
@@ -315,13 +313,12 @@ let test_kernel_allocation () =
     let cfg = Queue.pop q in
     cfgs.(!taken) <- cfg;
     incr taken;
-    ignore
-      (Execution.iter_successors proto cfg (Pset.all 3) ~after:Execution.root (fun _ _ c ->
-           let k = Ckey.pack pk c in
-           if not (Ckey.Tbl.mem visited k) then begin
-             Ckey.Tbl.add visited k ();
-             Queue.add c q
-           end))
+    Execution.iter_successors proto cfg (Pset.all 3) (fun _ c ->
+        let k = Ckey.pack pk c in
+        if not (Ckey.Tbl.mem visited k) then begin
+          Ckey.Tbl.add visited k ();
+          Queue.add c q
+        end)
   done;
   Alcotest.(check int) "256 configurations reached" 256 !taken;
   let before = Gc.minor_words () in

@@ -1,7 +1,7 @@
 (* Mutual exclusion: Peterson, the arbitration tree, the TAS lock, and the
    state-change cost model. *)
 open Ts_model
-open Ts_mutex
+open Ts_lecture
 
 let algorithms n =
   [

@@ -1,6 +1,6 @@
 (* Shared objects from registers: counter, max-register, snapshot. *)
 open Ts_model
-open Ts_objects
+open Ts_lecture
 
 (* Run a random interleaving of [ops] = (pid, op) list, all invoked up
    front per process queue, and return the history. *)

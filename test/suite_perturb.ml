@@ -1,5 +1,5 @@
 (* The Jayanti–Tan–Toueg covering adversary. *)
-open Ts_perturb
+open Ts_lecture
 
 let check_report name r =
   let n = r.Adversary.n in
@@ -25,8 +25,8 @@ let test_snapshot () =
   List.iter (fun n -> check_report "snapshot" (Adversary.run_snapshot ~n)) [ 2; 3; 4; 8 ]
 
 let test_generic_run_equals_specialized () =
-  let r1 = Adversary.run (Ts_objects.Counter.make ~n:4) ~perturb:Ts_objects.Counter.Inc
-      ~probe:Ts_objects.Counter.Read_count in
+  let r1 = Adversary.run (Ts_lecture.Counter.make ~n:4) ~perturb:Ts_lecture.Counter.Inc
+      ~probe:Ts_lecture.Counter.Read_count in
   let r2 = Adversary.run_counter ~n:4 in
   Alcotest.(check int) "same covering size" r2.Adversary.distinct_covered r1.Adversary.distinct_covered;
   Alcotest.(check bool) "hidden in generic run too" true r1.Adversary.hidden_invisible

@@ -95,19 +95,19 @@ let prop_codec_roundtrip_random_orders =
   QCheck.Test.make ~name:"codec: round trip over random serial orders" ~count:30
     QCheck.(pair (int_range 2 10) small_int)
     (fun (n, seed) ->
-      let alg = Ts_mutex.Tournament.make ~n in
+      let alg = Ts_lecture.Tournament.make ~n in
       let order = Rng.permutation (Rng.create (seed + 11)) n in
-      let o = Ts_mutex.Arena.serial alg ~order in
-      match Ts_encoder.Codec.round_trip alg o with Ok _ -> true | Error _ -> false)
+      let o = Ts_lecture.Arena.serial alg ~order in
+      match Ts_lecture.Codec.round_trip alg o with Ok _ -> true | Error _ -> false)
 
 let prop_mutex_cost_decomposition =
   QCheck.Test.make ~name:"mutex: total cost = sum of per-process costs <= accesses" ~count:30
     QCheck.(pair (int_range 1 12) small_int)
     (fun (n, seed) ->
       let order = Rng.permutation (Rng.create (seed + 13)) n in
-      let o = Ts_mutex.Arena.serial (Ts_mutex.Peterson.make ~n) ~order in
-      Array.fold_left ( + ) 0 o.Ts_mutex.Arena.per_process_cost = o.Ts_mutex.Arena.cost
-      && o.Ts_mutex.Arena.cost <= o.Ts_mutex.Arena.accesses)
+      let o = Ts_lecture.Arena.serial (Ts_lecture.Peterson.make ~n) ~order in
+      Array.fold_left ( + ) 0 o.Ts_lecture.Arena.per_process_cost = o.Ts_lecture.Arena.cost
+      && o.Ts_lecture.Arena.cost <= o.Ts_lecture.Arena.accesses)
 
 let prop_valency_superset_monotone =
   QCheck.Test.make ~name:"valency: can_decide is monotone in P" ~count:20
@@ -173,7 +173,7 @@ let prop_snapshot_random_linearizable =
   QCheck.Test.make ~name:"snapshot: random mixed histories linearizable" ~count:15
     QCheck.(pair (int_range 2 3) small_int)
     (fun (n, seed) ->
-      let open Ts_objects in
+      let open Ts_lecture in
       let impl = Snapshot.make ~n in
       let rng = Rng.create (seed + 23) in
       let s = Runner.create impl in

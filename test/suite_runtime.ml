@@ -1,6 +1,6 @@
 (* Multicore execution over OCaml 5 atomics. *)
 open Ts_protocols
-open Ts_runtime
+open Ts_lecture
 
 let test_racing_on_domains () =
   let s =

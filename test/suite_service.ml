@@ -962,6 +962,42 @@ let test_refusal_matches_served () =
     ("construction-failed", "oracle horizon too small: lemma 3")
     (Dispatch.refusal (Ts_core.Valency.Horizon_exceeded "lemma 3"))
 
+(* An engine request waits out the deadline the daemon applies to it: a
+   slow key with a 1.5 s deadline, sent by a client whose policy allows
+   one attempt and a 500 ms read timeout, gets the daemon's out-of-budget
+   answer, not a client timeout, and the daemon computed it once. *)
+let test_client_waits_out_deadline () =
+  with_server @@ fun server ->
+  let port = Server.port server in
+  let slow =
+    { Request.defaults with Request.op = Request.Valency; n = 5; horizon = Some 60;
+      deadline = Some 1.5 }
+  in
+  let policy = { Client.default_policy with Client.attempts = 1; timeout_ms = 500 } in
+  Alcotest.(check int) "ping keeps the policy's timeout" 500
+    (Client.attempt_timeout_ms policy (Request.to_json Request.defaults));
+  Alcotest.(check int) "an engine op waits its deadline plus the margin" 6_500
+    (Client.attempt_timeout_ms policy (Request.to_json slow));
+  let client = Client.make ~port ~policy () in
+  Fun.protect ~finally:(fun () -> Client.shutdown client) @@ fun () ->
+  (match Client.call client (Request.to_json slow) with
+   | Error e -> Alcotest.failf "the client gave up before the daemon answered: %s" e
+   | Ok resp ->
+     Alcotest.(check (option string)) "the daemon's out-of-budget envelope"
+       (Some "out-of-budget")
+       (match Json.member "error" resp with Some e -> member_str "code" e | None -> None));
+  match
+    Client.call client (Request.to_json { Request.defaults with Request.op = Request.Stats })
+  with
+  | Error e -> Alcotest.failf "stats: %s" e
+  | Ok doc ->
+    let misses =
+      Option.bind (Json.member "result" doc) (Json.member "cache")
+      |> Fun.flip Option.bind (Json.member "misses")
+      |> Fun.flip Option.bind Json.to_int_opt
+    in
+    Alcotest.(check (option int)) "one computation" (Some 1) misses
+
 let suite =
   ( "service",
     [
@@ -1021,4 +1057,6 @@ let suite =
         test_run_matches_served;
       Alcotest.test_case "refusal gives the served code and message" `Quick
         test_refusal_matches_served;
+      Alcotest.test_case "client: an engine op waits out its deadline" `Quick
+        test_client_waits_out_deadline;
     ] )

@@ -59,12 +59,12 @@ let test_swap_counts_as_covering () =
 
 let test_swap_on_domains () =
   let s =
-    Ts_runtime.Atomic_run.run (Swap_consensus.two_process ()) ~trials:50 ~seed:8
+    Ts_lecture.Atomic_run.run (Swap_consensus.two_process ()) ~trials:50 ~seed:8
       ~step_budget:1_000 ~mixed_inputs:true
   in
-  Alcotest.(check int) "agreement on atomics" 0 s.Ts_runtime.Atomic_run.agreement_failures;
-  Alcotest.(check int) "validity on atomics" 0 s.Ts_runtime.Atomic_run.validity_failures;
-  Alcotest.(check int) "wait-free: no timeouts" 0 s.Ts_runtime.Atomic_run.timeouts
+  Alcotest.(check int) "agreement on atomics" 0 s.Ts_lecture.Atomic_run.agreement_failures;
+  Alcotest.(check int) "validity on atomics" 0 s.Ts_lecture.Atomic_run.validity_failures;
+  Alcotest.(check int) "wait-free: no timeouts" 0 s.Ts_lecture.Atomic_run.timeouts
 
 let test_swap_trace_accounting () =
   let proto = Swap_consensus.two_process () in
