@@ -32,7 +32,7 @@ let e1 ?(max_n = 4) () =
               (List.length cert.Theorem.registers_written)
               (Bounds.zhu_space n)
               (List.length cert.Theorem.schedule)
-              cert.Theorem.oracle_searches (Valency.stats t).Valency.nodes_expanded ok
+              cert.Theorem.effort.Theorem.oracle_searches (Valency.stats t).Valency.nodes_expanded ok
           | exception Valency.Horizon_exceeded msg ->
             Format.printf "%-14s %4d   horizon %d too small (%s)@." proto.Protocol.name n
               horizon msg)
@@ -463,9 +463,9 @@ let e26 () =
         in
         Format.printf "%-14s %4d %6s | %12d %9d | %12d %9d@." proto.Protocol.name n agree
           (List.length l.Theorem.schedule)
-          l.Theorem.oracle_searches
-          (List.length r.Rev.schedule)
-          r.Rev.revisions
+          l.Theorem.effort.Theorem.oracle_searches
+          (List.length r.Theorem.schedule)
+          r.Theorem.effort.Rev.revisions
       | _ ->
         Format.printf "%-14s %4d %6s@." proto.Protocol.name n
           "(an engine stopped)")

@@ -263,7 +263,7 @@ let engine_arg =
 let witness_revisionist ~json ~certificate ~budget ~horizon proto =
   match Rev.witness ~budget ?max_solo:horizon proto with
   | Rev.Complete cert, used ->
-    let verified = Rev.verify cert proto in
+    let verified = Theorem.verify cert proto in
     if json then
       pr_json
         (Ts_service.Response.revisionist_to_json ~max_solo_used:used ~verified
@@ -279,7 +279,7 @@ let witness_revisionist ~json ~certificate ~budget ~horizon proto =
       match certificate with
       | None -> true
       | Some file ->
-        write_certificate ~file (Ts_cert.Cert.of_revisionist proto cert)
+        write_certificate ~file (Ts_cert.Cert.of_theorem proto cert)
     in
     (match verified with Ok () when cert_ok -> 0 | _ -> 1)
   | Rev.Partial (stop, progress), used ->

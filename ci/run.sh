@@ -296,13 +296,16 @@ timeout 300 "$TS" witness --protocol racing -n 4 \
   --certificate "$CERTDIR/racing-4.cert" > /dev/null
 timeout 300 "$TS" witness --protocol racing-rand -n 4 \
   --certificate "$CERTDIR/racing-rand-4.cert" > /dev/null
+# the second engine's n = 4 witness, through the same certificate builder
+timeout 300 "$TS" witness --protocol racing -n 4 --engine revisionist \
+  --certificate "$CERTDIR/racing-4-revisionist.cert" > /dev/null
 # the violation subcommands exit 1 when they find what they are sent to
 # find; the certificate is the point here, not the exit code
 timeout 300 "$TS" check --protocol broken-lww -n 2 \
   --certificate "$CERTDIR/broken-lww.cert" > /dev/null || true
 timeout 300 "$TS" resilient --protocol broken-wait -n 2 -t 1 \
   --certificate "$CERTDIR/broken-wait.cert" > /dev/null || true
-for f in racing racing-4 racing-rand-4 broken-lww broken-wait; do
+for f in racing racing-4 racing-rand-4 racing-4-revisionist broken-lww broken-wait; do
   [ -s "$CERTDIR/$f.cert" ] || {
     echo "ci: no certificate was written for $f" >&2; exit 1; }
 done
@@ -343,6 +346,17 @@ rm -rf "$CERTDIR" "$AUDIT_STORE"
 timeout 300 "$TS" witness --protocol racing -n 2 --engine both \
   > "$CI_TMP/witness-both.out"
 grep -q "engines agree: space bound 1" "$CI_TMP/witness-both.out"
+# at n = 3 and 4 Theorem 1 runs Lemmas 1, 3 and 4, which the n = 2 base
+# case skips: the engines must agree there too, on the bound n - 1
+for p in racing racing-rand; do
+  for n in 3 4; do
+    timeout 300 "$TS" witness --protocol "$p" -n "$n" --engine both \
+      > "$CI_TMP/witness-both.out"
+    grep -q "engines agree: space bound $((n - 1))" "$CI_TMP/witness-both.out" || {
+      echo "ci: witness --engine both on $p at n = $n did not agree" >&2
+      cat "$CI_TMP/witness-both.out" >&2; exit 1; }
+  done
+done
 set +e
 timeout 300 "$TS" witness --protocol broken-scribbler -n 2 --engine both \
   > /dev/null

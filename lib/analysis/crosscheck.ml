@@ -32,22 +32,24 @@ type comparison = {
 let ns_since t0 = Int64.of_float ((Unix.gettimeofday () -. t0) *. 1e9)
 
 (* One engine's side: [run] is the engine under its witness policy, and a
-   complete run is accepted only if [verify] replays it on the shared
-   execution substrate and its certificate ([certify]) passes
-   [Cert.validate], the micro-checker and then the engine replay.  The
-   error list is empty iff the witness is accepted; the time covers the
-   run and its acceptance. *)
-let side proto ~run ~verify ~certify =
+   complete run is accepted only if the one claim check
+   ([Theorem.verify]) accepts its witness and the witness's certificate
+   passes [Cert.validate], the micro-checker and then the engine replay.
+   The error list is empty iff the witness is accepted; the time covers
+   the run and its acceptance. *)
+let side proto ~run =
   let t0 = Unix.gettimeofday () in
   let outcome, used = run () in
   let result, cert =
     match outcome with
-    | Theorem.Complete c ->
+    | Theorem.Complete w ->
         let replay =
-          match verify c proto with Ok () -> [] | Error m -> [ "replay: " ^ m ]
+          match Theorem.verify w proto with
+          | Ok () -> []
+          | Error m -> [ "replay: " ^ m ]
         in
         let n = proto.Protocol.num_processes in
-        (match certify proto c with
+        (match Cert.of_theorem proto w with
         | exception Invalid_argument m ->
             (Completed (n, replay @ [ "certificate build: " ^ m ]), None)
         | cert ->
@@ -87,12 +89,11 @@ let compare_engines ?(budget = fun () -> Budget.unlimited) ?horizon proto =
   Obs.set_str sp "protocol" proto.Protocol.name;
   Fun.protect ~finally:(fun () -> Obs.close sp) @@ fun () ->
   let lemmas =
-    side proto ~verify:Theorem.verify ~certify:Cert.of_theorem ~run:(fun () ->
-        Theorem.witness ~budget:(budget ()) ?horizon proto)
+    side proto ~run:(fun () -> Theorem.witness ~budget:(budget ()) ?horizon proto)
   in
   let revisionist =
-    side proto ~verify:Revisionist.verify ~certify:Cert.of_revisionist
-      ~run:(fun () -> Revisionist.witness ~budget:(budget ()) ?max_solo:horizon proto)
+    side proto ~run:(fun () ->
+        Revisionist.witness ~budget:(budget ()) ?max_solo:horizon proto)
   in
   let verdict = verdict lemmas.result revisionist.result in
   Obs.Metrics.incr "crosscheck.compared";

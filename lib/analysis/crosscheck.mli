@@ -8,16 +8,17 @@
     both] and the E26 table all call it.
 
     Each engine runs under the one witness policy
-    ({!Ts_core.Theorem.policy}, through {!Ts_core.Theorem.witness} and
+    ({!Ts_core.Theorem.policy}, through {!Ts_core.Theorem.val-witness} and
     [Revisionist.witness]): an explicit horizon (for the revisionist
     engine, its private-run allowance) is a promise, and otherwise the
     engine escalates from [10 * n].  Both engines stop with the one
-    {!Ts_core.Theorem.stop}.  A complete run's witness is {e accepted}
-    only if it replays on the shared execution substrate
-    ({!Ts_core.Theorem.verify} / [Revisionist.verify]) and its
-    ["space_bound"] certificate passes {!Ts_cert.Cert.validate}: the
-    independent micro-checker, then the engine replay.  One rule
-    ({!val-verdict}) then decides:
+    {!Ts_core.Theorem.stop}, and both produce the one witness record
+    ({!Ts_core.Theorem.type-witness}).  A complete run's witness is
+    {e accepted} only if the one claim check ({!Ts_core.Theorem.verify})
+    accepts it and its ["space_bound"] certificate
+    ({!Ts_cert.Cert.of_theorem}) passes {!Ts_cert.Cert.validate}: the
+    independent micro-checker, then the engine replay.  Both sides are
+    accepted by the same code.  One rule ({!val-verdict}) then decides:
 
     - both engines complete: {!Agreed} [(n - 1)] when both witnesses are
       accepted, {!Diverged} otherwise;

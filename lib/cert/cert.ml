@@ -133,37 +133,21 @@ let resign t =
       | _ -> assert false)
   | other -> other
 
-(* Both lower-bound engines make the same shape of claim — the bound,
-   the registers written, a covered set and the fresh register the last
-   process was forced onto — so both certify under the "space_bound"
-   kind and the micro-checker needs no engine-specific knowledge. *)
-let space_bound proto ~inputs ~schedule ~bound ~written ~covered ~fresh =
+(* Both lower-bound engines produce the one witness record, so both
+   certify under the "space_bound" kind with the claim [n - 1], and the
+   micro-checker needs no engine-specific knowledge. *)
+let of_theorem proto (w : _ Ts_core.Theorem.witness) =
+  let open Ts_core.Theorem in
   let regs l = J.List (List.map (fun r -> J.Int r) l) in
-  build proto ~kind:"space_bound" ~inputs ~schedule
+  build proto ~kind:"space_bound" ~inputs:w.inputs ~schedule:w.schedule
     ~claim:
       (J.Obj
          [
-           ("bound", J.Int bound);
-           ("registers_written", regs written);
-           ("covered", regs covered);
-           ("fresh_register", J.Int fresh);
+           ("bound", J.Int (w.n - 1));
+           ("registers_written", regs w.registers_written);
+           ("covered", regs w.covered_registers);
+           ("fresh_register", J.Int w.fresh_register);
          ])
-
-let of_theorem proto (c : Ts_core.Theorem.certificate) =
-  let open Ts_core.Theorem in
-  space_bound proto ~inputs:c.inputs ~schedule:c.schedule ~bound:(c.n - 1)
-    ~written:c.registers_written ~covered:c.covered_registers
-    ~fresh:c.fresh_register
-
-(* Crash-faulted constructions claim survivors-1 < n-1 and are not
-   certifiable in this format. *)
-let of_revisionist proto (c : Ts_revisionist.Revisionist.certificate) =
-  let open Ts_revisionist.Revisionist in
-  if c.excluded <> [] then
-    invalid_arg "Cert.of_revisionist: crash-faulted constructions (bound < n - 1) are not certifiable";
-  space_bound proto ~inputs:c.inputs ~schedule:c.schedule ~bound:c.bound
-    ~written:c.registers_written ~covered:c.covered_registers
-    ~fresh:c.fresh_register
 
 let of_violation ?(k = 1) proto (v : Ts_checker.Explore.violation) =
   let open Ts_checker.Explore in

@@ -32,19 +32,14 @@ val cert_version : int
 type t
 (** A built certificate (an immutable canonical-JSON tree). *)
 
-(** [of_theorem proto cert] packages a Theorem-1 certificate: kind
-    ["space_bound"], claiming [n - 1] distinct registers written.
+(** [of_theorem proto w] packages a space-bound witness of either
+    lower-bound engine ({!Ts_core.Theorem.type-witness}: the Lemmas engine's
+    {!Ts_core.Theorem.certificate} or a revisionist one): kind
+    ["space_bound"], claiming [n - 1] distinct registers written, with
+    the witness's covered set and fresh register.  The micro-checker
+    validates both engines' witnesses identically.
     @raise Invalid_argument if the schedule does not replay on [proto]. *)
-val of_theorem : 's Protocol.t -> Ts_core.Theorem.certificate -> t
-
-(** [of_revisionist proto cert] packages a revisionist-engine witness
-    under the same ["space_bound"] kind and claim shape as
-    {!of_theorem} — the micro-checker validates both engines' witnesses
-    identically.
-    @raise Invalid_argument if the schedule does not replay on [proto],
-    or if the construction excluded crashed processes (its bound is below
-    [n - 1] and does not fit this claim). *)
-val of_revisionist : 's Protocol.t -> Ts_revisionist.Revisionist.certificate -> t
+val of_theorem : 's Protocol.t -> _ Ts_core.Theorem.witness -> t
 
 (** [of_violation ?k proto v] packages an {!Ts_checker.Explore.violation}
     ([k] is the set-agreement arity behind an agreement violation,

@@ -310,22 +310,24 @@ let check_from proto ~k ~inputs ~max_configs ~max_depth ~solo_budget ~check_solo
   in
   let pk = Ckey.packer proto in
   let visit cfg rev_sched =
-    let schedule () = List.rev rev_sched in
     let decided = Config.decided_values cfg in
     List.iter
       (fun v ->
         if not (Array.exists (Value.equal v) inputs) then
-          raise (Found (Validity_violation { inputs; schedule = schedule (); value = v })))
+          raise
+            (Found (Validity_violation { inputs; schedule = List.rev rev_sched; value = v })))
       decided;
     if List.length decided > k then
-      raise (Found (Agreement_violation { inputs; schedule = schedule (); values = decided }));
+      raise
+        (Found
+           (Agreement_violation { inputs; schedule = List.rev rev_sched; values = decided }));
     if check_solo then
       for p = 0 to proto.Protocol.num_processes - 1 do
         if Config.has_decided cfg p = None
            && not
                 (probe_group proto pk cfg (Pset.singleton p) ~budget:solo_budget ~guard
                    ~memo ~counters)
-        then raise (Found (Solo_stuck { inputs; schedule = schedule (); pid = p }))
+        then raise (Found (Solo_stuck { inputs; schedule = List.rev rev_sched; pid = p }))
       done;
     true
   in

@@ -1,4 +1,5 @@
-(** Covering sets and block writes (Zhu, Definition 2).
+(** Covering sets and block writes (Zhu, Definition 2).  This module is
+    the definition's one home, for both lower-bound engines.
 
     A process covers a register when it is poised to write it; a block
     write by a covering set [R] is an execution in which each process of
@@ -8,10 +9,9 @@
 
 open Ts_model
 
-(** [covered t cfg r_set] is the covered register of each process of
-    [r_set], or [None] for the whole set if some process is not poised to
-    write. *)
-val covered : 's Protocol.t -> 's Config.t -> Pset.t -> (int * Action.reg) list option
+(** [covers proto cfg p] is [Some r] iff [p] is poised to write (or swap)
+    register [r] in [cfg]: [p] covers [r]. *)
+val covers : 's Protocol.t -> 's Config.t -> Config.pid -> Action.reg option
 
 (** [covered_set proto cfg r_set] is the sorted distinct registers covered
     by [r_set] (processes not poised to write contribute nothing). *)

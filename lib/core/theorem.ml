@@ -138,7 +138,7 @@ let rec lemma4 t c p =
       let cover = Pset.add z r_j in
       if not (Covering.well_spread proto final cover) then
         fail "lemma4: final covering set not well spread";
-      (match Config.covers proto final z with
+      (match Covering.covers proto final z with
        | Some r when not (List.mem r v_j) -> ()
        | Some r -> fail "lemma4: z covers R%d which is already covered" r
        | None -> fail "lemma4: z no longer covers a register");
@@ -152,7 +152,7 @@ let rec lemma4 t c p =
     build rec0.cfg rec0.q_pair 0
   end
 
-type certificate = {
+type 'effort witness = {
   protocol_name : string;
   n : int;
   inputs : Value.t array;
@@ -161,8 +161,11 @@ type certificate = {
   registers_written : Action.reg list;
   covered_registers : Action.reg list;
   fresh_register : Action.reg;
-  oracle_searches : int;
+  effort : 'effort;
 }
+
+type oracle_effort = { oracle_searches : int }
+type certificate = oracle_effort witness
 
 let canonical_inputs n =
   Array.init n (fun p -> if p = 1 then Value.int 1 else Value.int 0)
@@ -206,7 +209,7 @@ let theorem1 t =
       registers_written = written;
       covered_registers = covered;
       fresh_register = fresh;
-      oracle_searches = Valency.searches t;
+      effort = { oracle_searches = Valency.searches t };
     }
   in
   if n = 2 then begin
@@ -311,21 +314,25 @@ let witness ?budget ?horizon proto =
   policy ?allowance:horizon ~n:proto.Protocol.num_processes (fun horizon ->
       theorem1_outcome (Valency.create ?budget proto ~horizon))
 
-let verify cert (proto : 's Protocol.t) =
-  if proto.Protocol.num_processes <> cert.n then Error "process count mismatch"
+(* The one claim check, for either engine's witness: everything the
+   witness records must be what its schedule does from its inputs, and
+   the writes must reach n - 1 distinct registers. *)
+let verify w (proto : 's Protocol.t) =
+  if proto.Protocol.num_processes <> w.n then Error "process count mismatch"
   else
     match
-      Execution.apply proto (Config.initial proto ~inputs:cert.inputs) cert.schedule
+      Execution.apply proto (Config.initial proto ~inputs:w.inputs) w.schedule
     with
     | exception exn -> Error ("replay failed: " ^ Printexc.to_string exn)
     | _, trace ->
       let written = Execution.written_registers trace in
-      if written <> cert.registers_written then
+      if trace <> w.trace then Error "recorded trace differs from the replay's"
+      else if written <> w.registers_written then
         Error "written-register sets differ on replay"
-      else if List.length written < cert.n - 1 then
+      else if List.length written < w.n - 1 then
         Error
           (Printf.sprintf "only %d registers written, expected >= %d"
-             (List.length written) (cert.n - 1))
+             (List.length written) (w.n - 1))
       else Ok ()
 
 let pp_stop ppf = function
@@ -346,4 +353,4 @@ let pp_certificate ppf c =
     (c.n - 1)
     Fmt.(array ~sep:(any ";") Value.pp) c.inputs
     Fmt.(list ~sep:comma (fmt "R%d")) c.covered_registers
-    c.fresh_register (List.length c.schedule) c.oracle_searches
+    c.fresh_register (List.length c.schedule) c.effort.oracle_searches

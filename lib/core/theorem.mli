@@ -7,9 +7,9 @@
     of the protocol under test in which at least [n - 1] distinct registers
     are written — the executable content of the n−1 space lower bound.
 
-    All intermediate facts are re-verified; the final certificate is
-    additionally checked by replaying the execution from the initial
-    configuration and counting written registers directly on the trace. *)
+    All intermediate facts are re-verified.  The final certificate is a
+    {!type-witness}, the record both lower-bound engines produce, and
+    {!verify} is the one check of its claim for either engine. *)
 
 open Ts_model
 
@@ -27,18 +27,33 @@ type 's nice = {
     [p] bivalent from [c] (checked). *)
 val lemma4 : 's Valency.t -> 's Config.t -> Pset.t -> 's nice
 
-(** Everything {!theorem1} established, with the raw material to audit it. *)
-type certificate = {
+(** A space-bound witness: one execution of the protocol under test that
+    writes at least [n - 1] distinct registers, with the raw material to
+    audit it.  Both lower-bound engines produce it — this module's
+    {!theorem1} as {!certificate}, and [Ts_revisionist.Revisionist] —
+    and differ only in ['effort], the engine's own work counters.
+    {!verify} checks the claim the same way for both. *)
+type 'effort witness = {
   protocol_name : string;
   n : int;  (** number of processes *)
-  inputs : Value.t array;  (** the bivalent initial assignment used *)
+  inputs : Value.t array;  (** the bivalent initial assignment used ({!canonical_inputs}) *)
   schedule : Execution.event list;  (** full witness schedule from the initial configuration *)
   trace : Execution.trace;  (** its trace *)
-  registers_written : Action.reg list;  (** distinct registers written in [trace] *)
-  covered_registers : Action.reg list;  (** the distinct registers covered at the final nice configuration *)
-  fresh_register : Action.reg;  (** the uncovered register the Lemma-2 process was forced to write *)
-  oracle_searches : int;  (** valency searches spent *)
+  registers_written : Action.reg list;  (** distinct registers written in [trace], sorted *)
+  covered_registers : Action.reg list;
+      (** the distinct registers covered just before the last process was
+          forced onto a fresh one, sorted *)
+  fresh_register : Action.reg;  (** the uncovered register that process was forced to write *)
+  effort : 'effort;  (** what the construction spent *)
 }
+
+(** The Lemmas engine's effort. *)
+type oracle_effort = { oracle_searches : int  (** valency searches spent *) }
+
+(** Everything {!theorem1} established: its covered registers are those
+    of the final nice configuration, and its fresh register is the one
+    the Lemma-2 process was forced to write. *)
+type certificate = oracle_effort witness
 
 (** [canonical_inputs n] is Proposition 2's bivalent initial assignment,
     the one both lower-bound engines, the daemon's [valency] op and the
@@ -125,10 +140,12 @@ val witness :
 val pp_stop : Format.formatter -> stop -> unit
 val pp_progress : Format.formatter -> progress -> unit
 
-(** [verify cert proto] independently replays the certificate's schedule on
-    a fresh initial configuration of [proto] and re-checks the register
-    count.  Returns an error message on any mismatch. *)
-val verify : certificate -> 's Protocol.t -> (unit, string) result
+(** [verify w proto] is the one claim check, for either engine's witness:
+    it replays [w]'s schedule on a fresh initial configuration of [proto]
+    from [w]'s inputs, requires the recorded trace and register set to
+    equal the replay's, and requires at least [n - 1] distinct registers
+    written.  Returns an error message on any mismatch. *)
+val verify : _ witness -> 's Protocol.t -> (unit, string) result
 
 (** Human-readable rendering of a certificate: the space bound, the
     witness execution length and the registers it writes. *)

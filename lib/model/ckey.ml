@@ -31,7 +31,6 @@ let of_string digest = { digest; hash = hash_string digest }
 let to_raw t = t.digest
 let equal a b = a.hash = b.hash && String.equal a.digest b.digest
 let hash t = t.hash
-let compare a b = String.compare a.digest b.digest
 
 let to_hex t =
   let n = String.length t.digest in

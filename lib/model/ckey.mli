@@ -24,7 +24,6 @@ val of_string : string -> t
 val to_raw : t -> string
 val equal : t -> t -> bool
 val hash : t -> int
-val compare : t -> t -> int
 
 (** Lowercase hexadecimal rendering of the packed digest.  Two keys render
     identically iff they are {!equal}, so the rendering is a stable,

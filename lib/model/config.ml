@@ -70,34 +70,10 @@ let decided_values cfg =
     [] cfg.procs
   |> List.sort Value.compare
 
-let covers proto cfg p =
-  match poised proto cfg p with
-  | Some a -> Action.written_register a
-  | None -> None
-
-let covered_registers proto cfg ps =
-  Pset.fold
-    (fun p acc -> match covers proto cfg p with Some r -> r :: acc | None -> acc)
-    ps []
-  |> List.sort_uniq Stdlib.compare
-
-let covering_is_distinct proto cfg ps =
-  let regs =
-    Pset.fold
-      (fun p acc ->
-        match covers proto cfg p with Some r -> Some r :: acc | None -> None :: acc)
-      ps []
-  in
-  List.for_all Option.is_some regs
-  && List.length (List.sort_uniq Stdlib.compare regs) = List.length regs
-
-(* Structural equality/hash.  Registers compare via [Value.equal]; process
+(* Structural equality.  Registers compare via [Value.equal]; process
    statuses compare per element, so only the (small) protocol state ever
-   meets the polymorphic comparator.  The hash mixes a per-component digest
-   instead of handing the whole record to [Hashtbl.hash], whose bounded
-   traversal degenerates on deep configurations — the search tables
-   themselves use the packed keys in [Ckey], which these definitions agree
-   with. *)
+   meets the polymorphic comparator.  The search tables use the packed
+   keys in [Ckey], which this definition agrees with. *)
 let equal_status a b =
   match a, b with
   | Decided v, Decided w -> Value.equal v w
@@ -113,15 +89,6 @@ let array_for_all2 eq a b =
 let equal a b =
   array_for_all2 equal_status a.procs b.procs && array_for_all2 Value.equal a.regs b.regs
 
-let hash c =
-  let h = ref 0x3bf29ce4 in
-  let mix x = h := ((!h lxor x) * 0x01000193) land max_int in
-  Array.iter
-    (fun st ->
-      mix (match st with Decided v -> Value.hash v lxor 0x44 | Running s -> Hashtbl.hash s))
-    c.procs;
-  Array.iter (fun v -> mix (Value.hash v)) c.regs;
-  !h
 let register cfg r = cfg.regs.(r)
 
 let pp (proto : 's Protocol.t) ppf cfg =

@@ -4,9 +4,10 @@
     contents of every register (Zhu §2).  Processes that have decided are
     recorded with their decision and take no further steps.
 
-    Configurations are plain immutable data; [equal]/[hash] are structural,
-    which is exactly the indistinguishability notion the proofs need when
-    restricted to the relevant components. *)
+    Configurations are plain immutable data; [equal] is structural, which
+    is exactly the indistinguishability notion the proofs need when
+    restricted to the relevant components.  Which registers a
+    configuration's processes cover (Definition 2) is [Ts_core.Covering]'s. *)
 
 type pid = int
 
@@ -49,20 +50,7 @@ val has_decided : 's t -> pid -> Value.t option
 (** All decisions present in [cfg] (without duplicates, in value order). *)
 val decided_values : 's t -> Value.t list
 
-(** [covers proto cfg p] is [Some r] iff [p] is poised to write register
-    [r] in [cfg] (Definition 2: [p] covers [r]). *)
-val covers : 's Protocol.t -> 's t -> pid -> Action.reg option
-
-(** [covered_registers proto cfg ps] is the set of registers covered by the
-    processes of [ps], as a sorted list of distinct registers. *)
-val covered_registers : 's Protocol.t -> 's t -> Pset.t -> Action.reg list
-
-(** [covering_is_distinct proto cfg ps] holds iff every process of [ps]
-    covers a register and no two cover the same one ("well spread"). *)
-val covering_is_distinct : 's Protocol.t -> 's t -> Pset.t -> bool
-
 val equal : 's t -> 's t -> bool
-val hash : 's t -> int
 
 (** [register v cfg r] is the contents of register [r]. *)
 val register : 's t -> Action.reg -> Value.t

@@ -33,5 +33,3 @@ let render ?(width = 24) ~n trace =
     end
   in
   if total = 0 then "(empty execution)\n" else (bands 0; Buffer.contents buf)
-
-let pp ?width ~n ppf trace = Format.pp_print_string ppf (render ?width ~n trace)

@@ -10,6 +10,3 @@
     decision, [.] idle.  Long traces are wrapped into bands of
     [width] steps (default 24). *)
 val render : ?width:int -> n:int -> Execution.trace -> string
-
-(** [pp ~n ppf trace] prints {!render}'s output. *)
-val pp : ?width:int -> n:int -> Format.formatter -> Execution.trace -> unit

@@ -188,11 +188,6 @@ let solo proto cfg p ~flips ~budget =
   in
   go cfg [] 0 budget
 
-let pp_event ppf e =
-  match e.coin with
-  | None -> Fmt.pf ppf "p%d" e.pid
-  | Some b -> Fmt.pf ppf "p%d(coin=%b)" e.pid b
-
 let pp_step ppf s = Fmt.pf ppf "p%d:%a" s.actor Action.pp s.action
 
 let pp_trace ppf tr = Fmt.pf ppf "@[<hov 1>%a@]" Fmt.(list ~sep:sp pp_step) tr

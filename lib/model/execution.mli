@@ -159,5 +159,4 @@ val solo :
   budget:int ->
   's Config.t * trace * Value.t option
 
-val pp_event : Format.formatter -> event -> unit
 val pp_trace : Format.formatter -> trace -> unit

@@ -9,8 +9,6 @@ type t
 val create : int -> t
 (** [create seed] is a fresh generator. *)
 
-val copy : t -> t
-
 val state : t -> int64
 (** [state t] is the generator's current internal state.  Any splitmix64
     state is itself a valid seed: [of_state (state t)] replays the exact

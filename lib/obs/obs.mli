@@ -194,9 +194,6 @@ end
     profiler, and [start_accesses]/[stop_accesses] are not meant to run
     concurrently with each other. *)
 
-(** Whether access tracing is currently armed. *)
-val accesses : unit -> bool
-
 (** Arm access tracing, discarding previously buffered access/task events
     (span events are untouched). *)
 val start_accesses : unit -> unit

@@ -6,21 +6,12 @@ module Obs = Ts_obs.Obs
 
 type pid = int
 
-type certificate = {
-  protocol_name : string;
-  n : int;
-  inputs : Value.t array;
-  excluded : pid list;
-  schedule : Execution.event list;
-  trace : Execution.trace;
-  registers_written : Action.reg list;
-  parked : (pid * Action.reg) list;
-  covered_registers : Action.reg list;
-  fresh_register : Action.reg;
-  bound : int;
+type effort = {
   revisions : int;
   private_steps : int;
 }
+
+type certificate = effort Theorem.witness
 
 type progress = {
   max_solo : int;
@@ -54,18 +45,11 @@ let split_last l =
   | [] -> invalid_arg "split_last"
   | last :: rev_init -> (List.rev rev_init, last)
 
-let construct_exn ~faults ~budget ~max_solo ~(c : counters)
-    (proto : 's Protocol.t) : certificate =
+let construct_exn ~budget ~max_solo ~(c : counters) (proto : 's Protocol.t) :
+    certificate =
   let n = proto.Protocol.num_processes in
   if n < 2 then invalid_arg "Revisionist.construct: need at least 2 processes";
-  let excluded = List.sort Int.compare (List.map fst (Fault.crashes faults)) in
-  let survivors =
-    List.filter (fun p -> not (List.mem p excluded)) (List.init n Fun.id)
-  in
-  let n_surv = List.length survivors in
-  if n_surv < 2 then
-    invalid_arg "Revisionist.construct: fewer than 2 surviving processes";
-  let target = n_surv - 1 in
+  let target = n - 1 in
   let inputs = Theorem.canonical_inputs n in
   let cfg0 = Config.initial proto ~inputs in
   (* [private_run cfg z ~covered _ count k] advances [z] alone from [cfg]
@@ -132,7 +116,8 @@ let construct_exn ~faults ~budget ~max_solo ~(c : counters)
       candidates active
   in
   match
-    place cfg0 ~covered:[] ~parked:[] ~active:survivors ~segs_rev:[] ~depth:0
+    place cfg0 ~covered:[] ~parked:[] ~active:(List.init n Fun.id) ~segs_rev:[]
+      ~depth:0
   with
   | None ->
     raise
@@ -157,23 +142,28 @@ let construct_exn ~faults ~budget ~max_solo ~(c : counters)
     Obs.Metrics.incr "revisionist.constructs";
     Obs.Metrics.incr ~by:target "revisionist.parks";
     {
-      protocol_name = proto.Protocol.name;
+      Theorem.protocol_name = proto.Protocol.name;
       n;
       inputs;
-      excluded;
       schedule;
       trace;
       registers_written = written;
-      parked;
       covered_registers = List.sort_uniq Int.compare covered_registers;
       fresh_register;
-      bound = target;
-      revisions = c.revs;
-      private_steps = c.steps;
+      effort = { revisions = c.revs; private_steps = c.steps };
     }
 
-let construct ?(faults = Fault.none) ?(budget = Budget.unlimited)
-    ?(max_solo = 64) proto =
+(* The release is the witness's last n - 1 steps, one pending write per
+   parked process in parking order. *)
+let parked (w : certificate) =
+  let first = List.length w.Theorem.trace - (w.Theorem.n - 1) in
+  List.filteri (fun i _ -> i >= first) w.Theorem.trace
+  |> List.filter_map (fun (s : Execution.step_record) ->
+         Option.map
+           (fun r -> (s.Execution.actor, r))
+           (Action.written_register s.Execution.action))
+
+let construct ?(budget = Budget.unlimited) ?(max_solo = 64) proto =
   let c = { steps = 0; revs = 0; deepest = 0 } in
   let progress () =
     { max_solo; parked = c.deepest; revisions = c.revs; private_steps = c.steps }
@@ -190,7 +180,7 @@ let construct ?(faults = Fault.none) ?(budget = Budget.unlimited)
     Obs.Metrics.incr ~by:c.revs "revisionist.revisions";
     outcome
   in
-  match construct_exn ~faults ~budget ~max_solo ~c proto with
+  match construct_exn ~budget ~max_solo ~c proto with
   | cert -> finish (Complete cert)
   | exception Budget.Exhausted b ->
     finish (Partial (Out_of_budget b, progress ()))
@@ -201,76 +191,27 @@ let construct ?(faults = Fault.none) ?(budget = Budget.unlimited)
     Obs.close sp;
     raise e
 
-let escalate ?budget ?retries ?faults proto ~initial_solo =
+let escalate ?budget ?retries proto ~initial_solo =
   Theorem.escalate ?retries ~initial:initial_solo (fun max_solo ->
-      construct ?faults ?budget ~max_solo proto)
+      construct ?budget ~max_solo proto)
 
 let witness ?budget ?max_solo proto =
   Theorem.policy ?allowance:max_solo ~n:proto.Protocol.num_processes
     (fun max_solo -> construct ?budget ~max_solo proto)
 
-let verify (cert : certificate) (proto : 's Protocol.t) : (unit, string) result
-    =
-  let fail fmt = Format.kasprintf (fun m -> Error m) fmt in
-  if proto.Protocol.num_processes <> cert.n then
-    fail "protocol has %d processes, certificate says %d"
-      proto.Protocol.num_processes cert.n
-  else if cert.bound <> cert.n - List.length cert.excluded - 1 then
-    fail "claimed bound %d is not survivors - 1" cert.bound
-  else if
-    List.exists
-      (fun (e : Execution.event) -> List.mem e.Execution.pid cert.excluded)
-      cert.schedule
-  then fail "schedule steps a crashed process"
-  else
-    match
-      Execution.apply proto (Config.initial proto ~inputs:cert.inputs)
-        cert.schedule
-    with
-    | exception Invalid_argument m -> fail "schedule not applicable: %s" m
-    | _, trace ->
-      let written = Execution.written_registers trace in
-      if written <> cert.registers_written then
-        fail "recorded register set differs from the replay's"
-      else if List.length written < cert.bound then
-        fail "replay writes %d distinct registers, below the bound %d"
-          (List.length written) cert.bound
-      else
-        let writes_r p r (s : Execution.step_record) =
-          s.Execution.actor = p
-          &&
-          match Action.written_register s.Execution.action with
-          | Some r' -> r' = r
-          | None -> false
-        in
-        (match
-           List.find_opt
-             (fun (p, r) -> not (List.exists (writes_r p r) trace))
-             cert.parked
-         with
-        | Some (p, r) ->
-          fail "parked process %d never writes register %d in the replay" p r
-        | None -> Ok ())
-
 let pp_certificate ppf (c : certificate) =
   Fmt.pf ppf
-    "@[<v>revisionist witness for %s (n = %d%s):@,\
+    "@[<v>revisionist witness for %s (n = %d):@,\
      space bound %d: %d distinct registers written {%s}@,\
      parked: %s@,\
      schedule: %d steps (%d revisions, %d private steps simulated)@]"
-    c.protocol_name c.n
-    (match c.excluded with
-     | [] -> ""
-     | l ->
-       Printf.sprintf ", crashed {%s}"
-         (String.concat "," (List.map string_of_int l)))
-    c.bound
+    c.protocol_name c.n (c.n - 1)
     (List.length c.registers_written)
     (String.concat "," (List.map string_of_int c.registers_written))
     (String.concat ", "
-       (List.map (fun (p, r) -> Printf.sprintf "p%d@R%d" p r) c.parked))
+       (List.map (fun (p, r) -> Printf.sprintf "p%d@R%d" p r) (parked c)))
     (List.length c.schedule)
-    c.revisions c.private_steps
+    c.effort.revisions c.effort.private_steps
 
 let pp_stop = Theorem.pp_stop
 

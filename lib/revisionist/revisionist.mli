@@ -19,14 +19,17 @@
 
     The resulting schedule is one real execution of the protocol writing
     at least [n − 1] distinct registers, so the certificate is
-    self-evident: {!verify} replays it with {!Ts_model.Execution.apply}
-    and counts, with no dependence on the valency oracle the first engine
-    is built on.  The two engines share no proof logic — which is what
-    makes diffing their answers ([Ts_analysis.Crosscheck]) meaningful —
-    only the substrate ({!Ts_model.Protocol}, [Config], [Execution],
-    {!Ts_core.Budget}) and {!Ts_core.Theorem}'s stopping decisions: the
-    {!stop} and {!outcome} types, the escalation loop, the witness policy
-    and the canonical inputs.
+    self-evident: {!Ts_core.Theorem.verify}, the one claim check for both
+    engines, replays it with {!Ts_model.Execution.apply} and counts, with
+    no dependence on the valency oracle the first engine is built on.
+    The two engines share no proof logic — which is what makes diffing
+    their answers ([Ts_analysis.Crosscheck]) meaningful.  They share the
+    substrate ({!Ts_model.Protocol}, [Config], [Execution],
+    {!Ts_core.Budget}), Definition 2 ({!Ts_core.Covering}), the witness
+    record and its claim check ({!Ts_core.Theorem.type-witness},
+    {!Ts_core.Theorem.verify}) and {!Ts_core.Theorem}'s stopping
+    decisions: the {!stop} and {!outcome} types, the escalation loop, the
+    witness policy and the canonical inputs.
 
     Like the first engine, a capped run degrades to a structured
     {!Partial} rather than raising: {!construct} reports a tripped
@@ -43,25 +46,27 @@ open Ts_model
 
 type pid = int
 
-(** Everything the construction established, with the raw material to
-    audit it.  [schedule] is the full witness — the private segments in
-    parking order followed by the release block write — and [trace] its
-    trace from the canonical initial configuration. *)
-type certificate = {
-  protocol_name : string;
-  n : int;  (** processes in the protocol instance *)
-  inputs : Value.t array;  (** {!Ts_core.Theorem.canonical_inputs} *)
-  excluded : pid list;  (** processes a crash plan removed; never scheduled *)
-  schedule : Execution.event list;
-  trace : Execution.trace;
-  registers_written : Action.reg list;  (** distinct registers written, sorted *)
-  parked : (pid * Action.reg) list;  (** who was parked covering what, in parking order *)
-  covered_registers : Action.reg list;  (** registers covered when the last process parked (all parked but the last), sorted *)
-  fresh_register : Action.reg;  (** the last-parked register — fresh relative to [covered_registers] *)
-  bound : int;  (** the claimed space bound: survivors − 1 *)
+(** This engine's effort. *)
+type effort = {
   revisions : int;  (** backed-out choice points *)
   private_steps : int;  (** total solo steps simulated, failed branches included *)
 }
+
+(** Everything the construction established, as the witness record both
+    engines share.  [schedule] is the full witness — the private
+    segments in parking order followed by the release block write — and
+    [trace] its trace from the canonical initial configuration
+    ({!Ts_core.Theorem.canonical_inputs}).  [covered_registers] are the
+    registers covered when the last process parked (all parked but the
+    last), and [fresh_register] is the last-parked register. *)
+type certificate = effort Ts_core.Theorem.witness
+
+(** [parked w] is who was parked covering what, in parking order, read
+    off the release: the last [n − 1] steps of [w]'s trace, each the
+    pending write of one parked process.  {!Ts_core.Theorem.verify}
+    checks that trace against a replay, so a verified witness's parked
+    list is what its schedule does. *)
+val parked : certificate -> (pid * Action.reg) list
 
 (** How far a stopped construction got. *)
 type progress = {
@@ -84,22 +89,19 @@ type ('c, 'p) outcome = ('c, 'p) Ts_core.Theorem.outcome =
   | Complete of 'c
   | Partial of stop * 'p
 
-(** [construct ?faults ?budget ?max_solo proto] runs the revisionist
-    adversary from the canonical initial configuration.  Processes named
-    by [faults] (default none) are treated as crashed from the start: the
-    adversary never schedules them and parks [survivors − 1] of the rest,
-    so the claimed bound drops accordingly.  [max_solo] (default 64)
-    bounds each private run; [budget] (default unlimited) is charged one
-    node per simulated private step.
-    @raise Invalid_argument if fewer than 2 processes survive. *)
+(** [construct ?budget ?max_solo proto] runs the revisionist adversary
+    from the canonical initial configuration and parks [n − 1]
+    processes.  [max_solo] (default 64) bounds each private run;
+    [budget] (default unlimited) is charged one node per simulated
+    private step.
+    @raise Invalid_argument if the protocol has fewer than 2 processes. *)
 val construct :
-  ?faults:Fault.plan ->
   ?budget:Ts_core.Budget.t ->
   ?max_solo:int ->
   's Protocol.t ->
   (certificate, progress) outcome
 
-(** [escalate ?budget ?retries ?faults proto ~initial_solo] is
+(** [escalate ?budget ?retries proto ~initial_solo] is
     {!Ts_core.Theorem.escalate} over {!construct}: on a [Wall] the
     private-run allowance doubles up to [retries] times (default 4).
     [budget] spans all attempts.  Returns the outcome and the last
@@ -107,13 +109,12 @@ val construct :
 val escalate :
   ?budget:Ts_core.Budget.t ->
   ?retries:int ->
-  ?faults:Fault.plan ->
   's Protocol.t ->
   initial_solo:int ->
   (certificate, progress) outcome * int
 
 (** [witness ?budget ?max_solo proto] is {!Ts_core.Theorem.policy} over
-    {!construct}, the sibling of {!Ts_core.Theorem.witness}: an explicit
+    {!construct}, the sibling of {!Ts_core.Theorem.val-witness}: an explicit
     [max_solo] is one {!construct} at exactly that private-run allowance,
     and without one the allowance escalates from [10 * n].  Returns the
     outcome and the allowance it came from. *)
@@ -122,13 +123,6 @@ val witness :
   ?max_solo:int ->
   's Protocol.t ->
   (certificate, progress) outcome * int
-
-(** [verify cert proto] independently replays the certificate's schedule
-    on a fresh initial configuration and re-checks every claim: the
-    recorded register set, the bound arithmetic, that no excluded process
-    takes a step, and that every parked process's covering write really
-    lands.  Returns an error message on any mismatch. *)
-val verify : certificate -> 's Protocol.t -> (unit, string) result
 
 val pp_certificate : Format.formatter -> certificate -> unit
 

@@ -86,11 +86,6 @@ let send_raw c bytes =
   in
   go 0
 
-let request ?host ~port doc =
-  match connect ?host ~port () with
-  | Error _ as e -> e
-  | Ok c -> Fun.protect (fun () -> rpc c doc) ~finally:(fun () -> close c)
-
 (* ---- the resilient client --------------------------------------------- *)
 
 type policy = {
@@ -98,8 +93,6 @@ type policy = {
   backoff_ms : int;
   backoff_max_ms : int;
   timeout_ms : int;
-  breaker_threshold : int;
-  breaker_cooldown_ms : int;
   seed : int;
 }
 
@@ -109,8 +102,6 @@ let default_policy =
     backoff_ms = 20;
     backoff_max_ms = 2000;
     timeout_ms = 10_000;
-    breaker_threshold = 8;
-    breaker_cooldown_ms = 500;
     seed = 2026;
   }
 
@@ -130,11 +121,6 @@ let attempt_timeout_ms policy doc =
     in
     max policy.timeout_ms (int_of_float (Float.ceil (deadline *. 1000.)) + deadline_margin_ms)
 
-type breaker_state =
-  | Closed
-  | Open
-  | Half_open
-
 type stats = {
   calls : int;
   attempts_made : int;
@@ -146,7 +132,6 @@ type stats = {
   connect_errors : int;
   server_busy : int;
   retry_after_honored : int;
-  breaker_opens : int;
 }
 
 type client = {
@@ -156,9 +141,6 @@ type client = {
   rng : Rng.t;
   mutable conn : conn option;
   mutable connects : int;  (* successful connects, first one included *)
-  mutable state : breaker_state;
-  mutable consec_failures : int;
-  mutable open_until : float;
   mutable s_calls : int;
   mutable s_attempts : int;
   mutable s_retries : int;
@@ -168,7 +150,6 @@ type client = {
   mutable s_connect : int;
   mutable s_busy : int;
   mutable s_retry_after : int;
-  mutable s_breaker_opens : int;
 }
 
 let make ?(host = "127.0.0.1") ?(policy = default_policy) ~port () =
@@ -180,9 +161,6 @@ let make ?(host = "127.0.0.1") ?(policy = default_policy) ~port () =
     rng = Rng.create policy.seed;
     conn = None;
     connects = 0;
-    state = Closed;
-    consec_failures = 0;
-    open_until = 0.;
     s_calls = 0;
     s_attempts = 0;
     s_retries = 0;
@@ -192,7 +170,6 @@ let make ?(host = "127.0.0.1") ?(policy = default_policy) ~port () =
     s_connect = 0;
     s_busy = 0;
     s_retry_after = 0;
-    s_breaker_opens = 0;
   }
 
 let stats cl =
@@ -207,7 +184,6 @@ let stats cl =
     connect_errors = cl.s_connect;
     server_busy = cl.s_busy;
     retry_after_honored = cl.s_retry_after;
-    breaker_opens = cl.s_breaker_opens;
   }
 
 let drop_conn cl =
@@ -238,23 +214,6 @@ let count_tag cl msg =
   | "connect" -> cl.s_connect <- cl.s_connect + 1
   | _ -> ()
 
-let note_failure cl =
-  cl.consec_failures <- cl.consec_failures + 1;
-  if
-    cl.policy.breaker_threshold > 0
-    && cl.consec_failures >= cl.policy.breaker_threshold
-    && cl.state <> Open
-  then begin
-    cl.state <- Open;
-    cl.open_until <-
-      Unix.gettimeofday () +. (float_of_int cl.policy.breaker_cooldown_ms /. 1000.);
-    cl.s_breaker_opens <- cl.s_breaker_opens + 1
-  end
-
-let note_success cl =
-  cl.consec_failures <- 0;
-  cl.state <- Closed
-
 (* Exponential backoff with seeded half-jitter: attempt [i] (1-based)
    sleeps a uniform draw from [d/2, d] where d = base * 2^(i-1), capped. *)
 let backoff_sleep cl i =
@@ -266,19 +225,6 @@ let backoff_sleep cl i =
     let ms = half + Rng.int cl.rng (d - half + 1) in
     Unix.sleepf (float_of_int ms /. 1000.)
   end
-
-(* The breaker never turns a call into a hard failure while attempts
-   remain — requests are idempotent pure queries, so the safe reaction
-   to a sick server is to stop hammering it, not to fabricate an error.
-   An open breaker therefore *sleeps out* the cooldown and lets the
-   next attempt through as the half-open probe. *)
-let breaker_gate cl =
-  match cl.state with
-  | Closed | Half_open -> ()
-  | Open ->
-    let now = Unix.gettimeofday () in
-    if cl.open_until > now then Unix.sleepf (cl.open_until -. now);
-    cl.state <- Half_open
 
 (* A failure envelope the client should transparently retry:
    [overloaded]/[shutting-down] are explicit backpressure (and carry the
@@ -315,11 +261,9 @@ let call cl doc =
     else begin
       if i > 1 then cl.s_retries <- cl.s_retries + 1;
       cl.s_attempts <- cl.s_attempts + 1;
-      breaker_gate cl;
       match get_conn cl with
       | Error e ->
         count_tag cl e;
-        note_failure cl;
         if i < cl.policy.attempts then backoff_sleep cl i;
         attempt (i + 1) e
       | Ok c -> (
@@ -331,18 +275,14 @@ let call cl doc =
              request), so the connection is always dropped *)
           drop_conn cl;
           count_tag cl e;
-          note_failure cl;
           if i < cl.policy.attempts then backoff_sleep cl i;
           attempt (i + 1) e
         | Ok resp -> (
           match retry_hint resp with
-          | `Final ->
-            note_success cl;
-            Ok resp
+          | `Final -> Ok resp
           | `Retry (code, ra, conn_fate) ->
             cl.s_busy <- cl.s_busy + 1;
             (match conn_fate with `Drop -> drop_conn cl | `Keep -> ());
-            note_failure cl;
             (match ra with
             | Some ms when ms >= 0 ->
               cl.s_retry_after <- cl.s_retry_after + 1;

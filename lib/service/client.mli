@@ -56,10 +56,6 @@ val send_raw : conn -> string -> unit
     through {!rpc} (pairs with {!send_raw}). *)
 val recv : conn -> (Json.t, string) result
 
-(** One-shot convenience: connect, send one request, read one response,
-    close.  Connect failures come back as tagged [Error]s. *)
-val request : ?host:string -> port:int -> Json.t -> (Json.t, string) result
-
 (** [error_tag msg] is the taxonomy tag of a tagged error message (the
     text before the first [':'], e.g. ["conn_reset"]). *)
 val error_tag : string -> string
@@ -87,15 +83,8 @@ val error_tag : string -> string
     Between attempts the client sleeps an exponential backoff with
     seeded half-jitter (uniform in [d/2, d], d doubling from
     [backoff_ms] up to [backoff_max_ms]) — deterministic given
-    [policy.seed].
-
-    The circuit breaker counts consecutive failed attempts; at
-    [breaker_threshold] it opens for [breaker_cooldown_ms].  Because
-    requests are idempotent and the caller asked for an answer, an open
-    breaker {e delays} (sleeps out the remaining cooldown, then lets one
-    half-open probe through) rather than failing fast; a successful
-    probe closes it, a failed one re-opens it.  [breaker_threshold = 0]
-    disables the breaker.
+    [policy.seed].  That backoff, or a server's [retry_after_ms], is the
+    only delay between attempts.
 
     Not thread-safe: one {!client} per domain (the chaos end-to-end test
     gives each of its concurrent callers its own). *)
@@ -107,13 +96,10 @@ type policy = {
   timeout_ms : int;
       (** per-attempt read timeout; 0 = none.  An engine request waits at
           least its deadline plus a margin ({!attempt_timeout_ms}). *)
-  breaker_threshold : int;  (** consecutive failures to open; 0 = off *)
-  breaker_cooldown_ms : int;  (** how long an open breaker rests *)
   seed : int;  (** jitter determinism *)
 }
 
-(** 5 attempts, 20 ms doubling to 2 s, 10 s deadline, breaker at 8
-    consecutive failures resting 500 ms. *)
+(** 5 attempts, 20 ms doubling to 2 s, 10 s deadline. *)
 val default_policy : policy
 
 type client
@@ -148,7 +134,6 @@ type stats = {
   connect_errors : int;
   server_busy : int;  (** retryable failure envelopes seen *)
   retry_after_honored : int;  (** times a server [retry_after_ms] was obeyed *)
-  breaker_opens : int;
 }
 
 val stats : client -> stats

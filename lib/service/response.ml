@@ -23,26 +23,37 @@ let breach_to_json = function
   | Budget.Heap_cap w ->
     Json.Obj [ ("limit", Json.Str "heap"); ("allowance", Json.Int w) ]
 
-let witness_to_json ~horizon_used ~verified (cert : Theorem.certificate) =
+let verified_to_json = function
+  | Ok () -> Json.Bool true
+  | Error msg -> Json.Obj [ ("failed", Json.Str msg) ]
+
+(* A complete witness of either engine: the engine's head fields after
+   the status, the fields of the shared witness record, the engine's own
+   effort counters, then the replay verdict. *)
+let complete_to_json head ~space_bound effort ~verified (w : _ Theorem.witness) =
   Json.Obj
+    ((("status", Json.Str "complete") :: head)
+    @ [
+        ("inputs", inputs_to_json w.Theorem.inputs);
+        ("schedule_length", Json.Int (List.length w.Theorem.schedule));
+        ("registers_written", regs_to_json w.Theorem.registers_written);
+        ("space_bound", Json.Int space_bound);
+        ("covered_registers", regs_to_json w.Theorem.covered_registers);
+        ("fresh_register", Json.Int w.Theorem.fresh_register);
+      ]
+    @ effort
+    @ [ ("verified", verified_to_json verified) ])
+
+let witness_to_json ~horizon_used ~verified (cert : Theorem.certificate) =
+  complete_to_json
     [
-      ("status", Json.Str "complete");
       ("protocol", Json.Str cert.Theorem.protocol_name);
       ("n", Json.Int cert.Theorem.n);
       ("horizon", Json.Int horizon_used);
-      ("inputs", inputs_to_json cert.Theorem.inputs);
-      ("schedule_length", Json.Int (List.length cert.Theorem.schedule));
-      ("registers_written", regs_to_json cert.Theorem.registers_written);
-      ("space_bound", Json.Int (List.length cert.Theorem.registers_written));
-      ("covered_registers", regs_to_json cert.Theorem.covered_registers);
-      ("fresh_register", Json.Int cert.Theorem.fresh_register);
-      ("oracle_searches", Json.Int cert.Theorem.oracle_searches);
-      ("verified",
-       match verified with
-       | Ok () -> Json.Bool true
-       | Error msg ->
-         Json.Obj [ ("failed", Json.Str msg) ]);
     ]
+    ~space_bound:(List.length cert.Theorem.registers_written)
+    [ ("oracle_searches", Json.Int cert.Theorem.effort.Theorem.oracle_searches) ]
+    ~verified cert
 
 let stop_to_json = function
   | Theorem.Out_of_budget b ->
@@ -69,34 +80,25 @@ module Revisionist = Ts_revisionist.Revisionist
 
 let revisionist_to_json ~max_solo_used ~verified
     (cert : Revisionist.certificate) =
-  Json.Obj
+  complete_to_json
     [
-      ("status", Json.Str "complete");
       ("engine", Json.Str "revisionist");
-      ("protocol", Json.Str cert.Revisionist.protocol_name);
-      ("n", Json.Int cert.Revisionist.n);
-      ("excluded",
-       Json.List (List.map (fun p -> Json.Int p) cert.Revisionist.excluded));
+      ("protocol", Json.Str cert.Theorem.protocol_name);
+      ("n", Json.Int cert.Theorem.n);
       ("max_solo", Json.Int max_solo_used);
-      ("inputs", inputs_to_json cert.Revisionist.inputs);
-      ("schedule_length", Json.Int (List.length cert.Revisionist.schedule));
-      ("registers_written", regs_to_json cert.Revisionist.registers_written);
-      ("space_bound", Json.Int cert.Revisionist.bound);
-      ("covered_registers", regs_to_json cert.Revisionist.covered_registers);
-      ("fresh_register", Json.Int cert.Revisionist.fresh_register);
+    ]
+    ~space_bound:(cert.Theorem.n - 1)
+    [
       ("parked",
        Json.List
          (List.map
             (fun (p, r) ->
               Json.Obj [ ("p", Json.Int p); ("register", Json.Int r) ])
-            cert.Revisionist.parked));
-      ("revisions", Json.Int cert.Revisionist.revisions);
-      ("private_steps", Json.Int cert.Revisionist.private_steps);
-      ("verified",
-       match verified with
-       | Ok () -> Json.Bool true
-       | Error msg -> Json.Obj [ ("failed", Json.Str msg) ]);
+            (Revisionist.parked cert)));
+      ("revisions", Json.Int cert.Theorem.effort.Revisionist.revisions);
+      ("private_steps", Json.Int cert.Theorem.effort.Revisionist.private_steps);
     ]
+    ~verified cert
 
 let revisionist_partial_to_json ~max_solo_used stop
     (p : Revisionist.progress) =

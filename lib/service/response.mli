@@ -16,14 +16,10 @@ open Ts_model
 open Ts_core
 module Json := Ts_analysis.Json
 
-(** Structural rendering of a register value: [Bot] as [null], ints and
-    bools natively, pairs as [{"fst": ..., "snd": ...}], lists as
-    arrays. *)
-val value_to_json : Value.t -> Json.t
-
 (** Theorem-1 outcome.  [verified] is the caller's independent
     {!Ts_core.Theorem.verify} replay of the certificate (run it before
-    serializing — a service must never cache an unreplayed witness). *)
+    serializing — a service must never cache an unreplayed witness).
+    ["space_bound"] is the number of registers written. *)
 val witness_to_json :
   horizon_used:int ->
   verified:(unit, string) result ->
@@ -37,8 +33,10 @@ val witness_partial_to_json :
   horizon_used:int -> Theorem.stop -> Theorem.progress -> Json.t
 
 (** Revisionist-engine outcome, the [--engine revisionist] sibling of
-    {!witness_to_json}.  [verified] is the caller's independent
-    [Ts_revisionist.Revisionist.verify] replay. *)
+    {!witness_to_json}, rendering the shared witness fields the same way.
+    ["space_bound"] is the claimed [n − 1], and ["parked"] is
+    [Ts_revisionist.Revisionist.parked].  [verified] is the caller's
+    {!Ts_core.Theorem.verify} replay. *)
 val revisionist_to_json :
   max_solo_used:int ->
   verified:(unit, string) result ->

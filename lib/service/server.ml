@@ -239,29 +239,6 @@ let summary (t : t) =
     uptime = Unix.gettimeofday () -. t.started_at;
   }
 
-let summary_to_json s =
-  Json.Obj
-    ([
-       ("connections", Json.Int s.connections);
-       ("requests", Json.Int s.requests);
-       ("malformed", Json.Int s.malformed);
-       ("refused", Json.Int s.refused);
-       ("direct", Json.Int s.direct);
-       ("job_errors", Json.Int s.job_errors);
-       ("cache",
-        Json.Obj
-          [
-            ("hits", Json.Int s.cache.Ts_core.Cache.hits);
-            ("misses", Json.Int s.cache.Ts_core.Cache.misses);
-            ("evictions", Json.Int s.cache.Ts_core.Cache.evictions);
-            ("entries", Json.Int s.cache.Ts_core.Cache.entries);
-          ]);
-     ]
-    @ (match s.store with
-       | None -> []
-       | Some st -> [ ("store", Response.store_stats_to_json st) ])
-    @ [ ("uptime_s", Json.Float s.uptime) ])
-
 let pp_summary ppf s =
   Format.fprintf ppf
     "served %d request%s (%d direct) on %d connection%s in %.1fs (%d \

@@ -33,8 +33,6 @@
     {!wait} returns.  [tightspace serve] wires SIGINT/SIGTERM to exactly
     this. *)
 
-module Json := Ts_analysis.Json
-
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** [0] picks an ephemeral port — see {!port} *)
@@ -93,5 +91,4 @@ type summary = {
 }
 
 val summary : t -> summary
-val summary_to_json : summary -> Json.t
 val pp_summary : Format.formatter -> summary -> unit

@@ -1,5 +1,6 @@
 (* Configurations, stepping, schedules, executions. *)
 open Ts_model
+module Covering = Ts_core.Covering
 
 (* A tiny deterministic 2-process protocol used as a fixture: p writes its
    input to register p, reads the other register, decides what it read if
@@ -64,16 +65,16 @@ let test_coin_misuse () =
 
 let test_covers () =
   let cfg = Config.initial tiny ~inputs:inputs01 in
-  Alcotest.(check (option int)) "p0 covers R0" (Some 0) (Config.covers tiny cfg 0);
-  Alcotest.(check (option int)) "p1 covers R1" (Some 1) (Config.covers tiny cfg 1);
+  Alcotest.(check (option int)) "p0 covers R0" (Some 0) (Covering.covers tiny cfg 0);
+  Alcotest.(check (option int)) "p1 covers R1" (Some 1) (Covering.covers tiny cfg 1);
   Alcotest.(check (list int)) "covered set" [ 0; 1 ]
-    (Config.covered_registers tiny cfg (Pset.all 2));
-  Alcotest.(check bool) "well spread" true (Config.covering_is_distinct tiny cfg (Pset.all 2));
+    (Covering.covered_set tiny cfg (Pset.all 2));
+  Alcotest.(check bool) "well spread" true (Covering.well_spread tiny cfg (Pset.all 2));
   let cfg', _ = Config.step tiny cfg 0 ~coin:None in
   Alcotest.(check (option int)) "after write p0 covers nothing" None
-    (Config.covers tiny cfg' 0);
+    (Covering.covers tiny cfg' 0);
   Alcotest.(check bool) "not well spread when someone reads" false
-    (Config.covering_is_distinct tiny cfg' (Pset.all 2))
+    (Covering.well_spread tiny cfg' (Pset.all 2))
 
 let test_apply_and_trace () =
   let cfg = Config.initial tiny ~inputs:inputs01 in

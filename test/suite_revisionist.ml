@@ -2,10 +2,10 @@
 
    The heart of this suite is differential: both engines run over the
    registry and must claim the same bound with witnesses that replay —
-   under generous budgets, under tight ones, and under crash-fault
-   plans.  A QCheck property widens the net to randomly generated
-   straight-line protocols where the n-1 bound is reachable by
-   construction. *)
+   under generous budgets and under tight ones — and one claim check
+   ([Theorem.verify]) accepts both engines' witnesses.  A QCheck
+   property widens the net to randomly generated straight-line
+   protocols where the n-1 bound is reachable by construction. *)
 open Ts_model
 open Ts_core
 open Ts_protocols
@@ -22,24 +22,24 @@ let complete = function
 let test_construct_racing2 () =
   let proto = Racing.make ~n:2 in
   let c = complete (Rev.construct proto) in
-  Alcotest.(check int) "bound is n-1" 1 c.Rev.bound;
-  Alcotest.(check int) "one process parked" 1 (List.length c.Rev.parked);
-  Alcotest.(check bool) "at least bound registers written" true
-    (List.length c.Rev.registers_written >= c.Rev.bound);
-  (match Rev.verify c proto with
-   | Ok () -> ()
-   | Error m -> Alcotest.failf "verify rejected a fresh certificate: %s" m);
-  Alcotest.(check (list int)) "nobody excluded" [] c.Rev.excluded
+  Alcotest.(check int) "one process parked" 1 (List.length (Rev.parked c));
+  Alcotest.(check bool) "at least n-1 registers written" true
+    (List.length c.Theorem.registers_written >= c.Theorem.n - 1);
+  match Theorem.verify c proto with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "verify rejected a fresh certificate: %s" m
 
 let test_verify_catches_tamper () =
   let proto = Racing.make ~n:2 in
   let c = complete (Rev.construct proto) in
-  let bad = { c with Rev.bound = c.Rev.bound + 1 } in
-  Alcotest.(check bool) "inflated bound rejected" true
-    (Result.is_error (Rev.verify bad proto));
-  let bad = { c with Rev.schedule = [] } in
+  let bad =
+    { c with Theorem.registers_written = c.Theorem.registers_written @ [ 7 ] }
+  in
+  Alcotest.(check bool) "inflated register set rejected" true
+    (Result.is_error (Theorem.verify bad proto));
+  let bad = { c with Theorem.schedule = [] } in
   Alcotest.(check bool) "emptied schedule rejected" true
-    (Result.is_error (Rev.verify bad proto))
+    (Result.is_error (Theorem.verify bad proto))
 
 (* The registry differential: on every entry the gate expects agreement
    on, both engines must complete with the same bound and each witness
@@ -64,7 +64,7 @@ let check_agreement name proto ~budget_l ~budget_r =
   (match Theorem.verify lemmas proto with
    | Ok () -> ()
    | Error m -> Alcotest.failf "%s: lemmas witness rejected: %s" name m);
-  (match Rev.verify rev proto with
+  (match Theorem.verify rev proto with
    | Ok () -> ()
    | Error m -> Alcotest.failf "%s: revisionist witness rejected: %s" name m);
   let n = proto.Protocol.num_processes in
@@ -77,7 +77,7 @@ let check_agreement name proto ~budget_l ~budget_r =
         (List.length written >= bound))
     [
       ("lemmas", lemmas.Theorem.n - 1, lemmas.Theorem.registers_written);
-      ("revisionist", rev.Rev.bound, rev.Rev.registers_written);
+      ("revisionist", rev.Theorem.n - 1, rev.Theorem.registers_written);
     ]
 
 let agree_entries () =
@@ -112,7 +112,7 @@ let test_differential_under_budget_caps () =
           proto ~initial_solo:32
       with
       | Rev.Complete c, _ ->
-        (match Rev.verify c proto with
+        (match Theorem.verify c proto with
          | Ok () -> check_agreement name proto
                       ~budget_l:(Budget.create ~deadline:30.0 ())
                       ~budget_r:(Budget.create ~max_nodes:40 ())
@@ -134,49 +134,13 @@ let test_tiny_budget_is_partial () =
     Alcotest.failf "wrong stop: %a" Rev.pp_stop stop
   | Rev.Complete _ -> Alcotest.fail "one node cannot complete a construction"
 
-(* Crash-fault plans: crashed processes are excluded from the start, the
-   bound drops to survivors-1 and the witness never schedules them. *)
-let test_fault_plan_drops_bound () =
-  let proto = Racing.make ~n:3 in
-  let c = complete (Rev.construct ~faults:(Fault.crash_after 2 0) proto) in
-  Alcotest.(check (list int)) "p2 excluded" [ 2 ] c.Rev.excluded;
-  Alcotest.(check int) "bound is survivors-1" 1 c.Rev.bound;
-  Alcotest.(check bool) "p2 never scheduled" true
-    (List.for_all (fun (ev : Execution.event) -> ev.Execution.pid <> 2)
-       c.Rev.schedule);
-  match Rev.verify c proto with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "faulted witness rejected: %s" m
-
-let test_fault_needs_two_survivors () =
-  let proto = Racing.make ~n:2 in
-  Alcotest.(check bool) "1 survivor refused" true
-    (match Rev.construct ~faults:(Fault.crash_after 1 0) proto with
-     | exception Invalid_argument _ -> true
-     | _ -> false)
-
-(* The agreement differential must also hold with faults on both sides:
-   both engines see the same survivor set... the lemmas engine has no
-   fault mode, so assert the revisionist bound directly against the
-   survivor arithmetic instead. *)
-let test_fault_bound_arithmetic () =
-  List.iter
-    (fun n ->
-      let proto = Racing.make ~n in
-      let c = complete (Rev.construct ~faults:(Fault.crash_after (n - 1) 0) proto) in
-      Alcotest.(check int)
-        (Printf.sprintf "n=%d, one crash: bound n-2" n)
-        (n - 2) c.Rev.bound)
-    [ 3; 4 ]
-
 (* Certificates from revisionist witnesses go through the same
-   certificate stack as first-engine ones: engine replay, independent
-   micro-checker, and rejection of the excluded-process case (a
-   survivors-1 claim is not the n-1 theorem). *)
+   certificate builder and stack as first-engine ones: engine replay and
+   the independent micro-checker. *)
 let test_certificate_roundtrip () =
   let proto = Racing.make ~n:2 in
   let c = complete (Rev.construct proto) in
-  let cert = Cert.of_revisionist proto c in
+  let cert = Cert.of_theorem proto c in
   (match Cert.validate proto cert with
    | Ok () -> ()
    | Error m -> Alcotest.failf "engine replay rejected: %s" m);
@@ -188,14 +152,6 @@ let test_certificate_roundtrip () =
     Alcotest.(check string) "serialization round-trips"
       (Cert.to_string cert) (Cert.to_string cert')
   | Error m -> Alcotest.failf "re-parse failed: %s" m
-
-let test_certificate_refuses_faulted () =
-  let proto = Racing.make ~n:3 in
-  let c = complete (Rev.construct ~faults:(Fault.crash_after 2 0) proto) in
-  Alcotest.(check bool) "faulted run yields no space_bound certificate" true
-    (match Cert.of_revisionist proto c with
-     | exception Invalid_argument _ -> true
-     | _ -> false)
 
 (* The gate's comparison over the registry: every entry it gates on
    ([Expect_agree], [Expect_diverge]) meets its expectation at the gate's
@@ -322,9 +278,9 @@ let prop_straightline_completes =
       let proto = straightline_protocol ~n ~reads in
       match Rev.construct ~max_solo:16 proto with
       | Rev.Complete c ->
-        c.Rev.bound = n - 1
-        && Rev.verify c proto = Ok ()
-        && List.length c.Rev.registers_written >= n - 1
+        List.length (Rev.parked c) = n - 1
+        && Theorem.verify c proto = Ok ()
+        && List.length c.Theorem.registers_written >= n - 1
       | Rev.Partial _ -> false)
 
 let prop_complete_implies_verified =
@@ -335,8 +291,7 @@ let prop_complete_implies_verified =
     (fun n ->
       let proto = Racing.make ~n in
       match Rev.escalate proto ~initial_solo:(10 * n) with
-      | Rev.Complete c, _ ->
-        c.Rev.bound = n - 1 && Rev.verify c proto = Ok ()
+      | Rev.Complete c, _ -> Theorem.verify c proto = Ok ()
       | Rev.Partial _, _ -> false)
 
 (* The witness policy both engines share ([Theorem.policy]): without an
@@ -381,6 +336,75 @@ let test_shared_witness_policy () =
       Rev.witness ?budget ?max_solo proto)
     (fun p -> p.Rev.max_solo)
 
+(* The one claim check reads the recorded trace.  A racing-3 witness
+   from each engine, with one recorded write's value altered, keeps its
+   schedule and its register set, and must still be rejected.  (A trace
+   step records the action, not what a read returned.) *)
+let tamper_first_write trace =
+  let altered = ref false in
+  List.map
+    (fun (s : Execution.step_record) ->
+      match s.Execution.action with
+      | Action.Write (r, v) when not !altered ->
+        altered := true;
+        { s with Execution.action = Action.Write (r, Value.pair v v) }
+      | _ -> s)
+    trace
+
+let test_claim_check_reads_the_trace () =
+  let proto = Racing.make ~n:3 in
+  let check_engine engine w =
+    Alcotest.(check bool) (engine ^ ": the witness is accepted") true
+      (Theorem.verify w proto = Ok ());
+    let bad = { w with Theorem.trace = tamper_first_write w.Theorem.trace } in
+    Alcotest.(check bool) (engine ^ ": one trace step altered") true
+      (bad.Theorem.trace <> w.Theorem.trace);
+    Alcotest.(check bool) (engine ^ ": the tampered trace is rejected") true
+      (Result.is_error (Theorem.verify bad proto))
+  in
+  (match Theorem.witness proto with
+   | Theorem.Complete w, _ -> check_engine "lemmas" w
+   | Theorem.Partial (stop, _), _ ->
+     Alcotest.failf "lemmas engine stopped: %a" Theorem.pp_stop stop);
+  check_engine "revisionist" (complete (fst (Rev.witness proto)))
+
+(* The revisionist's parked list is read off its witness's release: n - 1
+   processes on pairwise distinct registers, the covered ones and the
+   fresh one, each an actor of the witness's last n - 1 steps. *)
+let test_parked_is_the_release () =
+  let protos =
+    List.map (fun e -> e.Registry.protocol) (agree_entries ())
+    @ List.concat_map
+        (fun n ->
+          [ Protocol.Packed (Racing.make ~n);
+            Protocol.Packed (Racing.make_randomized ~n) ])
+        [ 3; 4 ]
+  in
+  List.iter
+    (fun (Protocol.Packed proto) ->
+      let w = complete (fst (Rev.witness proto)) in
+      let name = proto.Protocol.name and n = w.Theorem.n in
+      let parked = Rev.parked w in
+      let regs = List.sort_uniq Int.compare (List.map snd parked) in
+      Alcotest.(check int) (name ^ ": n - 1 parked") (n - 1) (List.length parked);
+      Alcotest.(check int) (name ^ ": pairwise distinct registers") (n - 1)
+        (List.length regs);
+      Alcotest.(check (list int)) (name ^ ": the covered and the fresh registers")
+        (List.sort_uniq Int.compare
+           (w.Theorem.fresh_register :: w.Theorem.covered_registers))
+        regs;
+      let first = List.length w.Theorem.trace - (n - 1) in
+      let release = List.filteri (fun i _ -> i >= first) w.Theorem.trace in
+      List.iter
+        (fun (p, _) ->
+          Alcotest.(check bool) (Printf.sprintf "%s: p%d steps in the release" name p)
+            true
+            (List.exists
+               (fun (s : Execution.step_record) -> s.Execution.actor = p)
+               release))
+        parked)
+    protos
+
 let suite =
   ( "revisionist",
     [
@@ -393,16 +417,8 @@ let suite =
         test_differential_under_budget_caps;
       Alcotest.test_case "tiny budget degrades to partial" `Quick
         test_tiny_budget_is_partial;
-      Alcotest.test_case "crash plan drops the bound" `Quick
-        test_fault_plan_drops_bound;
-      Alcotest.test_case "fewer than 2 survivors refused" `Quick
-        test_fault_needs_two_survivors;
-      Alcotest.test_case "fault bound arithmetic" `Quick
-        test_fault_bound_arithmetic;
       Alcotest.test_case "certificate round-trip" `Quick
         test_certificate_roundtrip;
-      Alcotest.test_case "no certificate for faulted runs" `Quick
-        test_certificate_refuses_faulted;
       Alcotest.test_case "crosscheck gate + planted divergence" `Quick
         test_crosscheck_report;
       QCheck_alcotest.to_alcotest prop_straightline_completes;
@@ -413,4 +429,8 @@ let suite =
         test_comparison_budget_trip_unavailable;
       Alcotest.test_case "witness policy: shared by both engines" `Quick
         test_shared_witness_policy;
+      Alcotest.test_case "claim check: a tampered trace is rejected" `Quick
+        test_claim_check_reads_the_trace;
+      Alcotest.test_case "parked list: the witness's release" `Quick
+        test_parked_is_the_release;
     ] )

@@ -675,8 +675,9 @@ let test_resilient_through_chaos () =
   Alcotest.(check bool) "and absorbed by retries, not luck" true
     (retries > 0 || ps.Chaos.resets = 0)
 
-(* a dead upstream trips the breaker after the configured streak *)
-let test_breaker_opens () =
+(* a dead upstream spends every attempt, each a tagged connect failure,
+   and the call reports exhaustion *)
+let test_dead_port_exhausts () =
   let cl =
     Client.make
       ~policy:
@@ -685,8 +686,6 @@ let test_breaker_opens () =
           attempts = 4;
           backoff_ms = 2;
           backoff_max_ms = 4;
-          breaker_threshold = 2;
-          breaker_cooldown_ms = 20;
         }
       ~port:1 ()
   in
@@ -698,8 +697,6 @@ let test_breaker_opens () =
   let s = Client.stats cl in
   Client.shutdown cl;
   Alcotest.(check int) "all attempts spent" 4 s.Client.attempts_made;
-  Alcotest.(check bool) "breaker opened on the streak" true
-    (s.Client.breaker_opens >= 1);
   Alcotest.(check int) "every attempt a tagged connect failure" 4
     s.Client.connect_errors
 
@@ -1037,8 +1034,8 @@ let suite =
         test_retry_after_honored;
       Alcotest.test_case "e2e: resilient client through the chaos proxy" `Quick
         test_resilient_through_chaos;
-      Alcotest.test_case "client: circuit breaker opens on a failure streak"
-        `Quick test_breaker_opens;
+      Alcotest.test_case "client: a dead port exhausts every attempt"
+        `Quick test_dead_port_exhausts;
       Alcotest.test_case "resilient replays its witness at the request's budget"
         `Quick test_resilient_replay_budget;
       Alcotest.test_case "check/resilient refuse n beyond the limit" `Quick

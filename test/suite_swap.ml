@@ -2,6 +2,7 @@
 open Ts_model
 open Ts_protocols
 module E = Ts_checker.Explore
+module Covering = Ts_core.Covering
 
 let test_two_process_correct () =
   (* full exhaustive check: the graph is tiny and finite *)
@@ -53,9 +54,9 @@ let test_theorem1_on_swap_consensus () =
 let test_swap_counts_as_covering () =
   let proto = Swap_consensus.two_process () in
   let cfg = Config.initial proto ~inputs:[| Value.int 0; Value.int 1 |] in
-  Alcotest.(check (option int)) "poised swap covers R0" (Some 0) (Config.covers proto cfg 0);
+  Alcotest.(check (option int)) "poised swap covers R0" (Some 0) (Covering.covers proto cfg 0);
   Alcotest.(check bool) "but both cover the SAME register" false
-    (Config.covering_is_distinct proto cfg (Pset.all 2))
+    (Covering.well_spread proto cfg (Pset.all 2))
 
 let test_swap_on_domains () =
   let s =
